@@ -2,7 +2,7 @@
 
 Replicate r of an experiment with master seed s draws from a generator
 seeded with ``mix64(s, r)``, so any subset of replicates can be produced
-independently of batching, worker count or execution order.
+independently of batching or execution order.
 """
 
 from __future__ import annotations

@@ -14,18 +14,9 @@ certification failed; 2 = configuration or model error.
 Reports are deterministic for a fixed config: JSON is emitted with sorted
 keys, CSV with a fixed documented header, floats via repr round-tripping.
 Wall-clock timestamps live only in the .meta.json sidecar next to each
-report, which is excluded from any byte-level comparison.
-
-CSV column orders (fixed):
-
-    verify.csv:   event,T,k,replicates,hits,frequency,ci_low,ci_high,
-                  bound,vacuous,certified
-    sweep.csv:    event,T,k,delta,replicates,hits,frequency,ci_low,ci_high,
-                  bound,vacuous,certified,psi_k,anticonc_bound,
-                  anticonc_threshold,upper_tail_bound,ls_error_bound,
-                  burnin_satisfied
-    identify.csv: replicate,op_error
-    simulate.csv: replicate,t,x0,...,x{d-1}
+report, which is excluded from any byte-level comparison.  The CSV column
+orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
+and the config schema for users.
 
 The ``bound_scale`` config key is a test hook: every theoretical bound is
 multiplied by it immediately before certification (reported bounds are the
@@ -53,9 +44,17 @@ from .bounds import (
 )
 from .config import ExperimentConfig, load_config
 from .errors import CausalCovError, ConfigError
-from .estimator import ls_bound_details
+from .estimator import ls_bound_details, ls_error_bound
 from .montecarlo import certify, run_identification_experiment, run_tail_experiment
-from .process import VarSystem, derive_seed, gamma_k, kappa, noise_block, paths_from_noise
+from .process import (
+    ProcessSpec,
+    VarSystem,
+    derive_seed,
+    gamma_k,
+    kappa,
+    noise_block,
+    paths_from_noise,
+)
 
 __all__ = ["main"]
 
@@ -157,14 +156,14 @@ def _truncation(T: int, k: int) -> tuple[int, str | None]:
     return t_eff, f"horizon truncated from T={T} to T'={t_eff} (k={k} does not divide T)"
 
 
-def _experiment_row(exp, T: int, k: int, scale: float) -> dict:
+def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
     """Flatten one experiment into a CSV/JSON row, applying the bound hook."""
     bound = exp.bound * scale
     certified, vacuous = certify(exp.ci[1], bound)
     return {
         "event": exp.event,
-        "T": T,
-        "k": k,
+        "T": spec.T,
+        "k": spec.k,
         "replicates": exp.replicates,
         "hits": exp.hits,
         "frequency": exp.frequency,
@@ -178,9 +177,8 @@ def _experiment_row(exp, T: int, k: int, scale: float) -> dict:
     }
 
 
-def _cell_bounds(config: ExperimentConfig, T: int, k: int, delta: float) -> dict:
+def _cell_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dict:
     """Cell-level theoretical quantities shared by bounds and sweep rows."""
-    spec = config.process_spec(T, k)
     report = anticoncentration_bound(spec.operator())
     cell = {
         "psi_k": report.psi_k,
@@ -193,7 +191,7 @@ def _cell_bounds(config: ExperimentConfig, T: int, k: int, delta: float) -> dict
         "burnin_satisfied": None,
     }
     if isinstance(config.model, VarSystem):
-        details = ls_bound_details(config.model, T, k, delta)
+        details = ls_bound_details(config.model, spec.T, spec.k, delta)
         cell["ls_error_bound"] = details["bound"]
         cell["burnin_satisfied"] = details["burnin_satisfied"]
         cell["c_sys"] = details["c_sys"]
@@ -213,7 +211,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     if notice:
         report["truncation_notice"] = notice
-    cell = _cell_bounds(config, config.T, config.k, config.delta)
+    cell = _cell_bounds(config, config.process_spec(), config.delta)
     report.update(cell)
     if isinstance(config.model, VarSystem):
         sys_model = config.model
@@ -232,8 +230,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_events(config: ExperimentConfig, T: int, k: int, seed_offset: int) -> list[dict]:
-    spec = config.process_spec(T, k)
+def _run_events(config: ExperimentConfig, spec: ProcessSpec, seed_offset: int) -> list[dict]:
     rows = []
     for idx, ev in enumerate(config.events):
         exp = run_tail_experiment(
@@ -243,14 +240,14 @@ def _run_events(config: ExperimentConfig, T: int, k: int, seed_offset: int) -> l
             R=config.replicates,
             seed=derive_seed(config.seed, seed_offset + idx),
         )
-        rows.append(_experiment_row(exp, T, k, config.bound_scale))
+        rows.append(_experiment_row(exp, spec, config.bound_scale))
     return rows
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
     t_eff, notice = _truncation(config.T, config.k)
-    rows = _run_events(config, config.T, config.k, seed_offset=0)
+    rows = _run_events(config, config.process_spec(), seed_offset=0)
     overall = all(r["certified"] for r in rows)
     summary: dict = {
         "config": config.to_dict(),
@@ -279,6 +276,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
     if not isinstance(config.model, VarSystem):
         raise ConfigError("identify requires a var model")
+    if config.require_burnin:
+        ls_error_bound(config.model, config.T, config.k, config.delta, require_burnin=True)
     exp = run_identification_experiment(
         config.model,
         config.T,
@@ -341,10 +340,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     offset = 0
     for T in t_grid:
         for k in k_grid:
+            spec = config.process_spec(T, k)
             for delta in d_grid:
-                cell = _cell_bounds(config, T, k, delta)
+                cell = _cell_bounds(config, spec, delta)
                 cell_head = {kk: vv for kk, vv in cell.items() if kk != "intermediates"}
-                event_rows = _run_events(config, T, k, seed_offset=offset)
+                event_rows = _run_events(config, spec, seed_offset=offset)
                 offset += len(config.events)
                 for r in event_rows:
                     r["delta"] = delta

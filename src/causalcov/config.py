@@ -1,32 +1,9 @@
 """Experiment configuration: a strict, diff-able JSON data model.
 
 A config is a single JSON document.  Unknown keys are rejected so that a
-typo never silently changes an experiment.  Matrices are row-major nested
-arrays.  Schema (defaults in parentheses):
-
-    {
-      "model": {
-        "type": "var",
-        "a_lags": [[[...]], ...],      # L matrices, each d x d
-        "h": [[...]]                   # d x p noise map
-      }                                # or:
-      "model": {
-        "type": "operator",
-        "d": 1, "p": 1, "k": 1,
-        "blocks": [[B00], [B10, B11], ...]   # row i holds i+1 (dk x pk) blocks
-      },
-      "T": 64,                         # horizon (required)
-      "k": 1,                          # block length, or "auto"  (1)
-      "delta": 0.1,                    # failure budget              (0.1)
-      "replicates": 10000,             # Monte-Carlo replicates      (10000)
-      "seed": 0,                       # master seed                 (0)
-      "events": ["lower-tail-eigenvalue",
-                 {"event": "upper-tail-opnorm", "params": {"q": 2.0}}],
-      "grid": {"T": [...], "k": [...], "delta": [...]},   # sweep only
-      "bound_scale": 1.0,              # test hook: scales bounds before
-                                       # certification               (1.0)
-      "require_burnin": false          # identify: fail hard on burn-in (false)
-    }
+typo never silently changes an experiment.  The schema with its defaults is
+documented once, in README.md ("Configuration"); ExperimentConfig.from_dict
+is its implementation.
 
 "k": "auto" resolves to the smallest k >= kappa(model) with floor(T/k) >= 2,
 scanning up to T/2; the resolved value is recorded in every report.

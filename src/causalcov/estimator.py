@@ -46,11 +46,6 @@ class LsFit:
     self_normalized: float | None = None
 
 
-def _psd_eig(m: np.ndarray):
-    w, u = np.linalg.eigh(0.5 * (m + m.T))
-    return w, u
-
-
 def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None) -> LsFit:
     """Fit A_hat = (sum_t Y_t X_t^T)(sum_t X_t X_t^T)^+.
 
@@ -65,7 +60,8 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
         raise InvalidInput(f"incompatible sample shapes {x.shape} and {y.shape}")
     gram = x.T @ x
     syx = y.T @ x
-    w, u = _psd_eig(gram)
+    sym_gram = SymMatrix(gram)
+    w, u = sym_gram.eigh()
     cut = GRAM_CUTOFF * max(float(w[-1]), 0.0)
     keep = w > cut
     rank_deficient = bool(np.count_nonzero(keep) < gram.shape[0])
@@ -74,7 +70,7 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
     a_hat = syx @ pinv
     fit = LsFit(
         a_hat=a_hat,
-        gram=SymMatrix(gram),
+        gram=sym_gram,
         syx=syx,
         n_samples=int(x.shape[0]),
         rank_deficient=rank_deficient,
@@ -106,8 +102,7 @@ def error_decomposition(
     reg = np.zeros_like(gram) if regularizer is None else np.asarray(regularizer, float)
     if reg.shape != gram.shape:
         raise InvalidInput(f"regularizer shape {reg.shape} != gram shape {gram.shape}")
-    m = gram + reg
-    w, u = _psd_eig(m)
+    w, u = SymMatrix(gram + reg).eigh()
     if w[-1] <= 0 or w[0] <= GRAM_CUTOFF * w[-1]:
         raise SingularGram("regularized Gram matrix has no inverse square root")
     inv_sqrt = (u * w**-0.5) @ u.T

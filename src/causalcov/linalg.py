@@ -15,7 +15,6 @@ from .errors import InvalidInput
 
 __all__ = [
     "SymMatrix",
-    "sym_eig_extremes",
     "psd_check",
     "trace_square",
     "CausalOperator",
@@ -52,6 +51,10 @@ class SymMatrix:
         """All eigenvalues, ascending."""
         return np.linalg.eigvalsh(self.a)
 
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and orthonormal eigenvectors as columns."""
+        return np.linalg.eigh(self.a)
+
     def eig_extremes(self) -> tuple[float, float]:
         """(smallest, largest) eigenvalue."""
         w = self.eigvals()
@@ -65,17 +68,6 @@ class SymMatrix:
         if dtype is not None:
             return self.a.astype(dtype)
         return self.a
-
-
-def sym_eig_extremes(m) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix.
-
-    Accepts an array or a SymMatrix; the array is symmetrized first so
-    round-off asymmetry cannot leak complex arithmetic into callers.
-    """
-    if isinstance(m, SymMatrix):
-        return m.eig_extremes()
-    return SymMatrix(m).eig_extremes()
 
 
 def psd_check(m, rtol: float = PSD_RTOL) -> bool:

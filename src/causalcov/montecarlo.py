@@ -1,10 +1,8 @@
 """Monte-Carlo certification of the probability bounds.
 
 Every experiment is reproducible: replicate r of master seed s draws its
-noise from a generator seeded with mix64(s, r), replicates are processed
-in fixed-size batches in replicate order, and the worker count (capped by
-the CAUSALCOV_THREADS environment variable) only controls how many batches
-are in flight — results are bitwise identical across worker counts.
+noise from a generator seeded with mix64(s, r), and replicates are
+simulated in order, in batches whose size depends only on the horizon.
 
 Certification is one-sided by design: an experiment certifies its bound
 when the upper edge of the 99.9% Wilson interval for the event frequency
@@ -14,14 +12,12 @@ sits at or below the bound, or trivially when the bound is vacuous (>= 1).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as _stats
 
-from ._rng import mix64, replicate_rng
+from ._rng import mix64
 from .bounds import (
     anticoncentration_bound,
     chernoff_lower_tail,
@@ -33,13 +29,7 @@ from .bounds import (
 from .errors import InvalidInput
 from .estimator import least_squares, ls_bound_details
 from .linalg import require_psd
-from .process import (
-    ProcessSpec,
-    VarSystem,
-    companion,
-    noise_block,
-    paths_from_noise,
-)
+from .process import ProcessSpec, VarSystem, noise_block, paths_from_noise
 
 __all__ = [
     "TailExperiment",
@@ -47,26 +37,13 @@ __all__ = [
     "run_tail_experiment",
     "run_mgf_experiment",
     "run_identification_experiment",
-    "EVENT_KINDS",
 ]
 
-#: replicates per batch; fixed so batching never depends on the worker count
-BATCH = 1024
+#: simulated time steps per batch, which bounds the memory of its noise and paths
+STEPS = 2**15
 
 #: two-sided confidence of the certification interval
 CONFIDENCE = 0.999
-
-#: standard-normal quantile for the two-sided 99.9% interval
-WILSON_Z = float(_stats.norm.ppf(1.0 - (1.0 - CONFIDENCE) / 2.0))
-
-EVENT_KINDS = (
-    "lower-tail-eigenvalue",
-    "chernoff-direction",
-    "upper-tail-opnorm",
-    "ls-error-exceeds-bound",
-    "mgf-estimate",
-)
-
 
 @dataclass
 class TailExperiment:
@@ -116,26 +93,17 @@ def certify(ci_hi: float, bound: float) -> tuple[bool, bool]:
     return (vacuous or ci_hi <= bound), vacuous
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("CAUSALCOV_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise InvalidInput(f"CAUSALCOV_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise InvalidInput(f"worker count must be >= 1, got {workers}")
-    return workers
+def _path_stats(spec: ProcessSpec, seed: int, R: int, stat) -> np.ndarray:
+    """stat(paths) -> 1-d array over replicates 0..R-1 of spec, in order.
 
-
-def _map_batches(fn, R: int, workers: int) -> np.ndarray:
-    """Apply fn(start, count) -> 1-d array over fixed batches, in order."""
-    spans = [(s, min(BATCH, R - s)) for s in range(0, R, BATCH)]
-    if workers == 1 or len(spans) == 1:
-        parts = [fn(s, c) for s, c in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sc: fn(*sc), spans))
+    Each batch simulates max(1, STEPS // T') replicates (the last one may
+    hold fewer) through noise_block and paths_from_noise.
+    """
+    size = max(1, STEPS // spec.effective_horizon)
+    parts = []
+    for start in range(0, R, size):
+        w = noise_block(spec, seed, start, min(size, R - start))
+        parts.append(stat(paths_from_noise(spec, w)))
     return np.concatenate(parts)
 
 
@@ -145,7 +113,6 @@ def run_tail_experiment(
     params: dict | None = None,
     R: int = 10_000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> TailExperiment:
     """Estimate an event frequency over R sampled paths and certify its bound.
 
@@ -162,7 +129,6 @@ def run_tail_experiment(
     params = dict(params or {})
     if R < 1:
         raise InvalidInput("replicate count must be >= 1")
-    workers = _resolve_workers(workers)
     op = spec.operator()
     t_eff, d = spec.effective_horizon, spec.state_dim
     extras: dict = {}
@@ -176,13 +142,11 @@ def run_tail_experiment(
         threshold = chernoff_threshold(op, d_mat)
         extras["threshold"] = threshold
 
-        def batch_stat(start, count):
-            w = noise_block(spec, seed, start, count)
-            x = paths_from_noise(spec, w)
+        def batch_stat(x):
             probed = np.einsum("rtd,ed->rte", x, direction)
             return np.einsum("rte,rte->r", probed, probed)
 
-        stat = _map_batches(batch_stat, R, workers)
+        stat = _path_stats(spec, seed, R, batch_stat)
         hits = int(np.count_nonzero(stat <= threshold))
 
     elif event == "lower-tail-eigenvalue":
@@ -192,13 +156,11 @@ def run_tail_experiment(
         extras["threshold"] = threshold
         extras["psi_k"] = report.psi_k
 
-        def batch_stat(start, count):
-            w = noise_block(spec, seed, start, count)
-            x = paths_from_noise(spec, w)
+        def batch_stat(x):
             grams = np.einsum("rti,rtj->rij", x, x) / t_eff
             return np.linalg.eigvalsh(grams)[:, 0]
 
-        stat = _map_batches(batch_stat, R, workers)
+        stat = _path_stats(spec, seed, R, batch_stat)
         hits = int(np.count_nonzero(stat <= threshold))
 
     elif event == "upper-tail-opnorm":
@@ -214,13 +176,11 @@ def run_tail_experiment(
         extras["threshold"] = threshold
         extras["q"] = q
 
-        def batch_stat(start, count):
-            w = noise_block(spec, seed, start, count)
-            x = paths_from_noise(spec, w)
+        def batch_stat(x):
             grams = np.einsum("rti,rtj->rij", x, x)
             return np.linalg.eigvalsh(grams)[:, -1]
 
-        stat = _map_batches(batch_stat, R, workers)
+        stat = _path_stats(spec, seed, R, batch_stat)
         hits = int(np.count_nonzero(stat >= threshold))
 
     else:
@@ -294,41 +254,28 @@ def run_identification_experiment(
     delta: float,
     R: int = 1000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> TailExperiment:
     """Exceedance test of the identification error bound over R replicates.
 
-    Each replicate simulates the lifted state for T'+1 steps, fits the
-    regression of Z_{t+1} on the lifted X_t by least squares, and records
-    the operator-norm error.  The certified budget is 2*delta (bound
-    failure plus burn-in failure); an unsatisfied burn-in is flagged in
-    extras but the experiment proceeds.
+    Each replicate simulates the lifted state for T'+1 steps as a k=1
+    process, fits the regression of Z_{t+1} on the lifted X_t by least
+    squares, and records the operator-norm error.  The certified budget is
+    2*delta (bound failure plus burn-in failure); an unsatisfied burn-in
+    is flagged in extras but the experiment proceeds.
     """
     if R < 1:
         raise InvalidInput("replicate count must be >= 1")
-    workers = _resolve_workers(workers)
     details = ls_bound_details(sys, T, k, delta)
     bound = details["bound"]
     t_eff = details["effective_horizon"]
-    a, b = companion(sys), sys.lifted_noise_map()
     a_star = sys.regression_matrix()
-    d = sys.d
 
-    def batch_stat(start, count):
-        errors = np.empty(count)
-        for i in range(count):
-            w = replicate_rng(seed, start + i).standard_normal((t_eff + 1, sys.p))
-            x = np.empty((t_eff + 1, sys.lifted_dim))
-            state = b @ w[0]
-            x[0] = state
-            for t in range(1, t_eff + 1):
-                state = a @ state + b @ w[t]
-                x[t] = state
-            fit = least_squares(x[:t_eff], x[1 : t_eff + 1, :d], a_star=a_star)
-            errors[i] = fit.op_error
-        return errors
+    def batch_stat(x):
+        return np.array(
+            [least_squares(xr[:t_eff], xr[1:, : sys.d], a_star=a_star).op_error for xr in x]
+        )
 
-    op_errors = _map_batches(batch_stat, R, workers)
+    op_errors = _path_stats(ProcessSpec(source=sys, T=t_eff + 1), seed, R, batch_stat)
     hits = int(np.count_nonzero(op_errors > bound))
     frequency = hits / R
     ci = wilson_interval(hits, R)

@@ -33,6 +33,7 @@ from causalcov import (
     var_time_covariances,
     var_to_operator,
 )
+from causalcov import montecarlo
 from causalcov.cli import main
 from conftest import (
     chi2_lower,
@@ -279,12 +280,14 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     payloads = []
-    for threads, name in (("1", "t1"), ("4", "t4")):
-        monkeypatch.setenv("CAUSALCOV_THREADS", threads)
-        out = tmp_path / name
+    # 682 replicates per batch by default (T=48), and 7 per batch; both split
+    # 3000 replicates unevenly
+    for steps in (montecarlo.STEPS, 48 * 7):
+        monkeypatch.setattr(montecarlo, "STEPS", steps)
+        out = tmp_path / f"s{steps}"
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
         payloads.append(
             ((out / "verify.csv").read_bytes(), (out / "verify.json").read_bytes())
         )
-    assert payloads[0][0] == payloads[1][0], "CSV payloads differ across thread caps"
-    assert payloads[0][1] == payloads[1][1], "JSON payloads differ across thread caps"
+    assert payloads[0][0] == payloads[1][0], "CSV payloads differ across batch sizes"
+    assert payloads[0][1] == payloads[1][1], "JSON payloads differ across batch sizes"

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from causalcov import ExperimentConfig, load_config
+from causalcov import ExperimentConfig, cli, load_config, montecarlo
 from causalcov.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, main
 
 
@@ -166,16 +166,18 @@ class TestVerify:
         summary = json.loads((out / "verify.json").read_text())
         assert summary["overall_pass"] is False
 
-    def test_thread_cap_determinism(self, tmp_path, monkeypatch):
+    def test_step_budget_determinism(self, tmp_path, monkeypatch):
+        # T=24: 1365 replicates per batch by default, so 2100 leaves an uneven last batch
         cfg = write_config(tmp_path / "c.json", base_config(replicates=2100))
         outs = []
-        for threads, name in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("CAUSALCOV_THREADS", threads)
-            out = tmp_path / name
+        for steps in (montecarlo.STEPS, 24, 24 * 1000 + 7):
+            monkeypatch.setattr(montecarlo, "STEPS", steps)
+            out = tmp_path / f"s{steps}"
             assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out)
-        assert (outs[0] / "verify.csv").read_bytes() == (outs[1] / "verify.csv").read_bytes()
-        assert (outs[0] / "verify.json").read_bytes() == (outs[1] / "verify.json").read_bytes()
+        for out in outs[1:]:
+            assert (outs[0] / "verify.csv").read_bytes() == (out / "verify.csv").read_bytes()
+            assert (outs[0] / "verify.json").read_bytes() == (out / "verify.json").read_bytes()
 
     def test_seed_and_replicates_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())
@@ -208,6 +210,31 @@ class TestIdentify:
         report = json.loads((out / "identify.json").read_text())
         assert report["burnin_satisfied"] is False
         assert "certified" not in report
+
+    @pytest.mark.parametrize("required", [True, False])
+    def test_require_burnin(self, tmp_path, monkeypatch, required):
+        calls = []
+        run = cli.run_identification_experiment
+
+        def counted_run(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_identification_experiment", counted_run)
+        cfg = write_config(
+            tmp_path / "c.json", base_config(T=8, replicates=10, require_burnin=required)
+        )
+        out = tmp_path / "out"
+        code = main(["identify", "--config", cfg, "--out", str(out)])
+        if required:
+            # fails before any replicate is simulated or any report is written
+            assert code == 2 and not calls
+            assert not (out / "identify.json").exists()
+        else:
+            assert code == 0 and calls
+            report = json.loads((out / "identify.json").read_text())
+            assert report["burnin_satisfied"] is False
+            assert "certified" not in report
 
 
 class TestSweep:

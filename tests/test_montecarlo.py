@@ -15,9 +15,12 @@ from causalcov import (
     run_tail_experiment,
     wilson_interval,
 )
+from causalcov import montecarlo
 from causalcov._rng import replicate_rng
+from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
-from causalcov.montecarlo import BATCH, certify
+from causalcov.montecarlo import certify
+from causalcov.process import companion
 from conftest import chi2_lower, random_psd
 
 
@@ -97,18 +100,18 @@ class TestTailExperimentChernoff:
         assert exp.hits == hits
 
 
-def test_tail_experiment_determinism_across_workers(monkeypatch):
-    spec = iid_spec(16)
-    r = BATCH + 333  # force an uneven chunk split
-    a = run_tail_experiment(spec, "lower-tail-eigenvalue", R=r, seed=3, workers=1)
-    b = run_tail_experiment(spec, "lower-tail-eigenvalue", R=r, seed=3, workers=4)
-    assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
-    monkeypatch.setenv("CAUSALCOV_THREADS", "3")
-    c = run_tail_experiment(spec, "lower-tail-eigenvalue", R=r, seed=3)
-    assert c.hits == a.hits and c.ci == a.ci
-    monkeypatch.setenv("CAUSALCOV_THREADS", "not-a-number")
-    with pytest.raises(InvalidInput):
-        run_tail_experiment(spec, "lower-tail-eigenvalue", R=8, seed=3)
+def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
+    T = 16
+    spec = iid_spec(T)
+    r = 2 * (montecarlo.STEPS // T) + 333  # two full batches and an uneven last one
+    events = ("lower-tail-eigenvalue", "chernoff-direction")
+    ref = [run_tail_experiment(spec, ev, R=r, seed=3) for ev in events]
+    # one replicate per batch, 100 per batch, and 1000 per batch
+    for steps in (T, 100 * T, 1000 * T + 5):
+        monkeypatch.setattr(montecarlo, "STEPS", steps)
+        for ev, a in zip(events, ref):
+            b = run_tail_experiment(spec, ev, R=r, seed=3)
+            assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
 
 
 def test_tail_experiment_event_validation():
@@ -174,6 +177,27 @@ class TestIdentificationExperiment:
         # the bound sits far above typical errors, and 60 replicates are enough
         # for the zero-hit Wilson upper edge to clear the 0.2 budget
         assert a.hits == 0 and a.certified
+
+    def test_op_errors_match_per_replicate_loop(self):
+        a1 = np.array([[0.4, 0.1], [0.0, 0.4]])
+        a2 = np.array([[0.15, 0.0], [0.05, 0.15]])
+        sys = VarSystem(a_lags=[a1, a2], h=np.eye(2))
+        T, seed = 64, 17
+        size = montecarlo.STEPS // (T + 1)  # replicates per batch at T' + 1 = 65 steps
+        R = 2 * size + size // 3  # two full batches and a partial last one
+        exp = run_identification_experiment(sys, T=T, k=2, delta=0.1, R=R, seed=seed)
+        # independent route: one replicate at a time, matrix-vector recursion
+        a, b = companion(sys), sys.lifted_noise_map()
+        expected = np.empty(R)
+        for r in range(R):
+            w = replicate_rng(seed, r).standard_normal((T + 1, sys.p))
+            x = np.empty((T + 1, sys.lifted_dim))
+            x[0] = b @ w[0]
+            for t in range(1, T + 1):
+                x[t] = a @ x[t - 1] + b @ w[t]
+            fit = least_squares(x[:T], x[1:, : sys.d], a_star=sys.regression_matrix())
+            expected[r] = fit.op_error
+        np.testing.assert_allclose(exp.extras["op_errors"], expected, rtol=1e-12, atol=0.0)
 
     def test_errors_shrink_with_horizon(self):
         sys = VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1))
