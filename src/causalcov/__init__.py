@@ -46,7 +46,7 @@ from .estimator import (
     ls_error_bound,
     self_normalized_bound,
 )
-from .linalg import CausalOperator, SymMatrix, assemble, psd_check, require_psd, trace_square
+from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
 from .montecarlo import (
     TailExperiment,
     run_identification_experiment,
@@ -78,8 +78,6 @@ __all__ = [
     # linalg
     "CausalOperator",
     "SymMatrix",
-    "assemble",
-    "psd_check",
     "require_psd",
     "trace_square",
     # process

@@ -177,26 +177,30 @@ def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
     }
 
 
-def _cell_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dict:
-    """Cell-level theoretical quantities shared by bounds and sweep rows."""
+def _operator_bounds(spec: ProcessSpec) -> dict:
+    """Cell quantities of the operator alone, shared by bounds and sweep rows."""
     report = anticoncentration_bound(spec.operator())
-    cell = {
+    return {
         "psi_k": report.psi_k,
         "chernoff_exponent": report.chernoff_exponent,
         "anticonc_bound": report.anticonc_probability,
         "anticonc_threshold": report.anticonc_threshold,
         "upper_tail_bound": report.upper_tail_probability,
         "intermediates": report.intermediates,
-        "ls_error_bound": None,
-        "burnin_satisfied": None,
     }
-    if isinstance(config.model, VarSystem):
-        details = ls_bound_details(config.model, spec.T, spec.k, delta)
-        cell["ls_error_bound"] = details["bound"]
-        cell["burnin_satisfied"] = details["burnin_satisfied"]
-        cell["c_sys"] = details["c_sys"]
-        cell["lam_min_gamma_k"] = details["lam_min_gamma"]
-    return cell
+
+
+def _ls_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dict:
+    """Cell quantities of the least-squares guarantee at one confidence delta."""
+    if not isinstance(config.model, VarSystem):
+        return {"ls_error_bound": None, "burnin_satisfied": None}
+    details = ls_bound_details(config.model, spec.T, spec.k, delta)
+    return {
+        "ls_error_bound": details["bound"],
+        "burnin_satisfied": details["burnin_satisfied"],
+        "c_sys": details["c_sys"],
+        "lam_min_gamma_k": details["lam_min_gamma"],
+    }
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -211,8 +215,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     if notice:
         report["truncation_notice"] = notice
-    cell = _cell_bounds(config, config.process_spec(), config.delta)
-    report.update(cell)
+    spec = config.process_spec()
+    report.update(_operator_bounds(spec))
+    report.update(_ls_bounds(config, spec, config.delta))
     if isinstance(config.model, VarSystem):
         sys_model = config.model
         report["kappa"] = kappa(sys_model, k_max=config.T)
@@ -341,22 +346,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for T in t_grid:
         for k in k_grid:
             spec = config.process_spec(T, k)
+            op_cell = _operator_bounds(spec)
+            del op_cell["intermediates"]
             for delta in d_grid:
-                cell = _cell_bounds(config, spec, delta)
-                cell_head = {kk: vv for kk, vv in cell.items() if kk != "intermediates"}
+                cell_head = {**op_cell, **_ls_bounds(config, spec, delta)}
                 event_rows = _run_events(config, spec, seed_offset=offset)
                 offset += len(config.events)
                 for r in event_rows:
                     r["delta"] = delta
-                    for col in (
-                        "psi_k",
-                        "anticonc_bound",
-                        "anticonc_threshold",
-                        "upper_tail_bound",
-                        "ls_error_bound",
-                        "burnin_satisfied",
-                    ):
-                        r[col] = cell_head[col]
+                    r.update({col: cell_head[col] for col in SWEEP_COLUMNS[-6:]})
                 rows.extend(event_rows)
                 cells.append({"T": T, "k": k, "delta": delta, **cell_head})
     overall = all(r["certified"] for r in rows)

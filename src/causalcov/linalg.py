@@ -1,10 +1,11 @@
 """Symmetric-matrix utilities and block lower-triangular causal operators.
 
 A causal operator maps a driving noise vector W_{0:T-1} (stacked, p coords
-per step) to a process X_{0:T-1} (d coords per step) through a block
-lower-triangular matrix partitioned at stride k: block (i, j) has shape
-(d*k, p*k) and is zero for j > i, so each X_t depends only on noise up to
-its own block.
+per step) to a process X_{0:T-1} (d coords per step) through one
+(d*T) x (p*T) matrix L.  Partitioned at stride k, block (i, j) of L has
+shape (d*k, p*k) and is zero for j > i, so each X_t depends only on noise
+up to its own block.  CausalOperator stores L itself; blocks are views
+into it, and a block grid is only an input format (from_blocks).
 """
 
 from __future__ import annotations
@@ -15,23 +16,12 @@ from .errors import InvalidInput
 
 __all__ = [
     "SymMatrix",
-    "psd_check",
     "trace_square",
     "CausalOperator",
-    "assemble",
 ]
 
 #: default relative tolerance for PSD checks
 PSD_RTOL = 1e-10
-
-
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return a
 
 
 class SymMatrix:
@@ -40,7 +30,11 @@ class SymMatrix:
     __slots__ = ("a",)
 
     def __init__(self, m):
-        a = _as_square(m, "SymMatrix input")
+        a = np.asarray(m, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidInput(f"SymMatrix input must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInput("SymMatrix input contains non-finite entries")
         self.a = 0.5 * (a + a.T)
 
     @property
@@ -70,13 +64,6 @@ class SymMatrix:
         return self.a
 
 
-def psd_check(m, rtol: float = PSD_RTOL) -> bool:
-    """True if the symmetrized matrix is PSD within a relative tolerance."""
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    return m.is_psd(rtol)
-
-
 def require_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> np.ndarray:
     """Symmetrize and return the matrix, raising InvalidInput if not PSD."""
     sm = m if isinstance(m, SymMatrix) else SymMatrix(m)
@@ -92,7 +79,7 @@ def trace_square(m) -> float:
 
 
 class CausalOperator:
-    """Block lower-triangular operator X_{0:T-1} = L W_{0:T-1}.
+    """Block lower-triangular operator X_{0:T-1} = L W_{0:T-1}, stored as L.
 
     Parameters
     ----------
@@ -100,43 +87,60 @@ class CausalOperator:
         Process and noise dimension per time step.
     k : int
         Block stride (time steps per block).
-    blocks : sequence of sequences of arrays
-        ``blocks[i][j]`` holds block (i, j), shape (d*k, p*k), for j <= i.
-        Row i must contain exactly i+1 blocks.
+    matrix : array, shape (d*T, p*T)
+        The operator itself; T must be a multiple of k and every entry
+        above the (d*k, p*k) block diagonal must be zero.  The array is
+        kept as given (converted to float) and is the only copy of L.
     """
 
-    def __init__(self, d: int, p: int, k: int, blocks):
+    def __init__(self, d: int, p: int, k: int, matrix):
         if d < 1 or p < 1 or k < 1:
             raise InvalidInput("d, p and k must be positive integers")
         self.d, self.p, self.k = int(d), int(p), int(k)
-        rows = []
-        for i, row in enumerate(blocks):
-            row = [np.asarray(b, dtype=float) for b in row]
-            if len(row) != i + 1:
-                raise InvalidInput(
-                    f"block row {i} must hold {i + 1} blocks, got {len(row)}"
-                )
-            for j, b in enumerate(row):
-                if b.shape != (d * k, p * k):
-                    raise InvalidInput(
-                        f"block ({i},{j}) has shape {b.shape}, "
-                        f"expected {(d * k, p * k)}"
-                    )
-                if not np.all(np.isfinite(b)):
-                    raise InvalidInput(f"block ({i},{j}) has non-finite entries")
-            rows.append(row)
+        m = np.asarray(matrix, dtype=float)
+        rb, cb = self.d * self.k, self.p * self.k
+        n = m.shape[0] // rb if m.ndim == 2 else 0
+        if n == 0 or m.shape != (n * rb, n * cb):
+            raise InvalidInput(f"matrix shape {m.shape} is not a square grid of {(rb, cb)} blocks")
+        if not np.all(np.isfinite(m)):
+            raise InvalidInput("operator matrix has non-finite entries")
+        for i in range(n - 1):
+            if np.any(m[i * rb : (i + 1) * rb, (i + 1) * cb :]):
+                raise InvalidInput(f"block row {i} has nonzero entries above the diagonal")
+        self._matrix = m
+
+    @classmethod
+    def from_blocks(cls, d: int, p: int, k: int, blocks) -> "CausalOperator":
+        """Operator from a block grid: ``blocks[i][j]`` is block (i, j), j <= i.
+
+        Row i must hold exactly i+1 blocks of shape (d*k, p*k).
+        """
+        if d < 1 or p < 1 or k < 1:
+            raise InvalidInput("d, p and k must be positive integers")
+        rows = list(blocks)
         if not rows:
             raise InvalidInput("operator needs at least one block row")
-        self.blocks = rows
-        self._dense: np.ndarray | None = None
+        rb, cb = d * k, p * k
+        out = np.zeros((rb * len(rows), cb * len(rows)))
+        for i, row in enumerate(rows):
+            row = [np.asarray(b, dtype=float) for b in row]
+            if len(row) != i + 1:
+                raise InvalidInput(f"block row {i} must hold {i + 1} blocks, got {len(row)}")
+            for j, b in enumerate(row):
+                if b.shape != (rb, cb):
+                    raise InvalidInput(f"block ({i},{j}) has shape {b.shape}, expected {(rb, cb)}")
+                if not np.all(np.isfinite(b)):
+                    raise InvalidInput(f"block ({i},{j}) has non-finite entries")
+                out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = b
+        return cls(d, p, k, out)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self._matrix.shape[0] // (self.d * self.k)
 
     @property
     def T(self) -> int:
-        """Horizon covered by the block grid (always a multiple of k)."""
+        """Horizon covered by the operator (always a multiple of k)."""
         return self.n_blocks * self.k
 
     @classmethod
@@ -144,30 +148,20 @@ class CausalOperator:
         """Operator of the iid process X_t = W_t (requires k | T)."""
         if T % k != 0:
             raise InvalidInput("identity operator needs k to divide T")
-        n = T // k
-        eye = np.eye(d * k)
-        zero = np.zeros((d * k, d * k))
-        blocks = [[eye if j == i else zero.copy() for j in range(i + 1)] for i in range(n)]
-        return cls(d, d, k, blocks)
-
-    def assemble(self) -> np.ndarray:
-        """Dense (d*T) x (p*T) matrix with zeros above the block diagonal."""
-        n, d, p, k = self.n_blocks, self.d, self.p, self.k
-        out = np.zeros((d * k * n, p * k * n))
-        for i in range(n):
-            for j in range(i + 1):
-                out[i * d * k : (i + 1) * d * k, j * p * k : (j + 1) * p * k] = self.blocks[i][j]
-        return out
+        return cls(d, d, k, np.eye(d * T))
 
     def dense(self) -> np.ndarray:
-        """Assembled matrix, cached (the block grid stays the source of truth)."""
-        if self._dense is None:
-            self._dense = self.assemble()
-        return self._dense
+        """The (d*T) x (p*T) matrix L (the stored array, not a copy)."""
+        return self._matrix
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Block (i, j), shape (d*k, p*k), as a view into the matrix."""
+        rb, cb = self.d * self.k, self.p * self.k
+        return self._matrix[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb]
 
     def diag_block(self, j: int) -> np.ndarray:
         """Diagonal block L_{j,j}, shape (d*k, p*k)."""
-        return self.blocks[j][j]
+        return self.block(j, j)
 
     def block_time_cov(self, j: int) -> np.ndarray:
         """Sum over the block's time slots of the decoupled per-time covariance.
@@ -204,7 +198,3 @@ class CausalOperator:
             for j in range(1, self.n_blocks)
         )
 
-
-def assemble(op: CausalOperator) -> np.ndarray:
-    """Dense matrix of a causal operator (module-level convenience)."""
-    return op.assemble()

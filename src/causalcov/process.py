@@ -15,7 +15,7 @@ import numpy as np
 
 from ._rng import mix64, replicate_rng
 from .errors import HorizonTooShort, InvalidInput
-from .linalg import CausalOperator, SymMatrix
+from .linalg import CausalOperator, SymMatrix, require_psd
 
 __all__ = [
     "VarSystem",
@@ -115,9 +115,9 @@ def effective_horizon(T: int, k: int) -> int:
 def var_to_operator(sys: VarSystem, T: int, k: int = 1) -> CausalOperator:
     """Causal operator of the lifted state over T' = k*floor(T/k) steps.
 
-    Block (i, j) stacks the impulse responses A^{t-s} B for row times t in
-    block i and column times s <= t in block j; the unit-lag diagonal
-    entries are B itself.
+    Block (t, s) of the per-step partition is the impulse response
+    A^{t-s} B for s <= t, so the unit-lag diagonal is B itself.  The matrix
+    does not depend on k, which only sets the operator's block partition.
     """
     t_eff = effective_horizon(T, k)
     a = companion(sys)
@@ -128,21 +128,12 @@ def var_to_operator(sys: VarSystem, T: int, k: int = 1) -> CausalOperator:
     for j in range(1, t_eff):
         impulses[j] = a @ impulses[j - 1]
 
-    n = t_eff // k
-    blocks = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1):
-            blk = np.zeros((dl * k, p * k))
-            for tr in range(k):
-                t = i * k + tr
-                for tc in range(k):
-                    s = j * k + tc
-                    if s <= t:
-                        blk[tr * dl : (tr + 1) * dl, tc * p : (tc + 1) * p] = impulses[t - s]
-            row.append(blk)
-        blocks.append(row)
-    return CausalOperator(dl, p, k, blocks)
+    matrix = np.zeros((t_eff * dl, t_eff * p))
+    steps = matrix.reshape(t_eff, dl, t_eff, p)
+    times = np.arange(t_eff)
+    for lag in range(t_eff):
+        steps[times[lag:], :, times[: t_eff - lag], :] = impulses[lag]
+    return CausalOperator(dl, p, k, matrix)
 
 
 @dataclass
@@ -195,8 +186,6 @@ class ProcessSpec:
 
     @property
     def noise_dim(self) -> int:
-        if isinstance(self.source, VarSystem):
-            return self.source.p
         return self.source.p
 
     def operator(self) -> CausalOperator:
@@ -241,7 +230,7 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     """Trajectories driven by the given noise, shape (count, T', d).
 
     VAR sources run the lifted recursion (algebraically identical to the
-    operator product); raw operators multiply by the assembled matrix.
+    operator product); raw operators multiply by the operator matrix.
     """
     count, t_eff, p = w.shape
     if isinstance(spec.source, VarSystem):
@@ -269,7 +258,7 @@ def sample(spec: ProcessSpec, R: int, seed: int) -> PathBatch:
 
 
 def per_time_covariance(op: CausalOperator, t: int) -> SymMatrix:
-    """Exact E[X_t X_t^T], computed from row t of the assembled operator."""
+    """Exact E[X_t X_t^T], computed from row t of the operator matrix."""
     if not 0 <= t < op.T:
         raise InvalidInput(f"time {t} outside horizon [0, {op.T})")
     row = op.dense()[t * op.d : (t + 1) * op.d, :]
@@ -296,8 +285,6 @@ def decoupled_covariance_sum(op: CausalOperator, d_mat) -> float:
     D must be PSD (D = Delta^T Delta for a probing matrix Delta); X~ is the
     decoupled process driven by the diagonal blocks alone.
     """
-    from .linalg import require_psd
-
     dm = require_psd(d_mat, "weight matrix")
     if dm.shape != (op.d, op.d):
         raise InvalidInput(f"weight matrix must be {op.d} x {op.d}")

@@ -63,7 +63,7 @@ def random_operator(
         diag = rng.standard_normal((d * k, p * k)) * 0.3 + np.eye(d * k, p * k)
         row.append(diag)
         blocks.append(row)
-    return CausalOperator(d, p, k, blocks)
+    return CausalOperator.from_blocks(d, p, k, blocks)
 
 
 # ---------------------------------------------------------------------------

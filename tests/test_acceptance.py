@@ -182,7 +182,7 @@ def test_criterion_05_psi_correctness():
             row = [rng.standard_normal((2 * k, 2 * k)) * 0.2 for _ in range(i)]
             row.append(blk.copy())
             blocks.append(row)
-        op = CausalOperator(2, 2, k, blocks)
+        op = CausalOperator.from_blocks(2, 2, k, blocks)
         val, _ = psi_k(op)
         assert val >= 1.0 / k - 1e-12
     # d=2 random operators: agree with a dense 10^4-point sphere grid

@@ -191,7 +191,7 @@ def test_psi_identical_blocks_at_least_inv_k(rng):
             row = [rng.standard_normal((k, k)) * 0.2 for _ in range(i)]
             row.append(blk.copy())
             blocks.append(row)
-        op = CausalOperator(1, 1, k, blocks)
+        op = CausalOperator.from_blocks(1, 1, k, blocks)
         val, _ = psi_k(op)
         assert val >= 1.0 / k - 1e-12
 
@@ -207,7 +207,9 @@ def test_psi_matches_grid_oracle(rng):
 
 
 def test_psi_singular_decoupled():
-    op = CausalOperator(1, 1, 1, [[np.zeros((1, 1))], [np.zeros((1, 1)), np.zeros((1, 1))]])
+    op = CausalOperator.from_blocks(
+        1, 1, 1, [[np.zeros((1, 1))], [np.zeros((1, 1)), np.zeros((1, 1))]]
+    )
     with pytest.raises(SingularDecoupledCovariance):
         psi_k(op)
 

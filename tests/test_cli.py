@@ -4,12 +4,14 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from causalcov import ExperimentConfig, cli, load_config, montecarlo
 from causalcov.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, main
+from conftest import random_operator
 
 
 def write_config(path, payload) -> str:
@@ -68,6 +70,18 @@ class TestConfig:
         assert config.k == 1 and config.T == 2
         spec = config.process_spec()
         assert spec.operator().n_blocks == 2
+        assert config.to_dict()["model"] == cfg["model"]
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert np.array_equal(again.model.dense(), config.model.dense())
+        assert np.array_equal(config.model.dense(), [[1.0, 0.0], [0.3, 1.0]])
+        # a d=2, p=1, k=2 operator keeps every entry through the round trip
+        op = random_operator(np.random.default_rng(3), d=2, p=1, k=2, n_blocks=3)
+        rows = [[op.block(i, j).tolist() for j in range(i + 1)] for i in range(3)]
+        model = {"type": "operator", "d": 2, "p": 1, "k": 2, "blocks": rows}
+        config = ExperimentConfig.from_dict({"model": model, "T": 6})
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert again.to_dict() == config.to_dict()
+        assert np.array_equal(again.model.dense(), op.dense())
 
     def test_auto_k_resolves_to_excitation_index(self, tmp_path):
         cfg = base_config(
@@ -267,6 +281,28 @@ class TestSweep:
             assert float(row["psi_k"]) >= 1.0 / float(row["k"]) - 1e-9
 
 
+    def test_one_anticoncentration_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.anticoncentration_bound
+
+        def counted(op):
+            calls.append(op.T)
+            return real(op)
+
+        monkeypatch.setattr(cli, "anticoncentration_bound", counted)
+        cfg = write_config(
+            tmp_path / "c.json",
+            base_config(replicates=32, grid={"T": [24], "k": [2], "delta": [0.05, 0.2]}),
+        )
+        out = tmp_path / "out"
+        main(["sweep", "--config", cfg, "--out", str(out)])
+        assert calls == [24]
+        cells = json.loads((out / "sweep.json").read_text())["cells"]
+        assert [c["delta"] for c in cells] == [0.05, 0.2]
+        assert cells[0]["psi_k"] == cells[1]["psi_k"]
+        assert cells[0]["ls_error_bound"] != cells[1]["ls_error_bound"]
+
+
 class TestSimulate:
     def test_paths_csv(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(replicates=3, T=6))
@@ -296,6 +332,41 @@ class TestErrors:
     def test_horizon_shorter_than_block_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=2, k=4))
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+    EXPLOSIVE = {
+        "type": "var",
+        "a_lags": [[[1.5, 0.0], [0.0, 0.5]]],
+        "h": [[1.0, 0.0], [0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "identify", "sweep", "simulate"])
+    def test_explosive_var_exit_2(self, tmp_path, capsys, subcommand):
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=self.EXPLOSIVE, T=2000, replicates=100)
+        )
+        start = time.perf_counter()
+        code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        # 1.5^876 is the first power above sqrt(float max)
+        assert "overflows at lag 876" in capsys.readouterr().err
+        assert elapsed < 1.0
+        assert not list((tmp_path / "o").glob("*"))
+
+    def test_explosive_var_grid_horizon_checked(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=self.EXPLOSIVE, T=60, grid={"T": [60, 900]})
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "overflows at lag 876" in capsys.readouterr().err
+
+    def test_explosive_var_short_horizon_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", base_config(model=self.EXPLOSIVE, T=60))
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "bounds.json").read_text())
+        assert np.isfinite(report["anticonc_bound"]) and np.isfinite(report["upper_tail_bound"])
 
 
 def test_console_entry_point():

@@ -78,6 +78,27 @@ def test_operator_impulse_column_geometric():
     assert np.allclose(np.diag(dense), 1.0)
 
 
+def test_operator_matrix_independent_of_k(rng):
+    sys = random_var_system(rng, d=2, n_lags=2, rho=0.8, p=1)
+    ops = {k: var_to_operator(sys, T=12, k=k) for k in (1, 2, 3, 4, 6, 12)}
+    for k, op in ops.items():
+        assert op.k == k and op.T == 12 and op.n_blocks == 12 // k
+        assert np.array_equal(op.dense(), ops[1].dense())
+    # T=13, k=3 truncates to T'=12; every (t, s) step block is A^{t-s} B or 0
+    a, b = companion(sys), sys.lifted_noise_map()
+    dl, p = sys.lifted_dim, sys.p
+    oracle = np.zeros((12 * dl, 12 * p))
+    for t in range(12):
+        for s in range(t + 1):
+            oracle[t * dl : (t + 1) * dl, s * p : (s + 1) * p] = (
+                np.linalg.matrix_power(a, t - s) @ b
+            )
+    op = var_to_operator(sys, T=13, k=3)
+    assert op.T == 12 and op.n_blocks == 4
+    assert np.allclose(op.dense(), oracle, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(op.dense(), ops[3].dense())
+
+
 def test_operator_matches_convolution_oracle(rng):
     sys = random_var_system(rng, d=2, n_lags=2, rho=0.8)
     spec = ProcessSpec(source=sys, T=12, k=3)
