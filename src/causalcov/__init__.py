@@ -34,6 +34,7 @@ from .errors import (
     HorizonTooShort,
     InsufficientExcitation,
     InvalidInput,
+    NonFiniteBound,
     SingularDecoupledCovariance,
     SingularGram,
 )
@@ -139,4 +140,5 @@ __all__ = [
     "InsufficientExcitation",
     "BurninUnsatisfied",
     "SingularGram",
+    "NonFiniteBound",
 ]

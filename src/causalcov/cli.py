@@ -9,7 +9,8 @@ Subcommands:
     causalcov simulate --config cfg.json [--out DIR] [--seed N] [--replicates N]
 
 Exit codes: 0 = all certifications pass or are vacuous; 1 = a non-vacuous
-certification failed; 2 = configuration or model error.
+certification failed; 2 = configuration or model error, including a NaN or
+infinite bound and a failed linear-algebra routine.
 
 Reports are deterministic for a fixed config: JSON is emitted with sorted
 keys, CSV with a fixed documented header, floats via repr round-tripping.
@@ -427,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CausalCovError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

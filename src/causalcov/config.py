@@ -162,30 +162,40 @@ def _parse_model(raw) -> VarSystem | CausalOperator:
 
 
 def _check_growth(sys: VarSystem, horizon: int) -> None:
-    """Reject a VAR whose companion powers A^j, j < horizon, overflow when squared.
+    """Reject a VAR whose companion powers A^j or impulse responses A^j B,
+    j < horizon, overflow when squared.
 
-    Covariances of the process square the impulse responses A^j B, so an
-    entry above sqrt(float max) makes them inf.  The powers are formed 64 at
-    a time as one product A^{j0} @ [A, ..., A^64]; an overflow inside the
-    check is what it reports, so it raises no numerical warning.
+    Covariances of the process square the impulse responses, so an entry
+    above sqrt(float max) makes them inf; A^0 B = B is the lifted noise map.
+    The powers are formed 64 at a time as one product A^{j0} @ [I, ..., A^63];
+    an overflow inside the check is what it reports, so it raises no
+    numerical warning.
     """
-    a = companion(sys)
-    step = [a]
+    a, b = companion(sys), sys.lifted_noise_map()
+    step = [np.eye(len(a))]
     with np.errstate(over="ignore", invalid="ignore"):
         while len(step) < min(64, horizon):
             step.append(step[-1] @ a)
-        power = np.eye(len(a))
-        for j0 in range(1, horizon, len(step)):
+        power = step[0]
+        for j0 in range(0, horizon, len(step)):
             powers = (power @ np.stack(step))[: horizon - j0]
-            big = ~np.all(np.abs(powers) <= _SQRT_FLOAT_MAX, axis=(1, 2))
-            if big.any():
-                lag = j0 + int(np.argmax(big))
+            big_a, big_b = (
+                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, powers @ b)
+            )
+            if big_a.any() or big_b.any():
+                lag = j0 + int(np.argmax(big_a | big_b))
+                if big_a[lag - j0]:
+                    what = f"A^{lag}"
+                elif lag:
+                    what = f"the impulse response A^{lag} B"
+                else:
+                    what = "the noise map B = [H; 0]"
                 raise ConfigError(
-                    f"var model overflows at lag {lag}: an entry of A^{lag} exceeds "
+                    f"var model overflows at lag {lag}: an entry of {what} exceeds "
                     f"{_SQRT_FLOAT_MAX:.3g}, so its square is not a finite float "
                     f"(horizon {horizon})"
                 )
-            power = powers[-1]
+            power = powers[-1] @ a
 
 
 def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[int, bool]:

@@ -33,5 +33,9 @@ class SingularGram(CausalCovError):
     """Regularized Gram matrix is singular; inverse square root undefined."""
 
 
+class NonFiniteBound(CausalCovError):
+    """A probability bound evaluated to NaN or infinity, so it certifies nothing."""
+
+
 class ConfigError(CausalCovError):
     """Experiment configuration is malformed or inconsistent."""

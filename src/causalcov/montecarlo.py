@@ -26,7 +26,7 @@ from .bounds import (
     mgf_upper_bound,
     upper_tail_bound,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, NonFiniteBound
 from .estimator import least_squares, ls_bound_details
 from .linalg import require_psd
 from .process import ProcessSpec, VarSystem, noise_block, paths_from_noise
@@ -93,6 +93,15 @@ def certify(ci_hi: float, bound: float) -> tuple[bool, bool]:
     return (vacuous or ci_hi <= bound), vacuous
 
 
+def _finite_bound(event: str, bound: float) -> float:
+    """The bound itself; a NaN or infinite bound is a model error, not a FAIL."""
+    if not math.isfinite(bound):
+        raise NonFiniteBound(
+            f"event {event!r}: the bound evaluates to {bound}, not a finite number"
+        )
+    return bound
+
+
 def _path_stats(spec: ProcessSpec, seed: int, R: int, stat) -> np.ndarray:
     """stat(paths) -> 1-d array over replicates 0..R-1 of spec, in order.
 
@@ -138,7 +147,7 @@ def run_tail_experiment(
         if direction.ndim != 2 or direction.shape[1] != d:
             raise InvalidInput(f"direction must be d' x {d}")
         d_mat = require_psd(direction.T @ direction, "direction Gram")
-        bound = chernoff_lower_tail(op, d_mat)
+        bound = _finite_bound(event, chernoff_lower_tail(op, d_mat))
         threshold = chernoff_threshold(op, d_mat)
         extras["threshold"] = threshold
 
@@ -151,7 +160,7 @@ def run_tail_experiment(
 
     elif event == "lower-tail-eigenvalue":
         report = anticoncentration_bound(op)
-        bound = report.anticonc_probability
+        bound = _finite_bound(event, report.anticonc_probability)
         threshold = report.anticonc_threshold
         extras["threshold"] = threshold
         extras["psi_k"] = report.psi_k
@@ -167,7 +176,7 @@ def run_tail_experiment(
         if "q" not in params:
             raise InvalidInput("upper-tail-opnorm needs a q parameter")
         q = float(params.pop("q"))
-        bound = upper_tail_bound(op, q)
+        bound = _finite_bound(event, upper_tail_bound(op, q))
         dense = op.dense()
         rows = dense.reshape(t_eff, d, dense.shape[1])
         mean_sum = np.einsum("tiq,tjq->ij", rows, rows)
@@ -266,7 +275,7 @@ def run_identification_experiment(
     if R < 1:
         raise InvalidInput("replicate count must be >= 1")
     details = ls_bound_details(sys, T, k, delta)
-    bound = details["bound"]
+    bound = _finite_bound("ls-error-exceeds-bound", details["bound"])
     t_eff = details["effective_horizon"]
     a_star = sys.regression_matrix()
 

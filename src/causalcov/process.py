@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import mix64, replicate_rng
+from ._rng import mix64, replicate_states
 from .errors import HorizonTooShort, InvalidInput
 from .linalg import CausalOperator, SymMatrix, require_psd
 
@@ -216,13 +216,24 @@ class PathBatch:
 def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
     """Noise for replicates start..start+count-1, shape (count, T', p).
 
-    Replicate r draws its whole stream from a generator seeded with
-    mix64(seed, r), so the result is independent of batching.
+    Replicate r's noise is exactly NumPy's
+    Generator(PCG64(mix64(seed, r))).standard_normal((T', p)), so the result
+    is independent of batching.  The batch's seeded states come from one
+    vectorised pass (replicate_states), and one bit generator is set to
+    each of them in turn instead of being built per replicate.
     """
     t_eff, p = spec.effective_horizon, spec.noise_dim
     w = np.empty((count, t_eff, p))
-    for i in range(count):
-        w[i] = replicate_rng(seed, start + i).standard_normal((t_eff, p))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    for i, (state, inc) in enumerate(replicate_states(seed, start, count)):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=w[i])
     return w
 
 

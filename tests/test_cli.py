@@ -368,6 +368,63 @@ class TestErrors:
         report = json.loads((out / "bounds.json").read_text())
         assert np.isfinite(report["anticonc_bound"]) and np.isfinite(report["upper_tail_bound"])
 
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "identify", "sweep", "simulate"])
+    def test_oversized_noise_map_exit_2(self, tmp_path, capsys, subcommand):
+        # A = 0.5 is stable, but H itself cannot be squared
+        model = {"type": "var", "a_lags": [[[0.5]]], "h": [[1e200]]}
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=10, replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "overflows at lag 0" in err and "noise map" in err
+        assert not list((tmp_path / "o").glob("*"))
+
+    def test_overflowing_impulse_response_names_lag(self, tmp_path, capsys):
+        # 1.5^j * 1e100 first exceeds sqrt(float max) at j = 308, while 1.5^308 is small
+        model = {"type": "var", "a_lags": [[[1.5]]], "h": [[1e100]]}
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=400))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "overflows at lag 308: an entry of the impulse response A^308 B" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "subcommand, target, event",
+        [
+            ("verify", "chernoff_lower_tail", "chernoff-direction"),
+            ("sweep", "chernoff_lower_tail", "chernoff-direction"),
+            ("identify", "ls_bound_details", "ls-error-exceeds-bound"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bound_exit_2(
+        self, tmp_path, capsys, monkeypatch, subcommand, target, event, value
+    ):
+        real = getattr(montecarlo, target)
+
+        def broken(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return {**result, "bound": value} if isinstance(result, dict) else value
+
+        monkeypatch.setattr(montecarlo, target, broken)
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"event {event!r}" in err and "not a finite number" in err
+        assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize(
+        "subcommand, module, target",
+        [("bounds", cli, "anticoncentration_bound"), ("identify", montecarlo, "least_squares")],
+    )
+    def test_linalg_error_exit_2(self, tmp_path, capsys, monkeypatch, subcommand, module, target):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(module, target, broken)
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "error: linear algebra failed: SVD did not converge" in capsys.readouterr().err
+
 
 def test_console_entry_point():
     proc = subprocess.run(

@@ -16,7 +16,7 @@ from causalcov import (
     wilson_interval,
 )
 from causalcov import montecarlo
-from causalcov._rng import replicate_rng
+from causalcov._rng import mix64
 from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
 from causalcov.montecarlo import certify
@@ -95,7 +95,7 @@ class TestTailExperimentChernoff:
         exp = run_tail_experiment(spec, "chernoff-direction", R=R, seed=7)
         hits = 0
         for r in range(R):
-            w = replicate_rng(7, r).standard_normal((T, 1))
+            w = np.random.Generator(np.random.PCG64(mix64(7, r))).standard_normal((T, 1))
             hits += float((w**2).sum()) <= T / 2.0
         assert exp.hits == hits
 
@@ -190,7 +190,7 @@ class TestIdentificationExperiment:
         a, b = companion(sys), sys.lifted_noise_map()
         expected = np.empty(R)
         for r in range(R):
-            w = replicate_rng(seed, r).standard_normal((T + 1, sys.p))
+            w = np.random.Generator(np.random.PCG64(mix64(seed, r))).standard_normal((T + 1, sys.p))
             x = np.empty((T + 1, sys.lifted_dim))
             x[0] = b @ w[0]
             for t in range(1, T + 1):
