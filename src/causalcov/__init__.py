@@ -56,20 +56,15 @@ from .montecarlo import (
     wilson_interval,
 )
 from .process import (
-    PathBatch,
     ProcessSpec,
     VarSystem,
     companion,
-    decoupled_covariance_sum,
     derive_seed,
     effective_horizon,
-    empirical_covariance,
     gamma_k,
     kappa,
     noise_block,
     paths_from_noise,
-    per_time_covariance,
-    sample,
     var_time_covariances,
     var_to_operator,
 )
@@ -82,20 +77,15 @@ __all__ = [
     "require_psd",
     "trace_square",
     # process
-    "PathBatch",
     "ProcessSpec",
     "VarSystem",
     "companion",
-    "decoupled_covariance_sum",
     "derive_seed",
     "effective_horizon",
-    "empirical_covariance",
     "gamma_k",
     "kappa",
     "noise_block",
     "paths_from_noise",
-    "per_time_covariance",
-    "sample",
     "var_time_covariances",
     "var_to_operator",
     # bounds

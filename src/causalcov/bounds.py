@@ -18,7 +18,9 @@ All bounds are reported unclamped; values above 1 are vacuous but honest.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "block_trace_sums",
     "causal_exp_inequality",
     "chernoff_lower_tail",
+    "chernoff_threshold",
     "psi_k",
     "anticoncentration_bound",
     "upper_tail_bound",
@@ -56,6 +59,28 @@ __all__ = [
 
 #: fixed seed for the psi_k optimizer's random restarts (not user-facing)
 _PSI_SEED = 0x5EED0F21
+#: psi_k optimizer: descent starts, relative stopping tolerance, steps per start
+_PSI_STARTS = 32
+_PSI_TOL = 1e-8
+_PSI_MAX_ITER = 500
+
+
+def _once_per_operator(fn):
+    """Compute fn(op) once per operator and hand every caller that result.
+
+    An entry lives exactly as long as its operator, and an operator's
+    matrix is read-only, so a stored result never goes stale.  Callers
+    share the result and must not mutate it.
+    """
+    results = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def shared(op):
+        if op not in results:
+            results[op] = fn(op)
+        return results[op]
+
+    return shared
 
 
 def _require_lam(lam: float) -> float:
@@ -176,11 +201,11 @@ def _psi_gradient(g_stack, t_eff, v, a, f1, f2):
     return (4.0 * f1 / (t_eff * f2 * f2)) * term
 
 
-def _psi_descend(g_stack, t_eff, v0, tol, max_iter):
+def _psi_descend(g_stack, t_eff, v0):
     """Projected gradient descent on the unit sphere from one start."""
     v = v0 / np.linalg.norm(v0)
     f, a, f1, f2 = _psi_value(g_stack, t_eff, v)
-    for _ in range(max_iter):
+    for _ in range(_PSI_MAX_ITER):
         grad = _psi_gradient(g_stack, t_eff, v, a, f1, f2)
         grad_t = grad - (grad @ v) * v
         gnorm2 = float(grad_t @ grad_t)
@@ -200,24 +225,20 @@ def _psi_descend(g_stack, t_eff, v0, tol, max_iter):
             break
         moved = abs(f - f_new)
         v, f, a, f1, f2 = cand, f_new, a_new, f1_new, f2_new
-        if moved <= tol * max(abs(f), 1e-12):
+        if moved <= _PSI_TOL * max(abs(f), 1e-12):
             break
     return f, v
 
 
-def psi_k(
-    op: CausalOperator,
-    n_starts: int = 32,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> tuple[float, np.ndarray]:
+def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     """Block-diversity index: inf over unit directions v of
     (sum_j v^T S_j v)^2 / (T' * sum_j (v^T S_j v)^2), with S_j the j-th
     diagonal-block Gram summed over its time slots.
 
-    Returns (value, minimizing direction).  Multi-start projected gradient
-    descent over the sphere (deterministic restarts); systems whose
-    diagonal blocks are all identical short-circuit to max(value, 1/k).
+    Returns (value, minimizing direction), a pure function of the operator.
+    Multi-start projected gradient descent over the sphere (_PSI_STARTS
+    deterministic restarts); systems whose diagonal blocks are all
+    identical short-circuit to max(value, 1/k).
     Probes are rank-one: the index scans single unit directions, not
     higher-dimensional subspaces.
     """
@@ -240,11 +261,11 @@ def psi_k(
         w, u = np.linalg.eigh(total.a)
         starts.extend(u[:, i] for i in range(d))
         rng = np.random.Generator(np.random.PCG64(_PSI_SEED))
-        while len(starts) < n_starts:
+        while len(starts) < _PSI_STARTS:
             starts.append(rng.standard_normal(d))
         best_val, best_dir = np.inf, None
         for v0 in starts:
-            val, v = _psi_descend(g_stack, t_eff, np.asarray(v0, float), tol, max_iter)
+            val, v = _psi_descend(g_stack, t_eff, np.asarray(v0, float))
             if val < best_val:
                 best_val, best_dir = val, v
         val, direction = best_val, best_dir
@@ -258,9 +279,11 @@ def psi_k(
 # anticoncentration and upper tail
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """Evaluated bounds for one process, with the quantities behind them.
+
+    anticoncentration_bound builds one per operator and shares it.
 
     burnin_satisfied is None when the report was built from a raw operator
     (burn-in needs an autoregressive system and a confidence level).
@@ -275,8 +298,10 @@ class BoundReport:
     intermediates: dict = field(default_factory=dict)
 
 
+@_once_per_operator
 def _operator_stats(op: CausalOperator) -> dict:
-    """Shared spectral quantities of an operator's exact covariances."""
+    """Spectral quantities of an operator's exact covariances, computed once
+    per operator (one dense SVD) and shared by every bound that reads them."""
     dense = op.dense()
     t_eff, d = op.T, op.d
     rows = dense.reshape(t_eff, d, dense.shape[1])
@@ -317,6 +342,7 @@ def _upper_tail_from_stats(d: int, q: float, stats: dict) -> float:
     return 5.0**d * math.exp(-(q - 1.0) * lam_min / (8.0 * lam_max))
 
 
+@_once_per_operator
 def anticoncentration_bound(op: CausalOperator) -> BoundReport:
     """Probability bound for the smallest-eigenvalue lower tail
     lam_min((1/T') sum_t X_t X_t^T) <= (1/(8T')) lam_min(sum_t E X~_t X~_t^T).
@@ -325,6 +351,9 @@ def anticoncentration_bound(op: CausalOperator) -> BoundReport:
     q = 1 + psi_k T' lam_max(L^T L) / lam_min(sum_t E X_t X_t^T) and
     r = lam_max(sum_t E X_t X_t^T) / lam_min(sum_t E X~_t X~_t^T); the
     matching operator-norm upper tail is evaluated at the same q.
+
+    The analysis (psi_k and the dense statistics) is computed once per
+    operator: later calls, and upper_tail_bound, share the same results.
     """
     psi, direction = psi_k(op)
     stats = _operator_stats(op)
@@ -392,8 +421,7 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float, exact: bool = False) -> 
         if 2.0 * lam * float(w[-1]) >= 1.0:
             raise InvalidInput("lambda outside the finite-MGF domain for this direction")
         return float(np.exp(-0.5 * np.sum(np.log1p(-2.0 * lam * np.clip(w, 0.0, None)))))
-    sv = np.linalg.svd(dense, compute_uv=False)
-    lam_max = float(sv[0] ** 2)
+    lam_max = _operator_stats(op)["lam_max_gram"]
     if lam > 1.0 / (4.0 * lam_max):
         raise InvalidInput(
             f"lambda {lam} outside the sub-exponential domain (max {1.0 / (4.0 * lam_max)})"

@@ -150,13 +150,6 @@ def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     return config, out_dir
 
 
-def _truncation(T: int, k: int) -> tuple[int, str | None]:
-    t_eff = k * (T // k)
-    if t_eff == T:
-        return t_eff, None
-    return t_eff, f"horizon truncated from T={T} to T'={t_eff} (k={k} does not divide T)"
-
-
 def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
     """Flatten one experiment into a CSV/JSON row, applying the bound hook."""
     bound = exp.bound * scale
@@ -206,17 +199,16 @@ def _ls_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dic
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
-    t_eff, notice = _truncation(config.T, config.k)
+    spec = config.process_spec()
     report: dict = {
         "config": config.to_dict(),
         "T": config.T,
         "k": config.k,
         "k_auto": config.k_auto,
-        "effective_horizon": t_eff,
+        "effective_horizon": spec.effective_horizon,
     }
-    if notice:
-        report["truncation_notice"] = notice
-    spec = config.process_spec()
+    if spec.truncation_notice:
+        report["truncation_notice"] = spec.truncation_notice
     report.update(_operator_bounds(spec))
     report.update(_ls_bounds(config, spec, config.delta))
     if isinstance(config.model, VarSystem):
@@ -252,17 +244,17 @@ def _run_events(config: ExperimentConfig, spec: ProcessSpec, seed_offset: int) -
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
-    t_eff, notice = _truncation(config.T, config.k)
-    rows = _run_events(config, config.process_spec(), seed_offset=0)
+    spec = config.process_spec()
+    rows = _run_events(config, spec, seed_offset=0)
     overall = all(r["certified"] for r in rows)
     summary: dict = {
         "config": config.to_dict(),
-        "effective_horizon": t_eff,
+        "effective_horizon": spec.effective_horizon,
         "results": rows,
         "overall_pass": overall,
     }
-    if notice:
-        summary["truncation_notice"] = notice
+    if spec.truncation_notice:
+        summary["truncation_notice"] = spec.truncation_notice
     csv_path = out_dir / "verify.csv"
     json_path = out_dir / "verify.json"
     _write_csv(csv_path, VERIFY_COLUMNS, rows)

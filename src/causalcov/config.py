@@ -163,24 +163,29 @@ def _parse_model(raw) -> VarSystem | CausalOperator:
 
 def _check_growth(sys: VarSystem, horizon: int) -> None:
     """Reject a VAR whose companion powers A^j or impulse responses A^j B,
-    j < horizon, overflow when squared.
+    j < horizon, overflow when squared, or whose covariances overflow.
 
     Covariances of the process square the impulse responses, so an entry
     above sqrt(float max) makes them inf; A^0 B = B is the lifted noise map.
+    They also sum those squares over lags, noise columns and time: the
+    energy 2 * horizon * sum_{j<horizon} ||A^j B||_F^2 bounds every entry
+    of P_t, of sum_t P_t and of their symmetrisation, so it must be finite.
     The powers are formed 64 at a time as one product A^{j0} @ [I, ..., A^63];
     an overflow inside the check is what it reports, so it raises no
     numerical warning.
     """
     a, b = companion(sys), sys.lifted_noise_map()
     step = [np.eye(len(a))]
+    energy = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         while len(step) < min(64, horizon):
             step.append(step[-1] @ a)
         power = step[0]
         for j0 in range(0, horizon, len(step)):
             powers = (power @ np.stack(step))[: horizon - j0]
+            impulses = powers @ b
             big_a, big_b = (
-                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, powers @ b)
+                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, impulses)
             )
             if big_a.any() or big_b.any():
                 lag = j0 + int(np.argmax(big_a | big_b))
@@ -195,7 +200,14 @@ def _check_growth(sys: VarSystem, horizon: int) -> None:
                     f"{_SQRT_FLOAT_MAX:.3g}, so its square is not a finite float "
                     f"(horizon {horizon})"
                 )
+            energy += float(np.sum(impulses * impulses))
             power = powers[-1] @ a
+    if not np.isfinite(2.0 * horizon * energy):
+        raise ConfigError(
+            f"var model overflows within horizon {horizon}: 2 * horizon * "
+            "sum_{j<horizon} ||A^j B||_F^2 is not a finite float, so the "
+            "process covariances are not finite"
+        )
 
 
 def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[int, bool]:

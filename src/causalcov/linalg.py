@@ -16,6 +16,7 @@ from .errors import InvalidInput
 
 __all__ = [
     "SymMatrix",
+    "require_psd",
     "trace_square",
     "CausalOperator",
 ]
@@ -90,7 +91,9 @@ class CausalOperator:
     matrix : array, shape (d*T, p*T)
         The operator itself; T must be a multiple of k and every entry
         above the (d*k, p*k) block diagonal must be zero.  The array is
-        kept as given (converted to float) and is the only copy of L.
+        kept as given (converted to float) and is the only copy of L; the
+        operator holds it through a read-only view, so L cannot change
+        under results computed from it.
     """
 
     def __init__(self, d: int, p: int, k: int, matrix):
@@ -107,7 +110,8 @@ class CausalOperator:
         for i in range(n - 1):
             if np.any(m[i * rb : (i + 1) * rb, (i + 1) * cb :]):
                 raise InvalidInput(f"block row {i} has nonzero entries above the diagonal")
-        self._matrix = m
+        self._matrix = m.view()
+        self._matrix.flags.writeable = False
 
     @classmethod
     def from_blocks(cls, d: int, p: int, k: int, blocks) -> "CausalOperator":
@@ -151,7 +155,7 @@ class CausalOperator:
         return cls(d, d, k, np.eye(d * T))
 
     def dense(self) -> np.ndarray:
-        """The (d*T) x (p*T) matrix L (the stored array, not a copy)."""
+        """The (d*T) x (p*T) matrix L (the stored read-only array, not a copy)."""
         return self._matrix
 
     def block(self, i: int, j: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from scipy import stats as _stats
 
 from ._rng import mix64
 from .bounds import (
+    _operator_stats,
     anticoncentration_bound,
     chernoff_lower_tail,
     chernoff_threshold,
@@ -134,6 +135,10 @@ def run_tail_experiment(
       matrix, default identity); bound from chernoff_lower_tail.
     - "upper-tail-opnorm": ||sum_t X_t X_t^T|| reaches 2q times its mean
       operator norm; params must carry "q" > 1; bound from upper_tail_bound.
+
+    Bounds and thresholds read the operator's analysis (psi_k and the dense
+    statistics), which is computed once per operator and shared by every
+    event and report on that operator.
     """
     params = dict(params or {})
     if R < 1:
@@ -177,11 +182,7 @@ def run_tail_experiment(
             raise InvalidInput("upper-tail-opnorm needs a q parameter")
         q = float(params.pop("q"))
         bound = _finite_bound(event, upper_tail_bound(op, q))
-        dense = op.dense()
-        rows = dense.reshape(t_eff, d, dense.shape[1])
-        mean_sum = np.einsum("tiq,tjq->ij", rows, rows)
-        mean_norm = float(np.linalg.eigvalsh(0.5 * (mean_sum + mean_sum.T))[-1])
-        threshold = 2.0 * q * mean_norm
+        threshold = 2.0 * q * _operator_stats(op)["lam_max_per_time_sum"]
         extras["threshold"] = threshold
         extras["q"] = q
 

@@ -15,21 +15,20 @@ import numpy as np
 
 from ._rng import mix64, replicate_states
 from .errors import HorizonTooShort, InvalidInput
-from .linalg import CausalOperator, SymMatrix, require_psd
+from .linalg import CausalOperator, SymMatrix
 
 __all__ = [
     "VarSystem",
     "ProcessSpec",
-    "PathBatch",
     "companion",
+    "effective_horizon",
     "var_to_operator",
-    "sample",
-    "per_time_covariance",
+    "noise_block",
+    "paths_from_noise",
     "var_time_covariances",
-    "decoupled_covariance_sum",
-    "empirical_covariance",
     "gamma_k",
     "kappa",
+    "derive_seed",
 ]
 
 #: relative eigenvalue tolerance for the excitation-index rank test
@@ -172,11 +171,15 @@ class ProcessSpec:
 
     @property
     def effective_horizon(self) -> int:
-        return self.k * (self.T // self.k)
+        return effective_horizon(self.T, self.k)
 
     @property
-    def truncated(self) -> bool:
-        return self.effective_horizon != self.T
+    def truncation_notice(self) -> str | None:
+        """Why T' falls short of T, or None when k divides T."""
+        t_eff = self.effective_horizon
+        if t_eff == self.T:
+            return None
+        return f"horizon truncated from T={self.T} to T'={t_eff} (k={self.k} does not divide T)"
 
     @property
     def state_dim(self) -> int:
@@ -193,24 +196,6 @@ class ProcessSpec:
         if self._operator is None:
             self._operator = var_to_operator(self.source, self.T, self.k)
         return self._operator
-
-
-@dataclass
-class PathBatch:
-    """R sampled trajectories (X) with the noise that drove them (W)."""
-
-    R: int
-    X: np.ndarray  # (R, T', d)
-    W: np.ndarray  # (R, T', p)
-    seed: int
-
-    @property
-    def T(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[2]
 
 
 def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
@@ -259,23 +244,6 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     return flat.reshape(count, t_eff, spec.source.d)
 
 
-def sample(spec: ProcessSpec, R: int, seed: int) -> PathBatch:
-    """Draw R independent trajectories with counter-based replicate seeding."""
-    if R < 1:
-        raise InvalidInput(f"replicate count must be >= 1, got {R}")
-    w = noise_block(spec, seed, 0, R)
-    x = paths_from_noise(spec, w)
-    return PathBatch(R=R, X=x, W=w, seed=int(seed))
-
-
-def per_time_covariance(op: CausalOperator, t: int) -> SymMatrix:
-    """Exact E[X_t X_t^T], computed from row t of the operator matrix."""
-    if not 0 <= t < op.T:
-        raise InvalidInput(f"time {t} outside horizon [0, {op.T})")
-    row = op.dense()[t * op.d : (t + 1) * op.d, :]
-    return SymMatrix(row @ row.T)
-
-
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
     """E[X_t X_t^T] of the lifted state for t = 0..T-1 via the recursion
     P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T; shape (T, dL, dL)."""
@@ -288,27 +256,6 @@ def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
     for t in range(1, T):
         out[t] = a @ out[t - 1] @ a.T + bbt
     return out
-
-
-def decoupled_covariance_sum(op: CausalOperator, d_mat) -> float:
-    """S1 = sum_j tr[L_jj^T blkdiag(D) L_jj] = sum_t E ||Delta X~_t||^2.
-
-    D must be PSD (D = Delta^T Delta for a probing matrix Delta); X~ is the
-    decoupled process driven by the diagonal blocks alone.
-    """
-    dm = require_psd(d_mat, "weight matrix")
-    if dm.shape != (op.d, op.d):
-        raise InvalidInput(f"weight matrix must be {op.d} x {op.d}")
-    covs = op.block_time_covs()
-    return float(np.einsum("ab,jba->", dm, covs))
-
-
-def empirical_covariance(batch: PathBatch, r: int) -> SymMatrix:
-    """Sigma_hat = (1/T') sum_t X_t X_t^T for replicate r."""
-    if not 0 <= r < batch.R:
-        raise InvalidInput(f"replicate {r} outside batch of {batch.R}")
-    x = batch.X[r]
-    return SymMatrix(x.T @ x / batch.T)
 
 
 def gamma_k(sys: VarSystem, k: int) -> SymMatrix:

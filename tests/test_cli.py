@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from causalcov import ExperimentConfig, cli, load_config, montecarlo
+from causalcov import ExperimentConfig, bounds, cli, load_config, montecarlo
 from causalcov.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, main
 from conftest import random_operator
 
@@ -282,23 +282,49 @@ class TestSweep:
 
 
     def test_one_anticoncentration_per_cell(self, tmp_path, monkeypatch):
-        calls = []
-        real = cli.anticoncentration_bound
+        calls = {"anticoncentration_bound": [], "psi_k": [], "svd": 0}
+        real_anticonc, real_psi, real_svd = cli.anticoncentration_bound, bounds.psi_k, np.linalg.svd
 
-        def counted(op):
-            calls.append(op.T)
-            return real(op)
+        def counted_anticonc(op):
+            calls["anticoncentration_bound"].append((op.T, op.k))
+            return real_anticonc(op)
 
-        monkeypatch.setattr(cli, "anticoncentration_bound", counted)
+        def counted_psi(op):
+            calls["psi_k"].append((op.T, op.k))
+            return real_psi(op)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "anticoncentration_bound", counted_anticonc)
+        monkeypatch.setattr(bounds, "psi_k", counted_psi)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        events = [
+            "lower-tail-eigenvalue",
+            "chernoff-direction",
+            {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+        ]
         cfg = write_config(
             tmp_path / "c.json",
-            base_config(replicates=32, grid={"T": [24], "k": [2], "delta": [0.05, 0.2]}),
+            base_config(
+                replicates=32,
+                events=events,
+                grid={"T": [12, 24], "k": [1, 2], "delta": [0.05, 0.2]},
+            ),
         )
         out = tmp_path / "out"
         main(["sweep", "--config", cfg, "--out", str(out)])
-        assert calls == [24]
-        cells = json.loads((out / "sweep.json").read_text())["cells"]
-        assert [c["delta"] for c in cells] == [0.05, 0.2]
+        grid_cells = [(12, 1), (12, 2), (24, 1), (24, 2)]
+        # the sweep head, the lower-tail and the upper-tail events of every
+        # delta read one analysis: one psi_k and one dense SVD per (T, k)
+        assert calls["anticoncentration_bound"] == grid_cells
+        assert calls["psi_k"] == grid_cells
+        assert calls["svd"] == len(grid_cells)
+        results = json.loads((out / "sweep.json").read_text())
+        assert len(results["results"]) == len(grid_cells) * 2 * len(events)
+        cells = results["cells"]
+        assert [c["delta"] for c in cells[:2]] == [0.05, 0.2]
         assert cells[0]["psi_k"] == cells[1]["psi_k"]
         assert cells[0]["ls_error_bound"] != cells[1]["ls_error_bound"]
 
@@ -376,6 +402,17 @@ class TestErrors:
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "overflows at lag 0" in err and "noise map" in err
+        assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize("k", ["auto", 1])
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "identify", "sweep", "simulate"])
+    def test_overflowing_covariance_exit_2(self, tmp_path, capsys, subcommand, k):
+        # every entry of A^j B squares to a finite float, but their sum over lags does not
+        model = {"type": "var", "a_lags": [[[0.5]]], "h": [[1.2e154]]}
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=10, k=k, replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "var model overflows within horizon 10" in err
         assert not list((tmp_path / "o").glob("*"))
 
     def test_overflowing_impulse_response_names_lag(self, tmp_path, capsys):

@@ -88,6 +88,16 @@ class TestCausalOperator:
         with pytest.raises(InvalidInput, match="positive"):
             CausalOperator(1, 0, 2, lower)
 
+    def test_stored_matrix_is_read_only(self, rng):
+        lower = np.tril(rng.standard_normal((4, 4)))
+        op = CausalOperator(1, 1, 1, lower)
+        assert op.dense() is op.dense()
+        with pytest.raises(ValueError):
+            op.dense()[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            op.block(1, 1)[...] = 0.0
+        assert np.array_equal(op.dense(), lower)
+
     def test_identity_roundtrip(self):
         op = CausalOperator.identity(2, 6, k=2)
         assert op.d == 2 and op.p == 2 and op.k == 2

@@ -8,17 +8,14 @@ from causalcov import (
     InvalidInput,
     ProcessSpec,
     VarSystem,
+    block_trace_sums,
     companion,
-    decoupled_covariance_sum,
     derive_seed,
     effective_horizon,
-    empirical_covariance,
     gamma_k,
     kappa,
     noise_block,
     paths_from_noise,
-    per_time_covariance,
-    sample,
     var_time_covariances,
     var_to_operator,
 )
@@ -121,14 +118,13 @@ def test_noise_block_is_batch_invariant():
     assert not np.allclose(whole, other)
 
 
-def test_sample_shapes_and_determinism():
+def test_noise_and_paths_shapes_and_determinism():
     spec = ProcessSpec(source=scalar_system(), T=10, k=2)
-    batch = sample(spec, R=5, seed=3)
-    assert batch.X.shape == (5, 10, 1) and batch.W.shape == (5, 10, 1)
-    again = sample(spec, R=5, seed=3)
-    assert np.array_equal(batch.X, again.X)
-    cov = np.asarray(empirical_covariance(batch, 0))
-    assert cov.shape == (1, 1) and cov[0, 0] >= 0.0
+    w = noise_block(spec, seed=3, start=0, count=5)
+    x = paths_from_noise(spec, w)
+    assert x.shape == (5, 10, 1) and w.shape == (5, 10, 1)
+    again = paths_from_noise(spec, noise_block(spec, seed=3, start=0, count=5))
+    assert np.array_equal(x, again)
 
 
 def test_per_time_covariance_routes_agree(rng):
@@ -138,8 +134,11 @@ def test_per_time_covariance_routes_agree(rng):
     recursion = var_time_covariances(sys, T)
     oracle = per_time_cov_oracle(sys, T)
     assert np.allclose(recursion, oracle, atol=1e-12)
+    # the operator rows behind the dense statistics give the same E[X_t X_t^T]
+    d = op.d
     for t in (0, 4, 8):
-        assert np.allclose(np.asarray(per_time_covariance(op, t)), oracle[t], atol=1e-10)
+        row = op.dense()[t * d : (t + 1) * d, :]
+        assert np.allclose(row @ row.T, oracle[t], atol=1e-10)
 
 
 def test_decoupled_covariance_sum_explicit(rng):
@@ -150,7 +149,7 @@ def test_decoupled_covariance_sum_explicit(rng):
     # process restarts at each block boundary
     blk = np.array([[1.0, 0.0], [0.9, 1.0]])
     per_block = np.trace(blk @ blk.T * 2.0)
-    assert decoupled_covariance_sum(op, d_mat) == pytest.approx(3 * per_block, rel=1e-12)
+    assert block_trace_sums(op, d_mat)[0] == pytest.approx(3 * per_block, rel=1e-12)
 
 
 class TestGammaKappa:
@@ -191,4 +190,6 @@ def test_process_spec_validation():
     with pytest.raises(InvalidInput):
         ProcessSpec(source="not a model", T=8)
     spec = ProcessSpec(source=scalar_system(), T=10, k=4)
-    assert spec.effective_horizon == 8 and spec.truncated
+    assert spec.effective_horizon == 8
+    assert spec.truncation_notice == "horizon truncated from T=10 to T'=8 (k=4 does not divide T)"
+    assert ProcessSpec(source=scalar_system(), T=12, k=4).truncation_notice is None
