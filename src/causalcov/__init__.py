@@ -57,6 +57,7 @@ from .montecarlo import (
 )
 from .process import (
     ProcessSpec,
+    VarAnalysis,
     VarSystem,
     companion,
     derive_seed,
@@ -65,6 +66,7 @@ from .process import (
     kappa,
     noise_block,
     paths_from_noise,
+    var_analysis,
     var_time_covariances,
     var_to_operator,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "trace_square",
     # process
     "ProcessSpec",
+    "VarAnalysis",
     "VarSystem",
     "companion",
     "derive_seed",
@@ -86,6 +89,7 @@ __all__ = [
     "kappa",
     "noise_block",
     "paths_from_noise",
+    "var_analysis",
     "var_time_covariances",
     "var_to_operator",
     # bounds

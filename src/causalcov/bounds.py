@@ -14,6 +14,10 @@ The chain of results, from primitive to composite:
   Gamma_k and the companion-matrix power norms.
 
 All bounds are reported unclamped; values above 1 are vacuous but honest.
+
+A process is a CausalOperator or a ProcessSpec.  A raw operator's
+statistics come from its dense matrix; a VAR's come from its VarAnalysis
+(process.var_analysis), by recursions in time, without forming L.
 """
 
 from __future__ import annotations
@@ -29,16 +33,11 @@ from .errors import (
     DegenerateDirection,
     InsufficientExcitation,
     InvalidInput,
+    NonFiniteBound,
     SingularDecoupledCovariance,
 )
 from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
-from .process import (
-    VarSystem,
-    companion,
-    effective_horizon,
-    gamma_k,
-    var_time_covariances,
-)
+from .process import ProcessSpec, VarSystem, effective_horizon, gamma_k, var_analysis
 
 __all__ = [
     "BoundReport",
@@ -65,22 +64,67 @@ _PSI_TOL = 1e-8
 _PSI_MAX_ITER = 500
 
 
-def _once_per_operator(fn):
-    """Compute fn(op) once per operator and hand every caller that result.
+def _resolve(process):
+    """A raw-operator process as its operator; a VAR ProcessSpec as given."""
+    if isinstance(process, ProcessSpec) and isinstance(process.source, CausalOperator):
+        return process.source
+    if not isinstance(process, (CausalOperator, ProcessSpec)):
+        raise InvalidInput("a process is a CausalOperator or a ProcessSpec")
+    return process
 
-    An entry lives exactly as long as its operator, and an operator's
-    matrix is read-only, so a stored result never goes stale.  Callers
-    share the result and must not mutate it.
+
+def _shape(process) -> tuple[int, int, int]:
+    """(T', d, k) of a resolved process."""
+    if isinstance(process, CausalOperator):
+        return process.T, process.d, process.k
+    return process.effective_horizon, process.state_dim, process.k
+
+
+def _once_per_process(fn):
+    """Compute fn(process) once per process and hand every caller that result.
+
+    Results are held per source (operator or VarSystem) in a
+    WeakKeyDictionary, and per (T', k) for a VAR, so an entry lives exactly
+    as long as its source; sources are immutable, so a stored result never
+    goes stale.  Callers share the result and must not mutate it.
     """
     results = weakref.WeakKeyDictionary()
 
     @functools.wraps(fn)
-    def shared(op):
-        if op not in results:
-            results[op] = fn(op)
-        return results[op]
+    def shared(process):
+        process = _resolve(process)
+        if isinstance(process, CausalOperator):
+            source, key = process, None
+        else:
+            source, key = process.source, (process.effective_horizon, process.k)
+        per_source = results.setdefault(source, {})
+        if key not in per_source:
+            per_source[key] = fn(process)
+        return per_source[key]
 
     return shared
+
+
+def _power(base: float, exponent: int, what: str) -> float:
+    """base**exponent; NonFiniteBound where the float power overflows."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteBound(
+            f"{what}: the prefactor {base:.6g} to the power {exponent} is not a "
+            "finite float, so the bound is not a finite number"
+        )
+    return value
+
+
+def _exp_bound(exponent: float) -> float:
+    """e^exponent for an upper bound: +inf (vacuous) where it overflows a float."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _require_lam(lam: float) -> float:
@@ -95,12 +139,13 @@ def mgf_upper_bound(q22, lam: float) -> float:
 
     Dominates E exp(-lam W^T Q22 W) for W ~ N(0, I) and any PSD Q22,
     via log(1+x) >= x - x^2/2 applied to each eigenvalue of 2*lam*Q22.
+    Past float range the bound is +inf: vacuous, not an error.
     """
     lam = _require_lam(lam)
     q22 = require_psd(q22, "Q22")
     tr = float(np.trace(q22))
     tr2 = trace_square(q22)
-    return math.exp(-lam * tr + lam * lam * tr2)
+    return _exp_bound(-lam * tr + lam * lam * tr2)
 
 
 def exact_mgf(q, x, lam: float) -> float:
@@ -138,22 +183,49 @@ def exact_mgf(q, x, lam: float) -> float:
     return math.exp(-0.5 * logdet - lam * quad)
 
 
-def block_trace_sums(op: CausalOperator, d_mat) -> tuple[float, float]:
+def _diagonal_blocks(process) -> tuple[CausalOperator, int]:
+    """(op, copies): the process's diagonal blocks are op's, in order,
+    repeated copies times.  Every diagonal block of a VAR's operator is its
+    k-step head (VarAnalysis.diagonal_block), counted T'/k times; a raw
+    operator's blocks are its own, once."""
+    process = _resolve(process)
+    if isinstance(process, CausalOperator):
+        return process, 1
+    head = var_analysis(process.source).diagonal_block(process.k)
+    return head, process.effective_horizon // process.k
+
+
+def _per_block(values: np.ndarray, copies: int) -> np.ndarray:
+    """values (one row per block) repeated copies times along axis 0.
+
+    A VAR's sums over blocks add this stack exactly as the dense route adds
+    its stored blocks, so both routes round alike (a product of the count
+    would not).
+    """
+    return np.tile(values, (copies,) + (1,) * (values.ndim - 1))
+
+
+def _decoupled_sum(process) -> np.ndarray:
+    """sum_t E X~_t X~_t^T = sum_j G_j over the diagonal blocks (T' Gamma_k for a VAR)."""
+    op, copies = _diagonal_blocks(process)
+    return _per_block(op.block_time_covs(), copies).sum(axis=0)
+
+
+def block_trace_sums(process, d_mat) -> tuple[float, float]:
     """(S1, S2) with S1 = sum_j tr(Q_j), S2 = sum_j tr(Q_j^2),
-    Q_j = L_jj^T blkdiag(D) L_jj."""
+    Q_j = L_jj^T blkdiag(D) L_jj; for a VAR, (T'/k) tr(Q_0) and
+    (T'/k) tr(Q_0^2) from its k-step diagonal block."""
+    op, copies = _diagonal_blocks(process)
     dm = require_psd(d_mat, "weight matrix")
     if dm.shape != (op.d, op.d):
         raise InvalidInput(f"weight matrix must be {op.d} x {op.d}")
-    s1 = 0.0
-    s2 = 0.0
-    for j in range(op.n_blocks):
-        qj = op.diag_gram(j, dm)
-        s1 += float(np.trace(qj))
-        s2 += trace_square(qj)
-    return s1, s2
+    grams = [op.diag_gram(j, dm) for j in range(op.n_blocks)]
+    traces = np.array([[float(np.trace(q)), trace_square(q)] for q in grams])
+    s1, s2 = np.cumsum(_per_block(traces, copies), axis=0)[-1]  # added in block order
+    return float(s1), float(s2)
 
 
-def causal_exp_inequality(op: CausalOperator, d_mat, lam: float) -> float:
+def causal_exp_inequality(process, d_mat, lam: float) -> float:
     """One-sided bound E exp(-lam sum_t ||Delta X_t||^2) <= exp(-lam S1 + lam^2 S2).
 
     D = Delta^T Delta weights the process coordinates; only the diagonal
@@ -161,26 +233,26 @@ def causal_exp_inequality(op: CausalOperator, d_mat, lam: float) -> float:
     S2 = sum_j tr(Q_j^2).
     """
     lam = _require_lam(lam)
-    s1, s2 = block_trace_sums(op, d_mat)
-    return math.exp(-lam * s1 + lam * lam * s2)
+    s1, s2 = block_trace_sums(process, d_mat)
+    return _exp_bound(-lam * s1 + lam * lam * s2)
 
 
-def chernoff_lower_tail(op: CausalOperator, d_mat) -> float:
+def chernoff_lower_tail(process, d_mat) -> float:
     """Bound on P(sum_t ||Delta X_t||^2 <= S1/2), where S1 is the decoupled
     mean energy sum_t E ||Delta X~_t||^2.
 
     Optimizing lambda in the causal exponential inequality at threshold
     S1/2 gives exp(-S1^2 / (16 S2)).  Scale-invariant in D.
     """
-    s1, s2 = block_trace_sums(op, d_mat)
+    s1, s2 = block_trace_sums(process, d_mat)
     if s1 <= 0.0:
         raise DegenerateDirection("probing direction annihilates every diagonal block")
     return math.exp(-s1 * s1 / (16.0 * s2))
 
 
-def chernoff_threshold(op: CausalOperator, d_mat) -> float:
+def chernoff_threshold(process, d_mat) -> float:
     """Event threshold S1/2 certified by chernoff_lower_tail."""
-    s1, _ = block_trace_sums(op, d_mat)
+    s1, _ = block_trace_sums(process, d_mat)
     return 0.5 * s1
 
 
@@ -230,12 +302,36 @@ def _psi_descend(g_stack, t_eff, v0):
     return f, v
 
 
+def _nonsingular_decoupled(total) -> SymMatrix:
+    """The summed decoupled covariance, or SingularDecoupledCovariance."""
+    total = SymMatrix(total)
+    lo, hi = total.eig_extremes()
+    if hi <= 0 or lo <= 1e-12 * hi:
+        raise SingularDecoupledCovariance(
+            "summed decoupled covariance is singular; every direction with "
+            "zero energy makes the index undefined"
+        )
+    return total
+
+
+def _process_psi(process) -> tuple[float, np.ndarray]:
+    """psi_k and a minimising direction.  For a VAR every diagonal block is
+    the same, so every unit direction gives exactly 1/k; the first
+    coordinate axis is reported.  A raw operator runs psi_k."""
+    if isinstance(process, CausalOperator):
+        return psi_k(process)
+    _nonsingular_decoupled(_decoupled_sum(process))
+    return 1.0 / process.k, np.eye(process.state_dim)[0]
+
+
 def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     """Block-diversity index: inf over unit directions v of
     (sum_j v^T S_j v)^2 / (T' * sum_j (v^T S_j v)^2), with S_j the j-th
     diagonal-block Gram summed over its time slots.
 
     Returns (value, minimizing direction), a pure function of the operator.
+    The bounds run it for raw operators only: for a VAR the index is
+    exactly 1/k (see _process_psi).
     Multi-start projected gradient descent over the sphere (_PSI_STARTS
     deterministic restarts); systems whose diagonal blocks are all
     identical short-circuit to max(value, 1/k).
@@ -243,13 +339,7 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     higher-dimensional subspaces.
     """
     g_stack = op.block_time_covs()
-    total = SymMatrix(g_stack.sum(axis=0))
-    lo, hi = total.eig_extremes()
-    if hi <= 0 or lo <= 1e-12 * hi:
-        raise SingularDecoupledCovariance(
-            "summed decoupled covariance is singular; every direction with "
-            "zero energy makes the index undefined"
-        )
+    total = _nonsingular_decoupled(g_stack.sum(axis=0))
     t_eff = op.T
     d = op.d
 
@@ -298,10 +388,16 @@ class BoundReport:
     intermediates: dict = field(default_factory=dict)
 
 
-@_once_per_operator
+@_once_per_process
 def _operator_stats(op: CausalOperator) -> dict:
-    """Spectral quantities of an operator's exact covariances, computed once
-    per operator (one dense SVD) and shared by every bound that reads them."""
+    """Spectral quantities of a raw operator's exact covariances, from its
+    dense matrix (one full SVD for lam_max(L^T L)), computed once per
+    operator and shared by every bound that reads them.
+
+    Only raw operators take this route.  For a VAR, _var_stats gives the
+    same quantities without L, and this route on var_to_operator is its
+    test oracle.
+    """
     dense = op.dense()
     t_eff, d = op.T, op.d
     rows = dense.reshape(t_eff, d, dense.shape[1])
@@ -324,14 +420,42 @@ def _operator_stats(op: CausalOperator) -> dict:
     }
 
 
-def upper_tail_bound(op: CausalOperator, q: float) -> float:
+@_once_per_process
+def _var_stats(spec: ProcessSpec) -> dict:
+    """_operator_stats of a VAR process, from its analysis: sum_t P_t and
+    lam_max(P_t) from the covariance recursion, the decoupled sum T' Gamma_k
+    from the k-step diagonal block, and lam_max(L^T L) as a certified upper
+    bound (VarAnalysis.lam_max_gram)."""
+    analysis = var_analysis(spec.source)
+    t_eff = spec.effective_horizon
+    lo_sum, hi_sum = SymMatrix(analysis.covariances(t_eff).sum(axis=0)).eig_extremes()
+    lo_dec, hi_dec = SymMatrix(_decoupled_sum(spec)).eig_extremes()
+    return {
+        "lam_min_per_time_sum": lo_sum,
+        "lam_max_per_time_sum": hi_sum,
+        "lam_max_gram": analysis.lam_max_gram(t_eff),
+        "lam_min_decoupled_sum": lo_dec,
+        "lam_max_decoupled_sum": hi_dec,
+        "sum_per_time_lam_max": float(analysis.per_time_lam_max(t_eff).sum()),
+    }
+
+
+def _process_stats(process) -> dict:
+    """The covariance statistics of a process (see _operator_stats)."""
+    process = _resolve(process)
+    if isinstance(process, CausalOperator):
+        return _operator_stats(process)
+    return _var_stats(process)
+
+
+def upper_tail_bound(process, q: float) -> float:
     """Bound on P(||sum_t X_t X_t^T|| >= 2 q ||sum_t E X_t X_t^T||) for q > 1:
     5^d exp(-(q-1) lam_min(sum_t E X_t X_t^T) / (8 lam_max(L^T L)))."""
     q = float(q)
     if not q > 1.0:
         raise InvalidInput(f"q must exceed 1, got {q}")
-    stats = _operator_stats(op)
-    return _upper_tail_from_stats(op.d, q, stats)
+    process = _resolve(process)
+    return _upper_tail_from_stats(_shape(process)[1], q, _process_stats(process))
 
 
 def _upper_tail_from_stats(d: int, q: float, stats: dict) -> float:
@@ -342,8 +466,8 @@ def _upper_tail_from_stats(d: int, q: float, stats: dict) -> float:
     return 5.0**d * math.exp(-(q - 1.0) * lam_min / (8.0 * lam_max))
 
 
-@_once_per_operator
-def anticoncentration_bound(op: CausalOperator) -> BoundReport:
+@_once_per_process
+def anticoncentration_bound(process) -> BoundReport:
     """Probability bound for the smallest-eigenvalue lower tail
     lam_min((1/T') sum_t X_t X_t^T) <= (1/(8T')) lam_min(sum_t E X~_t X~_t^T).
 
@@ -352,12 +476,17 @@ def anticoncentration_bound(op: CausalOperator) -> BoundReport:
     r = lam_max(sum_t E X_t X_t^T) / lam_min(sum_t E X~_t X~_t^T); the
     matching operator-norm upper tail is evaluated at the same q.
 
-    The analysis (psi_k and the dense statistics) is computed once per
-    operator: later calls, and upper_tail_bound, share the same results.
+    process is a CausalOperator or a ProcessSpec.  For a VAR, psi_k is
+    exactly 1/k (psi_direction is the first coordinate axis) and
+    lam_max(L^T L) is a certified upper bound a little above the exact
+    value, which only raises q and the bound; a raw operator runs the
+    psi_k search and the dense statistics.  The analysis is computed once
+    per process: later calls, and upper_tail_bound, share it.  Where
+    (16 sqrt(q) sqrt(r))^d overflows, NonFiniteBound is raised.
     """
-    psi, direction = psi_k(op)
-    stats = _operator_stats(op)
-    t_eff, d = op.T, op.d
+    psi, direction = _process_psi(process)
+    stats = _process_stats(process)
+    t_eff, d, k = _shape(process)
     lam_min_sum = stats["lam_min_per_time_sum"]
     lam_max_sum = stats["lam_max_per_time_sum"]
     lam_min_dec = stats["lam_min_decoupled_sum"]
@@ -369,7 +498,7 @@ def anticoncentration_bound(op: CausalOperator) -> BoundReport:
     ratio = lam_max_sum / lam_min_dec
     prefactor = 16.0 * math.sqrt(q) * math.sqrt(ratio)
     exponent = psi * t_eff / 8.0
-    probability = prefactor**d * math.exp(-exponent)
+    probability = _power(prefactor, d, "anticoncentration bound") * math.exp(-exponent)
     threshold = lam_min_dec / (8.0 * t_eff)
     upper = _upper_tail_from_stats(d, q, stats)
     intermediates = dict(stats)
@@ -380,7 +509,7 @@ def anticoncentration_bound(op: CausalOperator) -> BoundReport:
             "covariance_ratio": ratio,
             "prefactor_base": prefactor,
             "horizon": t_eff,
-            "block_length": op.k,
+            "block_length": k,
             "dim": d,
             "exact_gram_ratio": stats["lam_max_gram"] / lam_min_sum,
             "footnote_ratio_bound": stats["sum_per_time_lam_max"] / lam_min_dec,
@@ -434,23 +563,12 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float, exact: bool = False) -> 
 # autoregressive corollaries
 
 
-def _power_norm_sum(sys: VarSystem, T: int) -> float:
-    """sum_{j=0}^{T-1} ||A^j (A^j)^T|| = sum of squared spectral norms."""
-    a = companion(sys)
-    m = np.eye(a.shape[0])
-    total = 0.0
-    for _ in range(T):
-        total += float(np.linalg.norm(m, 2) ** 2)
-        m = a @ m
-    return total
-
-
 def armastability_bound(sys: VarSystem, T: int) -> float:
     """Upper bound T ||H H^T|| sum_{j<T} ||A^j (A^j)^T|| on ||sum_t E X_t X_t^T||."""
     if T < 1:
         raise InvalidInput("horizon must be >= 1")
     hh_norm = float(np.linalg.norm(sys.h, 2) ** 2)
-    return T * hh_norm * _power_norm_sum(sys, T)
+    return T * hh_norm * var_analysis(sys).power_norm_sum(T)
 
 
 def arma_prefactor(sys: VarSystem, T: int, k: int) -> tuple[int, float]:
@@ -464,13 +582,15 @@ def arma_prefactor(sys: VarSystem, T: int, k: int) -> tuple[int, float]:
             f"Gamma_{k} is singular; the corollary needs a nonsingular excitation covariance"
         )
     hh_norm = float(np.linalg.norm(sys.h, 2) ** 2)
-    base = 32.0 * t_eff**1.5 * hh_norm * _power_norm_sum(sys, t_eff) / (math.sqrt(k) * lo)
+    base = (
+        32.0 * t_eff**1.5 * hh_norm * var_analysis(sys).power_norm_sum(t_eff) / (math.sqrt(k) * lo)
+    )
     return t_eff, base
 
 
 def arma_corollary_bound(sys: VarSystem, T: int, k: int) -> float:
     """Anticoncentration corollary for the lifted autoregressive state:
     (32 T'^{3/2} ||HH^T|| sum_j ||A^j(A^j)^T|| / (sqrt(k) lam_min(Gamma_k)))^{dL}
-    * exp(-T'/(8k))."""
+    * exp(-T'/(8k)); NonFiniteBound where the power overflows."""
     t_eff, base = arma_prefactor(sys, T, k)
-    return base**sys.lifted_dim * math.exp(-t_eff / (8.0 * k))
+    return _power(base, sys.lifted_dim, "ARMA corollary bound") * math.exp(-t_eff / (8.0 * k))

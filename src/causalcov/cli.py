@@ -172,8 +172,8 @@ def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
 
 
 def _operator_bounds(spec: ProcessSpec) -> dict:
-    """Cell quantities of the operator alone, shared by bounds and sweep rows."""
-    report = anticoncentration_bound(spec.operator())
+    """Cell quantities of the process alone, shared by bounds and sweep rows."""
+    report = anticoncentration_bound(spec)
     return {
         "psi_k": report.psi_k,
         "chernoff_exponent": report.chernoff_exponent,

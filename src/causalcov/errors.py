@@ -34,7 +34,8 @@ class SingularGram(CausalCovError):
 
 
 class NonFiniteBound(CausalCovError):
-    """A probability bound evaluated to NaN or infinity, so it certifies nothing."""
+    """A probability bound evaluated to NaN or infinity (or overflowed on the
+    way), or a quantity it needs could not be certified, so it certifies nothing."""
 
 
 class ConfigError(CausalCovError):

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import arma_prefactor
 from .errors import BurninUnsatisfied, InsufficientExcitation, InvalidInput, SingularGram
 from .linalg import SymMatrix
-from .process import VarSystem, effective_horizon, gamma_k, var_time_covariances
+from .process import VarSystem, effective_horizon, gamma_k, var_analysis
 
 __all__ = [
     "LsFit",
@@ -152,12 +152,14 @@ def ls_bound_details(sys: VarSystem, T: int, k: int, delta: float) -> dict:
         raise InsufficientExcitation(
             f"Gamma_{k} is singular; pick k at or above the excitation index"
         )
-    covs = var_time_covariances(sys, t_eff)
-    lam_max_t = np.linalg.eigvalsh(covs)[:, -1]
-    sum_lam_max = float(lam_max_t.sum())
-    head = covs[:k].sum(axis=0)
+    analysis = var_analysis(sys)
+    sum_lam_max = float(analysis.per_time_lam_max(t_eff).sum())
+    head = analysis.covariances(k).sum(axis=0)
     head_lo = float(np.linalg.eigvalsh(0.5 * (head + head.T))[0])
-    c_sys = 1.0 + 32.0 * sum_lam_max**2 / head_lo**2
+    try:
+        c_sys = 1.0 + 32.0 * sum_lam_max**2 / head_lo**2
+    except (OverflowError, ZeroDivisionError):
+        c_sys = math.inf  # the bound is then infinite, which callers reject
     sigma = float(np.linalg.norm(sys.h, 2))
     dl, d = sys.lifted_dim, sys.d
     log_terms = dl * math.log(c_sys) + 2.0 * d * math.log(5.0) + 2.0 * math.log(1.0 / delta)

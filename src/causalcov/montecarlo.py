@@ -19,7 +19,7 @@ from scipy import stats as _stats
 
 from ._rng import mix64
 from .bounds import (
-    _operator_stats,
+    _process_stats,
     anticoncentration_bound,
     chernoff_lower_tail,
     chernoff_threshold,
@@ -136,14 +136,14 @@ def run_tail_experiment(
     - "upper-tail-opnorm": ||sum_t X_t X_t^T|| reaches 2q times its mean
       operator norm; params must carry "q" > 1; bound from upper_tail_bound.
 
-    Bounds and thresholds read the operator's analysis (psi_k and the dense
-    statistics), which is computed once per operator and shared by every
-    event and report on that operator.
+    Bounds and thresholds read the process's analysis, computed once per
+    process and shared by every event and report on it: psi_k and the
+    dense statistics for a raw operator, the recursion-based VarAnalysis
+    for a VAR, whose operator L is never formed.
     """
     params = dict(params or {})
     if R < 1:
         raise InvalidInput("replicate count must be >= 1")
-    op = spec.operator()
     t_eff, d = spec.effective_horizon, spec.state_dim
     extras: dict = {}
 
@@ -152,8 +152,8 @@ def run_tail_experiment(
         if direction.ndim != 2 or direction.shape[1] != d:
             raise InvalidInput(f"direction must be d' x {d}")
         d_mat = require_psd(direction.T @ direction, "direction Gram")
-        bound = _finite_bound(event, chernoff_lower_tail(op, d_mat))
-        threshold = chernoff_threshold(op, d_mat)
+        bound = _finite_bound(event, chernoff_lower_tail(spec, d_mat))
+        threshold = chernoff_threshold(spec, d_mat)
         extras["threshold"] = threshold
 
         def batch_stat(x):
@@ -164,7 +164,7 @@ def run_tail_experiment(
         hits = int(np.count_nonzero(stat <= threshold))
 
     elif event == "lower-tail-eigenvalue":
-        report = anticoncentration_bound(op)
+        report = anticoncentration_bound(spec)
         bound = _finite_bound(event, report.anticonc_probability)
         threshold = report.anticonc_threshold
         extras["threshold"] = threshold
@@ -181,8 +181,8 @@ def run_tail_experiment(
         if "q" not in params:
             raise InvalidInput("upper-tail-opnorm needs a q parameter")
         q = float(params.pop("q"))
-        bound = _finite_bound(event, upper_tail_bound(op, q))
-        threshold = 2.0 * q * _operator_stats(op)["lam_max_per_time_sum"]
+        bound = _finite_bound(event, upper_tail_bound(spec, q))
+        threshold = 2.0 * q * _process_stats(spec)["lam_max_per_time_sum"]
         extras["threshold"] = threshold
         extras["q"] = q
 

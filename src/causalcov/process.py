@@ -5,23 +5,31 @@ initialization (Z_t = 0 for t < 0).  Stacking the last L states into
 X_t = (Z_t, ..., Z_{t-L+1}) gives the lifted recursion
 X_t = A X_{t-1} + B W_t with the companion matrix A and B = [H; 0; ...],
 whose causal operator has impulse blocks L[t, s] = A^{t-s} B for s <= t.
+
+Every statistic the bounds read of a VAR comes from one VarAnalysis per
+system (var_analysis), by recursions in time; L itself is formed only by
+var_to_operator, which the test suite uses as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ._rng import mix64, replicate_states
-from .errors import HorizonTooShort, InvalidInput
+from .errors import HorizonTooShort, InvalidInput, NonFiniteBound
 from .linalg import CausalOperator, SymMatrix
 
 __all__ = [
     "VarSystem",
+    "VarAnalysis",
     "ProcessSpec",
     "companion",
     "effective_horizon",
+    "var_analysis",
     "var_to_operator",
     "noise_block",
     "paths_from_noise",
@@ -34,32 +42,61 @@ __all__ = [
 #: relative eigenvalue tolerance for the excitation-index rank test
 KAPPA_RTOL = 1e-9
 
+#: relative margins above the Lanczos estimate of lam_max(L^T L) that the
+#: bounded-real test tries first; the first one is also the relative width
+#: to which a wider bracket [failed, passed] is then narrowed
+GRAM_MARGINS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
-@dataclass
+#: levels per narrowing pass of the bounded-real test
+_BISECTION_LEVELS = 15
+
+#: Lanczos settings for the estimate of lam_max(L^T L): the Krylov basis
+#: size (an L^T L no larger than it is formed whole) and the relative
+#: tolerance, loose from _LANCZOS_LOOSE_FROM steps on.  The top of the
+#: spectrum clusters as the horizon grows, so there a tight estimate costs
+#: more mat-vecs than the narrowing passes that a loose one leaves.  On the
+#: perfbench model (2-core VM) the two cost the same near 3000 steps, and
+#: at 8192 steps the loose start takes 3.5 s against 9.8 s.
+_LANCZOS_NCV = 40
+_LANCZOS_TOL = 1e-10
+_LANCZOS_LOOSE_TOL = 1e-4
+_LANCZOS_LOOSE_FROM = 4096
+
+
+def _read_only(m) -> np.ndarray:
+    out = np.array(m, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class VarSystem:
     """Autoregression Z_t = sum_l A_l Z_{t-l} + H W_t, zero-initialized.
 
-    a_lags holds [A_1, ..., A_L] (each d x d); h is the d x p noise map.
+    a_lags holds (A_1, ..., A_L) (each d x d); h is the d x p noise map.
+    A system is immutable: its fields cannot be rebound, the matrices are
+    read-only copies of the inputs, and it hashes by identity, so results
+    computed once per system (var_analysis) never go stale.
     """
 
-    a_lags: list = field(default_factory=list)
+    a_lags: tuple = ()
     h: np.ndarray = None
 
     def __post_init__(self):
-        self.a_lags = [np.asarray(a, dtype=float) for a in self.a_lags]
-        if not self.a_lags:
+        a_lags = tuple(_read_only(a) for a in self.a_lags)
+        if not a_lags:
             raise InvalidInput("need at least one lag matrix")
-        d = self.a_lags[0].shape[0]
-        for i, a in enumerate(self.a_lags):
+        d = a_lags[0].shape[0]
+        for i, a in enumerate(a_lags):
             if a.shape != (d, d):
                 raise InvalidInput(f"lag matrix {i + 1} must be {d} x {d}, got {a.shape}")
-        self.h = np.asarray(self.h, dtype=float)
-        if self.h.ndim != 2 or self.h.shape[0] != d:
-            raise InvalidInput(f"noise map must have {d} rows, got shape {self.h.shape}")
-        if not all(np.all(np.isfinite(a)) for a in self.a_lags) or not np.all(
-            np.isfinite(self.h)
-        ):
+        h = _read_only(self.h)
+        if h.ndim != 2 or h.shape[0] != d:
+            raise InvalidInput(f"noise map must have {d} rows, got shape {h.shape}")
+        if not all(np.all(np.isfinite(a)) for a in a_lags) or not np.all(np.isfinite(h)):
             raise InvalidInput("system matrices must be finite")
+        object.__setattr__(self, "a_lags", a_lags)
+        object.__setattr__(self, "h", h)
 
     @property
     def d(self) -> int:
@@ -111,28 +148,246 @@ def effective_horizon(T: int, k: int) -> int:
     return k * (T // k)
 
 
+def _lower_block_toeplitz(impulses: np.ndarray) -> np.ndarray:
+    """The (T*n) x (T*p) matrix with block (t, s) = impulses[t - s] for s <= t."""
+    t_eff, n, p = impulses.shape
+    matrix = np.zeros((t_eff * n, t_eff * p))
+    steps = matrix.reshape(t_eff, n, t_eff, p)
+    times = np.arange(t_eff)
+    for lag in range(t_eff):
+        steps[times[lag:], :, times[: t_eff - lag], :] = impulses[lag]
+    return matrix
+
+
 def var_to_operator(sys: VarSystem, T: int, k: int = 1) -> CausalOperator:
     """Causal operator of the lifted state over T' = k*floor(T/k) steps.
 
     Block (t, s) of the per-step partition is the impulse response
     A^{t-s} B for s <= t, so the unit-lag diagonal is B itself.  The matrix
     does not depend on k, which only sets the operator's block partition.
+    The bounds never build it for a VAR: they read var_analysis instead.
+    It is kept as the dense oracle of that analysis, and for callers that
+    want L itself.
     """
     t_eff = effective_horizon(T, k)
-    a = companion(sys)
-    b = sys.lifted_noise_map()
-    dl, p = sys.lifted_dim, sys.p
-    impulses = np.empty((t_eff, dl, p))
-    impulses[0] = b
-    for j in range(1, t_eff):
-        impulses[j] = a @ impulses[j - 1]
+    impulses = var_analysis(sys).impulses(t_eff)
+    return CausalOperator(sys.lifted_dim, sys.p, k, _lower_block_toeplitz(impulses))
 
-    matrix = np.zeros((t_eff * dl, t_eff * p))
-    steps = matrix.reshape(t_eff, dl, t_eff, p)
-    times = np.arange(t_eff)
-    for lag in range(t_eff):
-        steps[times[lag:], :, times[: t_eff - lag], :] = impulses[lag]
-    return CausalOperator(dl, p, k, matrix)
+
+def _gram_estimate(impulses: np.ndarray) -> float:
+    """Lanczos estimate of lam_max(L^T L), L the lower block-Toeplitz
+    operator of the impulses; a Ritz value, so at most lam_max.
+
+    L and L^T are applied as block convolution and correlation by FFT, so
+    neither L nor L^T L is formed unless it is no larger than the Krylov
+    basis.  The start vector is fixed, so the estimate is deterministic;
+    from _LANCZOS_LOOSE_FROM steps on it is only a starting value for the
+    narrowing passes of VarAnalysis.lam_max_gram.
+    """
+    t_eff, _, p = impulses.shape
+    nfft = 2 * t_eff
+    h = np.fft.rfft(impulses, n=nfft, axis=0)
+    h_adj = np.conj(np.swapaxes(h, 1, 2))
+
+    def gram(v):
+        w = np.fft.rfft(v.reshape(t_eff, p), n=nfft, axis=0)
+        x = np.fft.irfft((h @ w[..., None])[..., 0], n=nfft, axis=0)[:t_eff]
+        x_f = np.fft.rfft(x, n=nfft, axis=0)
+        y = np.fft.irfft((h_adj @ x_f[..., None])[..., 0], n=nfft, axis=0)
+        return y[:t_eff].reshape(-1)
+
+    size = t_eff * p
+    if size <= _LANCZOS_NCV:
+        return float(np.linalg.eigvalsh(np.column_stack([gram(e) for e in np.eye(size)]))[-1])
+    top = eigsh(
+        LinearOperator((size, size), matvec=gram, dtype=float),
+        k=1,
+        which="LA",
+        v0=np.ones(size),
+        ncv=_LANCZOS_NCV,
+        tol=_LANCZOS_TOL if t_eff < _LANCZOS_LOOSE_FROM else _LANCZOS_LOOSE_TOL,
+        return_eigenvectors=False,
+    )
+    return float(top[0])
+
+
+def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
+    """Which levels g make g I - L^T L positive definite, for L the causal
+    operator of x_t = A x_{t-1} + B w_t over horizon steps.
+
+    This is the finite-horizon bounded-real test.  With S_T = I, every
+    reverse-time pivot R_t = g I - B^T S_{t+1} B (t = T-1, ..., 0) must be
+    positive definite, where
+    S_t = I + A^T (S_{t+1} + S_{t+1} B R_t^{-1} B^T S_{t+1}) A.  The pivots
+    are the Schur complements of g I - L^T L taken one time step at a time
+    from the last, so all of them are positive definite exactly when
+    g I - L^T L is.  All levels run in one pass, O(horizon n^3) work in
+    flat memory; a level is dropped at its first non-finite or
+    non-positive pivot, so nothing overflows or warns.
+    """
+    n, p = b.shape
+    levels = np.asarray(levels, dtype=float)
+    passed = np.zeros(levels.size, dtype=bool)
+    live = np.flatnonzero(np.isfinite(levels))
+    g = levels[live, None, None] * np.eye(p)
+    eye = np.eye(n)
+    s = np.broadcast_to(eye, (live.size, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon - 1, -1, -1):
+            finite = np.isfinite(s).all(axis=(1, 2))
+            if not finite.all():
+                live, g, s = live[finite], g[finite], s[finite]
+            bts = b.T @ s
+            r = g - bts @ b
+            pivot_pd = np.linalg.eigvalsh(r)[:, 0] > 0
+            if not pivot_pd.all():
+                live, g, s, bts, r = (m[pivot_pd] for m in (live, g, s, bts, r))
+            if not live.size:
+                break
+            if t:
+                s = eye + a.T @ (s + np.swapaxes(bts, 1, 2) @ np.linalg.solve(r, bts)) @ a
+    passed[live] = True
+    return passed
+
+
+class VarAnalysis:
+    """Every statistic of one VarSystem that the bounds read, each computed once.
+
+    Horizon-indexed series -- the impulse responses A^j B, the companion
+    powers A^j and the covariances P_t = E X_t X_t^T of the lifted state
+    (P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T) -- are kept for the longest
+    horizon asked so far and extended by the same recursion, so a shorter
+    horizon reads a prefix with the same bytes; so are the per-time
+    lam_max(P_t) and the running power-norm sums.  Gamma_k and the k-step
+    diagonal block of L are held per k, and lam_max(L^T L) per horizon.
+    Every array handed out is read-only.  Built by var_analysis; it holds
+    no reference to its system.
+    """
+
+    def __init__(self, sys: VarSystem):
+        self.a = _read_only(companion(sys))
+        self.b = _read_only(sys.lifted_noise_map())
+        self._bbt = self.b @ self.b.T
+        self._series = {
+            "impulses": _read_only(self.b[None]),
+            "powers": _read_only(np.eye(len(self.a))[None]),
+            "covariances": _read_only(self._bbt[None]),
+        }
+        self._derived_series: dict = {}
+        self._gamma: dict = {}
+        self._blocks: dict = {}
+        self._gram: dict = {}
+
+    def _prefix(self, name: str, n: int) -> np.ndarray:
+        have = self._series[name]
+        if len(have) < n:
+            grown = np.empty((n,) + have.shape[1:])
+            grown[: len(have)] = have
+            a = self.a
+            for t in range(len(have), n):
+                if name == "covariances":
+                    grown[t] = a @ grown[t - 1] @ a.T + self._bbt
+                else:
+                    grown[t] = a @ grown[t - 1]
+            grown.flags.writeable = False
+            self._series[name] = have = grown
+        return have[:n]
+
+    def _derived(self, name: str, n: int, compute) -> np.ndarray:
+        have = self._derived_series.get(name)
+        if have is None or len(have) < n:
+            have = compute(n)
+            have.flags.writeable = False
+            self._derived_series[name] = have
+        return have[:n]
+
+    def impulses(self, n: int) -> np.ndarray:
+        """A^j B for j = 0..n-1, shape (n, dL, p)."""
+        return self._prefix("impulses", n)
+
+    def covariances(self, n: int) -> np.ndarray:
+        """P_t = E X_t X_t^T for t = 0..n-1, shape (n, dL, dL)."""
+        return self._prefix("covariances", n)
+
+    def per_time_lam_max(self, n: int) -> np.ndarray:
+        """lam_max(P_t) for t = 0..n-1."""
+        return self._derived(
+            "per_time_lam_max", n, lambda m: np.linalg.eigvalsh(self.covariances(m))[:, -1]
+        )
+
+    def power_norm_sum(self, n: int) -> float:
+        """sum_{j<n} ||A^j (A^j)^T|| = sum of squared spectral norms, added in
+        order of j (one batched norm over the stacked powers)."""
+        sums = self._derived(
+            "power_norm_sums",
+            n,
+            lambda m: np.cumsum(np.linalg.norm(self._prefix("powers", m), 2, axis=(1, 2)) ** 2),
+        )
+        return float(sums[n - 1])
+
+    def gamma(self, k: int) -> SymMatrix:
+        """Gamma_k = (1/k) sum_{t<k} P_t (shared; its array is read-only)."""
+        if k not in self._gamma:
+            gamma = SymMatrix(self.covariances(k).sum(axis=0) / k)
+            gamma.a.flags.writeable = False
+            self._gamma[k] = gamma
+        return self._gamma[k]
+
+    def diagonal_block(self, k: int) -> CausalOperator:
+        """The first k steps of L as a one-block operator: every diagonal
+        block of a VAR's operator at stride k equals it."""
+        if k not in self._blocks:
+            _, n, p = self.impulses(k).shape
+            self._blocks[k] = CausalOperator(n, p, k, _lower_block_toeplitz(self.impulses(k)))
+        return self._blocks[k]
+
+    def lam_max_gram(self, n: int) -> float:
+        """Certified upper bound on lam_max(L^T L) for L over n steps.
+
+        A Lanczos estimate theta (a Ritz value, so at most lam_max) is
+        raised by each of GRAM_MARGINS, and every level goes through the
+        bounded-real test in one pass.  Unless theta (1 + 1e-10) already
+        passes, the bracket between the highest failed level (or theta) and
+        the lowest passed one is narrowed by further passes until it is
+        1e-10 wide.  The lowest passed level is returned: an upper bound on
+        lam_max within 1e-10 relative of it.  Neither L nor L^T L is formed.
+        """
+        if n not in self._gram:
+            self._gram[n] = self._certified_gram(n)
+        return self._gram[n]
+
+    def _certified_gram(self, n: int) -> float:
+        impulses = self.impulses(n)
+        if not impulses.any():
+            return 0.0
+        low = _gram_estimate(impulses)
+        levels = low * (1.0 + np.array(GRAM_MARGINS))
+        high = None
+        while True:
+            passed = _bounded_real_passes(self.a, self.b, n, levels)
+            if passed.any():
+                high = float(levels[np.argmax(passed)])
+            elif high is None:
+                raise NonFiniteBound(
+                    f"lam_max(L^T L) over {n} steps could not be certified: the "
+                    "bounded-real test rejected every level up to twice its Lanczos estimate"
+                )
+            failed = levels[~passed & (levels < high)]
+            if failed.size:
+                low = max(low, float(failed.max()))
+            if high <= low * (1.0 + GRAM_MARGINS[0]):
+                return high
+            levels = np.linspace(low, high, _BISECTION_LEVELS + 2)[1:-1]
+
+
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def var_analysis(sys: VarSystem) -> VarAnalysis:
+    """The one analysis of sys, built on first use and kept while sys lives."""
+    if sys not in _ANALYSES:
+        _ANALYSES[sys] = VarAnalysis(sys)
+    return _ANALYSES[sys]
 
 
 @dataclass
@@ -226,13 +481,19 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     """Trajectories driven by the given noise, shape (count, T', d).
 
     VAR sources run the lifted recursion (algebraically identical to the
-    operator product); raw operators multiply by the operator matrix.
+    operator product); raw operators multiply by the operator matrix.  A
+    single replicate is run as two equal rows: a one-row product would take
+    BLAS's matrix-vector route, which rounds differently from the
+    matrix-matrix route of every larger batch, so a path's bytes would
+    depend on how the replicates were split.
     """
     count, t_eff, p = w.shape
+    if count == 1:
+        return paths_from_noise(spec, np.concatenate([w, w]))[:1]
     if isinstance(spec.source, VarSystem):
-        sys = spec.source
-        a, b = companion(sys), sys.lifted_noise_map()
-        x = np.empty((count, t_eff, sys.lifted_dim))
+        analysis = var_analysis(spec.source)
+        a, b = analysis.a, analysis.b
+        x = np.empty((count, t_eff, len(a)))
         state = w[:, 0, :] @ b.T
         x[:, 0, :] = state
         for t in range(1, t_eff):
@@ -246,24 +507,17 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
 
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
     """E[X_t X_t^T] of the lifted state for t = 0..T-1 via the recursion
-    P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T; shape (T, dL, dL)."""
+    P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T; shape (T, dL, dL), read-only."""
     if T < 1:
         raise InvalidInput("horizon must be >= 1")
-    a, b = companion(sys), sys.lifted_noise_map()
-    bbt = b @ b.T
-    out = np.empty((T, sys.lifted_dim, sys.lifted_dim))
-    out[0] = bbt
-    for t in range(1, T):
-        out[t] = a @ out[t - 1] @ a.T + bbt
-    return out
+    return var_analysis(sys).covariances(T)
 
 
 def gamma_k(sys: VarSystem, k: int) -> SymMatrix:
     """Gamma_k = (1/k) sum_{t=0}^{k-1} E[X_t X_t^T] of the lifted state."""
     if k < 1:
         raise InvalidInput(f"excitation length must be >= 1, got {k}")
-    covs = var_time_covariances(sys, k)
-    return SymMatrix(covs.sum(axis=0) / k)
+    return var_analysis(sys).gamma(k)
 
 
 def kappa(sys: VarSystem, k_max: int, rtol: float = KAPPA_RTOL) -> int | None:
@@ -274,7 +528,7 @@ def kappa(sys: VarSystem, k_max: int, rtol: float = KAPPA_RTOL) -> int | None:
     """
     if k_max < 1:
         raise InvalidInput("k_max must be >= 1")
-    covs = var_time_covariances(sys, k_max)
+    covs = var_analysis(sys).covariances(k_max)
     running = np.zeros_like(covs[0])
     for k in range(1, k_max + 1):
         running = running + covs[k - 1]

@@ -9,7 +9,17 @@ import time
 import numpy as np
 import pytest
 
-from causalcov import ExperimentConfig, bounds, cli, load_config, montecarlo
+from causalcov import (
+    ExperimentConfig,
+    NonFiniteBound,
+    VarSystem,
+    arma_corollary_bound,
+    bounds,
+    cli,
+    load_config,
+    montecarlo,
+    process,
+)
 from causalcov.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, main
 from conftest import random_operator
 
@@ -143,6 +153,31 @@ class TestBounds:
         assert main(["bounds", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "bounds.json").read_bytes() == (out2 / "bounds.json").read_bytes()
 
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "sweep"])
+    def test_var_route_never_builds_the_operator(self, tmp_path, monkeypatch, subcommand):
+        events = [
+            "lower-tail-eigenvalue",
+            "chernoff-direction",
+            {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+        ]
+        cfg = write_config(
+            tmp_path / "c.json",
+            base_config(events=events, replicates=64, grid={"T": [12, 24], "k": [1, 2]}),
+        )
+        codes = [main([subcommand, "--config", cfg, "--out", str(tmp_path / "dense")])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a VAR source must not build its dense operator")
+
+        monkeypatch.setattr(process, "var_to_operator", refuse)
+        codes.append(main([subcommand, "--config", cfg, "--out", str(tmp_path / "free")]))
+        assert codes[0] == codes[1]
+        reports = sorted(p.name for p in (tmp_path / "dense").glob("*") if ".meta." not in p.name)
+        assert reports
+        for name in reports:
+            dense, free = tmp_path / "dense" / name, tmp_path / "free" / name
+            assert dense.read_bytes() == free.read_bytes()
+
     def test_insufficient_excitation_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -217,6 +252,23 @@ class TestIdentify:
         assert len(rows) == 60
         assert float(rows[0]["op_error"]) > 0.0
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_one_row_batch_determinism(self, tmp_path, monkeypatch, seed):
+        # identify simulates T' + 1 = 65 steps; at two replicates per batch the
+        # fifth replicate runs alone, and must round as in the one batch of five
+        model = {"type": "var", "a_lags": [[[0.5, 0.1], [0.0, 0.4]]], "h": [[1.0, 0.0], [0.0, 1.0]]}
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=model, T=64, replicates=5, seed=seed)
+        )
+        outs = []
+        for steps in (montecarlo.STEPS, 2 * 65):
+            monkeypatch.setattr(montecarlo, "STEPS", steps)
+            out = tmp_path / f"s{steps}"
+            main(["identify", "--config", cfg, "--out", str(out)])
+            outs.append(out)
+        for name in ("identify.csv", "identify.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_burnin_unsatisfied_omits_certification(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=16, replicates=10))
         out = tmp_path / "out"
@@ -282,8 +334,9 @@ class TestSweep:
 
 
     def test_one_anticoncentration_per_cell(self, tmp_path, monkeypatch):
-        calls = {"anticoncentration_bound": [], "psi_k": [], "svd": 0}
+        calls = {"anticoncentration_bound": [], "psi_k": [], "svd": 0, "gram": []}
         real_anticonc, real_psi, real_svd = cli.anticoncentration_bound, bounds.psi_k, np.linalg.svd
+        real_gram = process._gram_estimate
 
         def counted_anticonc(op):
             calls["anticoncentration_bound"].append((op.T, op.k))
@@ -297,9 +350,14 @@ class TestSweep:
             calls["svd"] += 1
             return real_svd(*args, **kwargs)
 
+        def counted_gram(impulses):
+            calls["gram"].append(len(impulses))
+            return real_gram(impulses)
+
         monkeypatch.setattr(cli, "anticoncentration_bound", counted_anticonc)
         monkeypatch.setattr(bounds, "psi_k", counted_psi)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(process, "_gram_estimate", counted_gram)
         events = [
             "lower-tail-eigenvalue",
             "chernoff-direction",
@@ -317,16 +375,54 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(out)])
         grid_cells = [(12, 1), (12, 2), (24, 1), (24, 2)]
         # the sweep head, the lower-tail and the upper-tail events of every
-        # delta read one analysis: one psi_k and one dense SVD per (T, k)
+        # delta read one analysis per (T, k); a VAR runs neither the psi_k
+        # search nor a dense SVD, and lam_max(L^T L), which does not depend
+        # on k, is estimated once per T
         assert calls["anticoncentration_bound"] == grid_cells
-        assert calls["psi_k"] == grid_cells
-        assert calls["svd"] == len(grid_cells)
+        assert calls["psi_k"] == []
+        assert calls["svd"] == 0
+        assert calls["gram"] == [12, 24]
         results = json.loads((out / "sweep.json").read_text())
         assert len(results["results"]) == len(grid_cells) * 2 * len(events)
         cells = results["cells"]
         assert [c["delta"] for c in cells[:2]] == [0.05, 0.2]
         assert cells[0]["psi_k"] == cells[1]["psi_k"]
         assert cells[0]["ls_error_bound"] != cells[1]["ls_error_bound"]
+
+    def test_raw_operator_analysis_once(self, tmp_path, monkeypatch):
+        # a raw operator keeps the dense route: one psi_k search and one SVD
+        # serve the sweep head and every event of every delta
+        calls = {"psi_k": 0, "svd": 0}
+        real_psi, real_svd = bounds.psi_k, np.linalg.svd
+
+        def counted_psi(op):
+            calls["psi_k"] += 1
+            return real_psi(op)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "psi_k", counted_psi)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        op = random_operator(np.random.default_rng(3), d=2, p=1, k=2, n_blocks=3)
+        rows = [[op.block(i, j).tolist() for j in range(i + 1)] for i in range(3)]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "model": {"type": "operator", "d": 2, "p": 1, "k": 2, "blocks": rows},
+                "T": 6,
+                "replicates": 32,
+                "events": [
+                    "lower-tail-eigenvalue",
+                    "chernoff-direction",
+                    {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+                ],
+                "grid": {"delta": [0.05, 0.2]},
+            },
+        )
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert calls == {"psi_k": 1, "svd": 1}
 
 
 class TestSimulate:
@@ -414,6 +510,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "var model overflows within horizon 10" in err
         assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "sweep", "identify"])
+    def test_overflowing_prefactor_exit_2(self, tmp_path, capsys, subcommand):
+        # passes the load checks, but the transient A^j has entries near 1e80,
+        # so the anticoncentration prefactor (about 8e161) squares past float max
+        model = {"type": "var", "a_lags": [[[0.5, 1e80], [0.0, 0.5]]], "h": [[1.0, 0], [0, 1.0]]}
+        events = ["lower-tail-eigenvalue", "chernoff-direction"]
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=10, events=events))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        if subcommand == "identify":
+            assert "event 'ls-error-exceeds-bound'" in err
+        else:
+            assert "anticoncentration bound: the prefactor" in err
+        assert "not a finite" in err
+        assert not list((tmp_path / "o").glob("*"))
+
+    def test_overflowing_arma_corollary_raises(self):
+        # base**(d L) of the corollary overflows in the same way
+        sys = VarSystem(a_lags=[np.array([[0.5, 1e80], [0.0, 0.5]])], h=np.eye(2))
+        with pytest.raises(NonFiniteBound, match="ARMA corollary bound"):
+            arma_corollary_bound(sys, 10, 1)
 
     def test_overflowing_impulse_response_names_lag(self, tmp_path, capsys):
         # 1.5^j * 1e100 first exceeds sqrt(float max) at j = 308, while 1.5^308 is small
