@@ -57,7 +57,6 @@ from .montecarlo import (
 )
 from .process import (
     ProcessSpec,
-    VarAnalysis,
     VarSystem,
     companion,
     derive_seed,
@@ -66,7 +65,6 @@ from .process import (
     kappa,
     noise_block,
     paths_from_noise,
-    var_analysis,
     var_time_covariances,
     var_to_operator,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "trace_square",
     # process
     "ProcessSpec",
-    "VarAnalysis",
     "VarSystem",
     "companion",
     "derive_seed",
@@ -89,7 +86,6 @@ __all__ = [
     "kappa",
     "noise_block",
     "paths_from_noise",
-    "var_analysis",
     "var_time_covariances",
     "var_to_operator",
     # bounds

@@ -37,7 +37,14 @@ from .errors import (
     SingularDecoupledCovariance,
 )
 from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
-from .process import ProcessSpec, VarSystem, effective_horizon, gamma_k, var_analysis
+from .process import (
+    ProcessSpec,
+    VarAnalysis,
+    VarSystem,
+    effective_horizon,
+    gamma_k,
+    var_analysis,
+)
 
 __all__ = [
     "BoundReport",
@@ -62,47 +69,6 @@ _PSI_SEED = 0x5EED0F21
 _PSI_STARTS = 32
 _PSI_TOL = 1e-8
 _PSI_MAX_ITER = 500
-
-
-def _resolve(process):
-    """A raw-operator process as its operator; a VAR ProcessSpec as given."""
-    if isinstance(process, ProcessSpec) and isinstance(process.source, CausalOperator):
-        return process.source
-    if not isinstance(process, (CausalOperator, ProcessSpec)):
-        raise InvalidInput("a process is a CausalOperator or a ProcessSpec")
-    return process
-
-
-def _shape(process) -> tuple[int, int, int]:
-    """(T', d, k) of a resolved process."""
-    if isinstance(process, CausalOperator):
-        return process.T, process.d, process.k
-    return process.effective_horizon, process.state_dim, process.k
-
-
-def _once_per_process(fn):
-    """Compute fn(process) once per process and hand every caller that result.
-
-    Results are held per source (operator or VarSystem) in a
-    WeakKeyDictionary, and per (T', k) for a VAR, so an entry lives exactly
-    as long as its source; sources are immutable, so a stored result never
-    goes stale.  Callers share the result and must not mutate it.
-    """
-    results = weakref.WeakKeyDictionary()
-
-    @functools.wraps(fn)
-    def shared(process):
-        process = _resolve(process)
-        if isinstance(process, CausalOperator):
-            source, key = process, None
-        else:
-            source, key = process.source, (process.effective_horizon, process.k)
-        per_source = results.setdefault(source, {})
-        if key not in per_source:
-            per_source[key] = fn(process)
-        return per_source[key]
-
-    return shared
 
 
 def _power(base: float, exponent: int, what: str) -> float:
@@ -183,18 +149,6 @@ def exact_mgf(q, x, lam: float) -> float:
     return math.exp(-0.5 * logdet - lam * quad)
 
 
-def _diagonal_blocks(process) -> tuple[CausalOperator, int]:
-    """(op, copies): the process's diagonal blocks are op's, in order,
-    repeated copies times.  Every diagonal block of a VAR's operator is its
-    k-step head (VarAnalysis.diagonal_block), counted T'/k times; a raw
-    operator's blocks are its own, once."""
-    process = _resolve(process)
-    if isinstance(process, CausalOperator):
-        return process, 1
-    head = var_analysis(process.source).diagonal_block(process.k)
-    return head, process.effective_horizon // process.k
-
-
 def _per_block(values: np.ndarray, copies: int) -> np.ndarray:
     """values (one row per block) repeated copies times along axis 0.
 
@@ -205,17 +159,11 @@ def _per_block(values: np.ndarray, copies: int) -> np.ndarray:
     return np.tile(values, (copies,) + (1,) * (values.ndim - 1))
 
 
-def _decoupled_sum(process) -> np.ndarray:
-    """sum_t E X~_t X~_t^T = sum_j G_j over the diagonal blocks (T' Gamma_k for a VAR)."""
-    op, copies = _diagonal_blocks(process)
-    return _per_block(op.block_time_covs(), copies).sum(axis=0)
-
-
 def block_trace_sums(process, d_mat) -> tuple[float, float]:
     """(S1, S2) with S1 = sum_j tr(Q_j), S2 = sum_j tr(Q_j^2),
     Q_j = L_jj^T blkdiag(D) L_jj; for a VAR, (T'/k) tr(Q_0) and
     (T'/k) tr(Q_0^2) from its k-step diagonal block."""
-    op, copies = _diagonal_blocks(process)
+    op, copies = _analysis(process).diagonal_blocks()
     dm = require_psd(d_mat, "weight matrix")
     if dm.shape != (op.d, op.d):
         raise InvalidInput(f"weight matrix must be {op.d} x {op.d}")
@@ -302,26 +250,14 @@ def _psi_descend(g_stack, t_eff, v0):
     return f, v
 
 
-def _nonsingular_decoupled(total) -> SymMatrix:
-    """The summed decoupled covariance, or SingularDecoupledCovariance."""
-    total = SymMatrix(total)
-    lo, hi = total.eig_extremes()
+def _require_nonsingular_decoupled(lo: float, hi: float) -> None:
+    """SingularDecoupledCovariance unless the summed decoupled covariance,
+    with extreme eigenvalues lo and hi, is nonsingular."""
     if hi <= 0 or lo <= 1e-12 * hi:
         raise SingularDecoupledCovariance(
             "summed decoupled covariance is singular; every direction with "
             "zero energy makes the index undefined"
         )
-    return total
-
-
-def _process_psi(process) -> tuple[float, np.ndarray]:
-    """psi_k and a minimising direction.  For a VAR every diagonal block is
-    the same, so every unit direction gives exactly 1/k; the first
-    coordinate axis is reported.  A raw operator runs psi_k."""
-    if isinstance(process, CausalOperator):
-        return psi_k(process)
-    _nonsingular_decoupled(_decoupled_sum(process))
-    return 1.0 / process.k, np.eye(process.state_dim)[0]
 
 
 def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
@@ -331,7 +267,7 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
 
     Returns (value, minimizing direction), a pure function of the operator.
     The bounds run it for raw operators only: for a VAR the index is
-    exactly 1/k (see _process_psi).
+    exactly 1/k (see _RecursionAnalysis.psi).
     Multi-start projected gradient descent over the sphere (_PSI_STARTS
     deterministic restarts); systems whose diagonal blocks are all
     identical short-circuit to max(value, 1/k).
@@ -339,7 +275,8 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     higher-dimensional subspaces.
     """
     g_stack = op.block_time_covs()
-    total = _nonsingular_decoupled(g_stack.sum(axis=0))
+    total = SymMatrix(g_stack.sum(axis=0))
+    _require_nonsingular_decoupled(*total.eig_extremes())
     t_eff = op.T
     d = op.d
 
@@ -388,15 +325,13 @@ class BoundReport:
     intermediates: dict = field(default_factory=dict)
 
 
-@_once_per_process
 def _operator_stats(op: CausalOperator) -> dict:
-    """Spectral quantities of a raw operator's exact covariances, from its
-    dense matrix (one full SVD for lam_max(L^T L)), computed once per
-    operator and shared by every bound that reads them.
+    """Spectral quantities of an operator's exact covariances, from its
+    dense matrix (one full SVD for lam_max(L^T L)).
 
-    Only raw operators take this route.  For a VAR, _var_stats gives the
-    same quantities without L, and this route on var_to_operator is its
-    test oracle.
+    Only raw operators take this route, once per operator (_DenseAnalysis).
+    For a VAR, _RecursionAnalysis.stats gives the same quantities without
+    L, and this route on var_to_operator is its test oracle.
     """
     dense = op.dense()
     t_eff, d = op.T, op.d
@@ -420,32 +355,116 @@ def _operator_stats(op: CausalOperator) -> dict:
     }
 
 
-@_once_per_process
-def _var_stats(spec: ProcessSpec) -> dict:
-    """_operator_stats of a VAR process, from its analysis: sum_t P_t and
-    lam_max(P_t) from the covariance recursion, the decoupled sum T' Gamma_k
-    from the k-step diagonal block, and lam_max(L^T L) as a certified upper
-    bound (VarAnalysis.lam_max_gram)."""
-    analysis = var_analysis(spec.source)
-    t_eff = spec.effective_horizon
-    lo_sum, hi_sum = SymMatrix(analysis.covariances(t_eff).sum(axis=0)).eig_extremes()
-    lo_dec, hi_dec = SymMatrix(_decoupled_sum(spec)).eig_extremes()
-    return {
-        "lam_min_per_time_sum": lo_sum,
-        "lam_max_per_time_sum": hi_sum,
-        "lam_max_gram": analysis.lam_max_gram(t_eff),
-        "lam_min_decoupled_sum": lo_dec,
-        "lam_max_decoupled_sum": hi_dec,
-        "sum_per_time_lam_max": float(analysis.per_time_lam_max(t_eff).sum()),
-    }
+class _Analysis:
+    """What the bounds read of one process, each part computed on first use
+    and then shared by every bound, event and report on the process.
+
+    t_eff, d and k are the horizon, state dimension and block length;
+    diagonal_blocks() gives (op, copies): the operator's diagonal blocks
+    are op's, in order, repeated copies times; stats holds the covariance
+    statistics (the keys of _operator_stats); psi is (psi_k, direction).
+    block_trace_sums reads only the diagonal blocks, so a Chernoff bound
+    never pays for lam_max(L^T L) or psi_k.  _analysis picks the subclass.
+    """
+
+    t_eff: int
+    d: int
+    k: int
+
+    @functools.cached_property
+    def report(self) -> BoundReport:
+        return _bound_report(self)
 
 
-def _process_stats(process) -> dict:
-    """The covariance statistics of a process (see _operator_stats)."""
-    process = _resolve(process)
-    if isinstance(process, CausalOperator):
-        return _operator_stats(process)
-    return _var_stats(process)
+class _DenseAnalysis(_Analysis):
+    """A raw operator: dense statistics and the psi_k search.  The operator
+    is held by weak reference, so the memo entry keyed by it does not keep
+    it alive."""
+
+    def __init__(self, op: CausalOperator):
+        self.t_eff, self.d, self.k = op.T, op.d, op.k
+        self._op = weakref.ref(op)
+
+    def diagonal_blocks(self) -> tuple[CausalOperator, int]:
+        return self._op(), 1
+
+    @functools.cached_property
+    def stats(self) -> dict:
+        return _operator_stats(self._op())
+
+    @functools.cached_property
+    def psi(self) -> tuple[float, np.ndarray]:
+        return psi_k(self._op())
+
+
+class _RecursionAnalysis(_Analysis):
+    """A VAR at one (T', k), read from its VarAnalysis without forming L.
+
+    Every diagonal block of a VAR's operator is its k-step head, counted
+    T'/k times.  sum_t P_t and lam_max(P_t) come from the covariance
+    recursion, the decoupled sum T' Gamma_k from the head, and
+    lam_max(L^T L) is a certified upper bound (VarAnalysis.lam_max_gram).
+    Every diagonal block is the same, so every unit direction gives
+    psi_k = 1/k exactly; the first coordinate axis is reported.
+    """
+
+    def __init__(self, var: VarAnalysis, t_eff: int, k: int):
+        self.t_eff, self.d, self.k = t_eff, len(var.a), k
+        self._var = var
+
+    def diagonal_blocks(self) -> tuple[CausalOperator, int]:
+        return self._var.diagonal_block(self.k), self.t_eff // self.k
+
+    @functools.cached_property
+    def _decoupled_extremes(self) -> tuple[float, float]:
+        head, copies = self.diagonal_blocks()
+        return SymMatrix(_per_block(head.block_time_covs(), copies).sum(axis=0)).eig_extremes()
+
+    @functools.cached_property
+    def stats(self) -> dict:
+        var, t_eff = self._var, self.t_eff
+        lo_sum, hi_sum = SymMatrix(var.covariances(t_eff).sum(axis=0)).eig_extremes()
+        lo_dec, hi_dec = self._decoupled_extremes
+        return {
+            "lam_min_per_time_sum": lo_sum,
+            "lam_max_per_time_sum": hi_sum,
+            "lam_max_gram": var.lam_max_gram(t_eff),
+            "lam_min_decoupled_sum": lo_dec,
+            "lam_max_decoupled_sum": hi_dec,
+            "sum_per_time_lam_max": float(var.per_time_lam_max(t_eff).sum()),
+        }
+
+    @functools.cached_property
+    def psi(self) -> tuple[float, np.ndarray]:
+        _require_nonsingular_decoupled(*self._decoupled_extremes)
+        return 1.0 / self.k, np.eye(self.d)[0]
+
+
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _analysis(process) -> _Analysis:
+    """The one analysis of a process (a CausalOperator or a ProcessSpec).
+
+    This is where the route is chosen, by source type: a raw operator gets
+    _DenseAnalysis, a VAR _RecursionAnalysis.  Analyses are held per source
+    (operator or VarSystem) in a WeakKeyDictionary, and per (T', k) for a
+    VAR, so an entry lives exactly as long as its source; sources are
+    immutable, so a stored analysis never goes stale.
+    """
+    source = process.source if isinstance(process, ProcessSpec) else process
+    if isinstance(source, CausalOperator):
+        key = None
+    elif isinstance(process, ProcessSpec):
+        key = (process.effective_horizon, process.k)
+    else:
+        raise InvalidInput("a process is a CausalOperator or a ProcessSpec")
+    per_source = _ANALYSES.setdefault(source, {})
+    if key not in per_source:
+        per_source[key] = (
+            _DenseAnalysis(source) if key is None else _RecursionAnalysis(var_analysis(source), *key)
+        )
+    return per_source[key]
 
 
 def upper_tail_bound(process, q: float) -> float:
@@ -454,8 +473,8 @@ def upper_tail_bound(process, q: float) -> float:
     q = float(q)
     if not q > 1.0:
         raise InvalidInput(f"q must exceed 1, got {q}")
-    process = _resolve(process)
-    return _upper_tail_from_stats(_shape(process)[1], q, _process_stats(process))
+    analysis = _analysis(process)
+    return _upper_tail_from_stats(analysis.d, q, analysis.stats)
 
 
 def _upper_tail_from_stats(d: int, q: float, stats: dict) -> float:
@@ -466,7 +485,6 @@ def _upper_tail_from_stats(d: int, q: float, stats: dict) -> float:
     return 5.0**d * math.exp(-(q - 1.0) * lam_min / (8.0 * lam_max))
 
 
-@_once_per_process
 def anticoncentration_bound(process) -> BoundReport:
     """Probability bound for the smallest-eigenvalue lower tail
     lam_min((1/T') sum_t X_t X_t^T) <= (1/(8T')) lam_min(sum_t E X~_t X~_t^T).
@@ -480,13 +498,17 @@ def anticoncentration_bound(process) -> BoundReport:
     exactly 1/k (psi_direction is the first coordinate axis) and
     lam_max(L^T L) is a certified upper bound a little above the exact
     value, which only raises q and the bound; a raw operator runs the
-    psi_k search and the dense statistics.  The analysis is computed once
-    per process: later calls, and upper_tail_bound, share it.  Where
+    psi_k search and the dense statistics.  The report is computed once
+    per process and shared by every later call.  Where
     (16 sqrt(q) sqrt(r))^d overflows, NonFiniteBound is raised.
     """
-    psi, direction = _process_psi(process)
-    stats = _process_stats(process)
-    t_eff, d, k = _shape(process)
+    return _analysis(process).report
+
+
+def _bound_report(analysis: _Analysis) -> BoundReport:
+    psi, direction = analysis.psi
+    stats = analysis.stats
+    t_eff, d, k = analysis.t_eff, analysis.d, analysis.k
     lam_min_sum = stats["lam_min_per_time_sum"]
     lam_max_sum = stats["lam_max_per_time_sum"]
     lam_min_dec = stats["lam_min_decoupled_sum"]
@@ -550,7 +572,7 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float, exact: bool = False) -> 
         if 2.0 * lam * float(w[-1]) >= 1.0:
             raise InvalidInput("lambda outside the finite-MGF domain for this direction")
         return float(np.exp(-0.5 * np.sum(np.log1p(-2.0 * lam * np.clip(w, 0.0, None)))))
-    lam_max = _operator_stats(op)["lam_max_gram"]
+    lam_max = _analysis(op).stats["lam_max_gram"]
     if lam > 1.0 / (4.0 * lam_max):
         raise InvalidInput(
             f"lambda {lam} outside the sub-exponential domain (max {1.0 / (4.0 * lam_max)})"

@@ -19,7 +19,7 @@ from scipy import stats as _stats
 
 from ._rng import mix64
 from .bounds import (
-    _process_stats,
+    _analysis,
     anticoncentration_bound,
     chernoff_lower_tail,
     chernoff_threshold,
@@ -182,7 +182,7 @@ def run_tail_experiment(
             raise InvalidInput("upper-tail-opnorm needs a q parameter")
         q = float(params.pop("q"))
         bound = _finite_bound(event, upper_tail_bound(spec, q))
-        threshold = 2.0 * q * _process_stats(spec)["lam_max_per_time_sum"]
+        threshold = 2.0 * q * _analysis(spec).stats["lam_max_per_time_sum"]
         extras["threshold"] = threshold
         extras["q"] = q
 

@@ -25,11 +25,9 @@ from .linalg import CausalOperator, SymMatrix
 
 __all__ = [
     "VarSystem",
-    "VarAnalysis",
     "ProcessSpec",
     "companion",
     "effective_horizon",
-    "var_analysis",
     "var_to_operator",
     "noise_block",
     "paths_from_noise",
@@ -51,16 +49,11 @@ GRAM_MARGINS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 _BISECTION_LEVELS = 15
 
 #: Lanczos settings for the estimate of lam_max(L^T L): the Krylov basis
-#: size (an L^T L no larger than it is formed whole) and the relative
-#: tolerance, loose from _LANCZOS_LOOSE_FROM steps on.  The top of the
-#: spectrum clusters as the horizon grows, so there a tight estimate costs
-#: more mat-vecs than the narrowing passes that a loose one leaves.  On the
-#: perfbench model (2-core VM) the two cost the same near 3000 steps, and
-#: at 8192 steps the loose start takes 3.5 s against 9.8 s.
+#: size (an L^T L no larger than it is formed whole), the relative
+#: tolerance, and the seed of the start vector's fixed noise direction
 _LANCZOS_NCV = 40
 _LANCZOS_TOL = 1e-10
-_LANCZOS_LOOSE_TOL = 1e-4
-_LANCZOS_LOOSE_FROM = 4096
+_LANCZOS_SEED = 0
 
 
 def _read_only(m) -> np.ndarray:
@@ -180,9 +173,12 @@ def _gram_estimate(impulses: np.ndarray) -> float:
 
     L and L^T are applied as block convolution and correlation by FFT, so
     neither L nor L^T L is formed unless it is no larger than the Krylov
-    basis.  The start vector is fixed, so the estimate is deterministic;
-    from _LANCZOS_LOOSE_FROM steps on it is only a starting value for the
-    narrowing passes of VarAnalysis.lam_max_gram.
+    basis.  The start vector repeats one fixed Gaussian direction u in
+    every step, so the estimate is deterministic.  It is in the null space
+    of L only if B u = 0, which no structure of the model arranges (an
+    all-ones start is, whenever H 1 = 0).  Being constant in time, it
+    starts near the top eigenvector of a low-pass system: on the perfbench
+    model a fully random start needs 3 times the mat-vecs at 8192 steps.
     """
     t_eff, _, p = impulses.shape
     nfft = 2 * t_eff
@@ -203,9 +199,9 @@ def _gram_estimate(impulses: np.ndarray) -> float:
         LinearOperator((size, size), matvec=gram, dtype=float),
         k=1,
         which="LA",
-        v0=np.ones(size),
+        v0=np.tile(np.random.default_rng(_LANCZOS_SEED).standard_normal(p), t_eff),
         ncv=_LANCZOS_NCV,
-        tol=_LANCZOS_TOL if t_eff < _LANCZOS_LOOSE_FROM else _LANCZOS_LOOSE_TOL,
+        tol=_LANCZOS_TOL,
         return_eigenvectors=False,
     )
     return float(top[0])
@@ -418,7 +414,6 @@ class ProcessSpec:
                 )
         elif not isinstance(self.source, VarSystem):
             raise InvalidInput("source must be a VarSystem or CausalOperator")
-        self._operator = self.source if isinstance(self.source, CausalOperator) else None
 
     @classmethod
     def from_operator(cls, op: CausalOperator) -> "ProcessSpec":
@@ -445,12 +440,6 @@ class ProcessSpec:
     @property
     def noise_dim(self) -> int:
         return self.source.p
-
-    def operator(self) -> CausalOperator:
-        """Causal operator of the process (built lazily and cached)."""
-        if self._operator is None:
-            self._operator = var_to_operator(self.source, self.T, self.k)
-        return self._operator
 
 
 def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:

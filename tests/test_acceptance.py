@@ -50,6 +50,13 @@ def iid_spec(T: int, d: int = 1) -> ProcessSpec:
     return ProcessSpec.from_operator(CausalOperator.identity(d, T))
 
 
+def dense_operator(spec: ProcessSpec) -> CausalOperator:
+    """The spec's causal operator, formed densely for a VAR source."""
+    if isinstance(spec.source, CausalOperator):
+        return spec.source
+    return var_to_operator(spec.source, spec.T, spec.k)
+
+
 def rotation_var(rho: float) -> VarSystem:
     """d=2 VAR(1) with spectral radius exactly rho (rotation times rho)."""
     theta = 0.7
@@ -90,7 +97,7 @@ def test_criterion_02_chernoff_certification():
     start = time.monotonic()
     for T in (8, 16, 32, 64, 128):
         spec = iid_spec(T)
-        bound = chernoff_lower_tail(spec.operator(), np.eye(1))
+        bound = chernoff_lower_tail(dense_operator(spec), np.eye(1))
         oracle = chi2_lower(T)  # exact P(sum X_t^2 <= T/2)
         assert oracle <= bound, f"T={T}: oracle {oracle} above bound {bound}"
         exp = run_tail_experiment(
@@ -110,7 +117,7 @@ def _smallest_horizon_below(make_spec, cap: float, t_max: int = 400) -> tuple:
         spec = make_spec(T)
         if spec is None:
             continue
-        report = anticoncentration_bound(spec.operator())
+        report = anticoncentration_bound(dense_operator(spec))
         if report.anticonc_probability < cap:
             return T, spec, report
     raise AssertionError(f"no horizon up to {t_max} brings the bound below {cap}")
@@ -130,7 +137,7 @@ def test_criterion_03_anticoncentration_certification():
     for idx, (name, make_spec) in enumerate(systems.items()):
         T, spec, report = _smallest_horizon_below(make_spec, 0.5)
         if T > 1:
-            prev = anticoncentration_bound(make_spec(T - 1).operator())
+            prev = anticoncentration_bound(dense_operator(make_spec(T - 1)))
             assert prev.anticonc_probability >= 0.5, f"{name}: T={T} is not minimal"
         exp = run_tail_experiment(
             spec, "lower-tail-eigenvalue", R=10_000, seed=derive_seed(SEED, 300 + idx)
@@ -209,7 +216,7 @@ def test_criterion_06_operator_recursion_equivalence():
         spec = ProcessSpec(source=sys, T=T)
         w = noise_block(spec, derive_seed(SEED, 600 + i), 0, 2)
         via_recursion = paths_from_noise(spec, w)
-        via_operator = paths_from_noise(ProcessSpec.from_operator(spec.operator()), w)
+        via_operator = paths_from_noise(ProcessSpec.from_operator(dense_operator(spec)), w)
         scale = max(1.0, float(np.abs(via_recursion).max()))
         rel = float(np.abs(via_recursion - via_operator).max()) / scale
         assert rel <= 1e-10, f"system {i}: relative deviation {rel}"
@@ -254,7 +261,7 @@ def test_criterion_09_upper_tail_certification():
     spec = iid_spec(T)
     # calibrate q so the bound is exactly 0.01: 5 exp(-(q-1) T / 8) = 0.01
     q = 1.0 + 8.0 * math.log(500.0) / T
-    bound = upper_tail_bound(spec.operator(), q)
+    bound = upper_tail_bound(dense_operator(spec), q)
     assert bound == pytest.approx(0.01, rel=1e-12)
     exp = run_tail_experiment(
         spec, "upper-tail-opnorm", params={"q": q}, R=100_000, seed=derive_seed(SEED, 900)

@@ -23,12 +23,11 @@ from causalcov import (
     exact_mgf,
     mgf_upper_bound,
     psi_k,
-    var_analysis,
     var_to_operator,
 )
-from causalcov.bounds import _operator_stats, _var_stats
+from causalcov.bounds import _analysis, _operator_stats
 from causalcov import process
-from causalcov.process import _bounded_real_passes
+from causalcov.process import _bounded_real_passes, var_analysis
 from conftest import random_operator, random_psd, random_var_system
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -71,7 +70,7 @@ def test_analysis_matches_dense_operator(seed, d, n_lags, p_less, t_eff, rho):
         else:
             lo, hi = np.linalg.eigvalsh(op.block_time_covs().sum(axis=0))[[0, -1]]
             oracle = {**oracle, "lam_min_decoupled_sum": lo, "lam_max_decoupled_sum": hi}
-        stats = _var_stats(spec)
+        stats = _analysis(spec).stats
         # eigenvalues agree to 1e-12 of the matrix's scale; per-time sums in the
         # order of the recursion, not of the operator's rows
         for key in COVARIANCE_KEYS:
@@ -90,6 +89,27 @@ def test_analysis_matches_dense_operator(seed, d, n_lags, p_less, t_eff, rho):
     assert oracle_gram * (1 - 1e-12) <= gram <= oracle_gram * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("t_eff", [2, 21, 64, 256])
+def test_rank_deficient_noise_map(t_eff):
+    # H 1 = 0: every impulse A^j H has two opposite columns, so the all-ones
+    # vector lies in the null space of L^T L.  The Lanczos start must not,
+    # and the estimate must not depend on earlier eigensolver calls.
+    a_lags = [np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[0.1, 0.0], [0.0, 0.2]])]
+    h = np.array([[1.0, -1.0], [2.0, -2.0]])
+    exact = float(np.linalg.svd(var_to_operator(VarSystem(a_lags, h), t_eff).dense(),
+                                compute_uv=False)[0] ** 2)
+    grams = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        other = random_var_system(rng, 2, 1, rho=0.9)
+        var_analysis(other).lam_max_gram(int(rng.integers(30, 90)))
+        grams.append(var_analysis(VarSystem(a_lags, h)).lam_max_gram(t_eff))
+    assert grams[0] == grams[1]
+    assert exact * (1 - 1e-12) <= grams[0] <= exact * (1 + 1e-9)
+    spec = ProcessSpec(source=VarSystem(a_lags, h), T=t_eff, k=1)
+    assert _analysis(spec).stats["lam_max_gram"] == grams[0]
+
+
 @pytest.mark.parametrize("t_eff", [1, 2, 7, 40])
 def test_bounded_real_test_brackets_the_dense_norm(t_eff):
     rng = np.random.default_rng(t_eff)
@@ -103,7 +123,7 @@ def test_bounded_real_test_brackets_the_dense_norm(t_eff):
 
 @pytest.mark.parametrize("shortfall", [1e-9, 1e-5, 0.3])
 def test_narrowing_passes_reach_the_dense_norm(monkeypatch, shortfall):
-    # an estimate below lam_max (as a loose Lanczos run gives) leaves a
+    # an estimate well below lam_max leaves a
     # bracket that further bounded-real passes narrow to 1e-10; the level
     # returned has passed the test, so it is above lam_max
     passes = []

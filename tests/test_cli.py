@@ -79,7 +79,7 @@ class TestConfig:
         config = load_config(write_config(tmp_path / "c.json", cfg))
         assert config.k == 1 and config.T == 2
         spec = config.process_spec()
-        assert spec.operator().n_blocks == 2
+        assert spec.source.n_blocks == 2
         assert config.to_dict()["model"] == cfg["model"]
         again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert np.array_equal(again.model.dense(), config.model.dense())

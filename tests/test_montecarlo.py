@@ -85,7 +85,7 @@ class TestTailExperimentChernoff:
         )
         d_mat = direction.T @ direction
         assert exp.extras["threshold"] == pytest.approx(
-            chernoff_threshold(spec.operator(), d_mat)
+            chernoff_threshold(spec.source, d_mat)
         )
 
     def test_hits_match_direct_replication(self):

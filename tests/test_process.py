@@ -101,7 +101,7 @@ def test_operator_matches_convolution_oracle(rng):
     spec = ProcessSpec(source=sys, T=12, k=3)
     w = noise_block(spec, seed=5, start=0, count=3)
     via_recursion = paths_from_noise(spec, w)
-    via_operator = paths_from_noise(ProcessSpec.from_operator(spec.operator()), w)
+    via_operator = paths_from_noise(ProcessSpec.from_operator(var_to_operator(sys, spec.T, spec.k)), w)
     via_oracle = convolution_paths(sys, w)
     assert np.allclose(via_recursion, via_oracle, atol=1e-12)
     assert np.allclose(via_operator, via_oracle, atol=1e-10)
