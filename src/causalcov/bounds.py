@@ -162,15 +162,20 @@ def _per_block(values: np.ndarray, copies: int) -> np.ndarray:
 def block_trace_sums(process, d_mat) -> tuple[float, float]:
     """(S1, S2) with S1 = sum_j tr(Q_j), S2 = sum_j tr(Q_j^2),
     Q_j = L_jj^T blkdiag(D) L_jj; for a VAR, (T'/k) tr(Q_0) and
-    (T'/k) tr(Q_0^2) from its k-step diagonal block."""
+    (T'/k) tr(Q_0^2) from its k-step diagonal block.  NonFiniteBound where
+    either sum overflows."""
     op, copies = _analysis(process).diagonal_blocks()
     dm = require_psd(d_mat, "weight matrix")
-    if dm.shape != (op.d, op.d):
-        raise InvalidInput(f"weight matrix must be {op.d} x {op.d}")
-    grams = [op.diag_gram(j, dm) for j in range(op.n_blocks)]
-    traces = np.array([[float(np.trace(q)), trace_square(q)] for q in grams])
-    s1, s2 = np.cumsum(_per_block(traces, copies), axis=0)[-1]  # added in block order
-    return float(s1), float(s2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [op.diag_gram(j, dm) for j in range(op.n_blocks)]
+        traces = np.array([[float(np.trace(q)), trace_square(q)] for q in grams])
+        sums = np.cumsum(_per_block(traces, copies), axis=0)[-1]  # added in block order
+    for name, value in zip(("S1 = sum_j tr(Q_j)", "S2 = sum_j tr(Q_j^2)"), sums):
+        if not np.isfinite(value):
+            raise NonFiniteBound(
+                f"Chernoff bound: {name} is not a finite float, so the bound is not a finite number"
+            )
+    return float(sums[0]), float(sums[1])
 
 
 def causal_exp_inequality(process, d_mat, lam: float) -> float:
@@ -310,10 +315,7 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
 class BoundReport:
     """Evaluated bounds for one process, with the quantities behind them.
 
-    anticoncentration_bound builds one per operator and shares it.
-
-    burnin_satisfied is None when the report was built from a raw operator
-    (burn-in needs an autoregressive system and a confidence level).
+    anticoncentration_bound builds one per process and shares it.
     """
 
     psi_k: float
@@ -321,7 +323,6 @@ class BoundReport:
     anticonc_probability: float
     anticonc_threshold: float
     upper_tail_probability: float
-    burnin_satisfied: bool | None = None
     intermediates: dict = field(default_factory=dict)
 
 
@@ -543,7 +544,6 @@ def _bound_report(analysis: _Analysis) -> BoundReport:
         anticonc_probability=probability,
         anticonc_threshold=threshold,
         upper_tail_probability=upper,
-        burnin_satisfied=None,
         intermediates=intermediates,
     )
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -46,7 +45,12 @@ from .bounds import (
 from .config import ExperimentConfig, load_config
 from .errors import CausalCovError, ConfigError
 from .estimator import ls_bound_details, ls_error_bound
-from .montecarlo import certify, run_identification_experiment, run_tail_experiment
+from .montecarlo import (
+    _finite_bound,
+    certify,
+    run_identification_experiment,
+    run_tail_experiment,
+)
 from .process import (
     ProcessSpec,
     VarSystem,
@@ -93,8 +97,6 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -190,7 +192,7 @@ def _ls_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dic
         return {"ls_error_bound": None, "burnin_satisfied": None}
     details = ls_bound_details(config.model, spec.T, spec.k, delta)
     return {
-        "ls_error_bound": details["bound"],
+        "ls_error_bound": _finite_bound("ls-error-exceeds-bound", details["bound"]),
         "burnin_satisfied": details["burnin_satisfied"],
         "c_sys": details["c_sys"],
         "lam_min_gamma_k": details["lam_min_gamma"],

@@ -5,8 +5,13 @@ typo never silently changes an experiment.  The schema with its defaults is
 documented once, in README.md ("Configuration"); ExperimentConfig.from_dict
 is its implementation.
 
-"k": "auto" resolves to the smallest k >= kappa(model) with floor(T/k) >= 2,
-scanning up to T/2; the resolved value is recorded in every report.
+"k": "auto" resolves to kappa(model), the smallest k <= T/2 with a
+nonsingular Gamma_k (so floor(T/k) >= 2); the resolved value is recorded in
+every report.
+
+A var model is checked for overflow at load by its own analysis
+(VarAnalysis.check_overflow) over the longest horizon in T and grid.T; this
+module forms no power or product of the companion matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientExcitation
+from .errors import ConfigError, InsufficientExcitation, InvalidInput
 from .linalg import CausalOperator
-from .process import ProcessSpec, VarSystem, companion, kappa
+from .process import ProcessSpec, VarSystem, kappa, var_analysis
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_block_length"]
 
@@ -38,9 +43,6 @@ _TOP_KEYS = {
 _VAR_KEYS = {"type", "a_lags", "h"}
 _OPERATOR_KEYS = {"type", "d", "p", "k", "blocks"}
 _GRID_KEYS = {"T", "k", "delta"}
-
-#: largest magnitude whose square is still a finite float
-_SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 _EVENT_PARAMS = {
     "lower-tail-eigenvalue": set(),
@@ -113,7 +115,11 @@ def _parse_event(raw) -> EventSpec:
             raise ConfigError(f"q must be > 1, got {q}")
         params = {"q": q}
     elif name == "chernoff-direction" and "direction" in params:
-        params = {"direction": _matrix(params["direction"], "direction").tolist()}
+        direction = _matrix(params["direction"], "direction")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(direction.T @ direction)):
+                raise ConfigError("direction is too large: direction^T direction overflows")
+        params = {"direction": direction.tolist()}
     return EventSpec(name, dict(params))
 
 
@@ -161,60 +167,11 @@ def _parse_model(raw) -> VarSystem | CausalOperator:
     raise ConfigError(f"model.type must be 'var' or 'operator', got {kind!r}")
 
 
-def _check_growth(sys: VarSystem, horizon: int) -> None:
-    """Reject a VAR whose companion powers A^j or impulse responses A^j B,
-    j < horizon, overflow when squared, or whose covariances overflow.
-
-    Covariances of the process square the impulse responses, so an entry
-    above sqrt(float max) makes them inf; A^0 B = B is the lifted noise map.
-    They also sum those squares over lags, noise columns and time: the
-    energy 2 * horizon * sum_{j<horizon} ||A^j B||_F^2 bounds every entry
-    of P_t, of sum_t P_t and of their symmetrisation, so it must be finite.
-    The powers are formed 64 at a time as one product A^{j0} @ [I, ..., A^63];
-    an overflow inside the check is what it reports, so it raises no
-    numerical warning.
-    """
-    a, b = companion(sys), sys.lifted_noise_map()
-    step = [np.eye(len(a))]
-    energy = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(step) < min(64, horizon):
-            step.append(step[-1] @ a)
-        power = step[0]
-        for j0 in range(0, horizon, len(step)):
-            powers = (power @ np.stack(step))[: horizon - j0]
-            impulses = powers @ b
-            big_a, big_b = (
-                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, impulses)
-            )
-            if big_a.any() or big_b.any():
-                lag = j0 + int(np.argmax(big_a | big_b))
-                if big_a[lag - j0]:
-                    what = f"A^{lag}"
-                elif lag:
-                    what = f"the impulse response A^{lag} B"
-                else:
-                    what = "the noise map B = [H; 0]"
-                raise ConfigError(
-                    f"var model overflows at lag {lag}: an entry of {what} exceeds "
-                    f"{_SQRT_FLOAT_MAX:.3g}, so its square is not a finite float "
-                    f"(horizon {horizon})"
-                )
-            energy += float(np.sum(impulses * impulses))
-            power = powers[-1] @ a
-    if not np.isfinite(2.0 * horizon * energy):
-        raise ConfigError(
-            f"var model overflows within horizon {horizon}: 2 * horizon * "
-            "sum_{j<horizon} ||A^j B||_F^2 is not a finite float, so the "
-            "process covariances are not finite"
-        )
-
-
 def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[int, bool]:
     """Return (k, was_auto); resolve "auto" to the smallest admissible k.
 
-    Auto resolution scans k = kappa, kappa+1, ... up to T/2 and picks the
-    smallest value whose truncated horizon keeps at least two blocks.
+    Auto resolution picks kappa, the smallest k <= T/2 with a nonsingular
+    Gamma_k; any k <= T/2 keeps at least two blocks.
     """
     if k != "auto":
         return _require_int(k, "k"), False
@@ -228,12 +185,7 @@ def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[
         raise InsufficientExcitation(
             f"no block length k <= {k_cap} reaches a nonsingular blocked covariance"
         )
-    for cand in range(k_min, k_cap + 1):
-        if T // cand >= 2:
-            return cand, True
-    raise InsufficientExcitation(
-        f"no block length in [{k_min}, {k_cap}] keeps two blocks within T={T}"
-    )
+    return k_min, True  # k_min <= T/2, so it keeps two blocks
 
 
 @dataclass
@@ -251,7 +203,6 @@ class ExperimentConfig:
     grid: dict
     bound_scale: float
     require_burnin: bool
-    raw: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -280,10 +231,11 @@ class ExperimentConfig:
                     raise ConfigError(f"grid.{key} must be a non-empty list")
                 grid[key] = [parse(v, f"grid.{key}[]") for v in vals]
         if isinstance(model, VarSystem):
-            _check_growth(model, max([T, *grid.get("T", [])]))
-        k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else None)
-        if k_raw is None:
-            k_raw = model.k
+            try:
+                var_analysis(model).check_overflow(max([T, *grid.get("T", [])]))
+            except InvalidInput as exc:
+                raise ConfigError(str(exc)) from exc
+        k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else model.k)
         k, k_auto = resolve_block_length(model, T, k_raw)
         if isinstance(model, CausalOperator):
             if k != model.k:
@@ -294,9 +246,7 @@ class ExperimentConfig:
         if not 0.0 < delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {delta}")
         replicates = _require_int(raw.get("replicates", 10_000), "replicates")
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        seed = _require_int(raw.get("seed", 0), "seed", minimum=0)
         events_raw = raw.get("events", ["lower-tail-eigenvalue"])
         if not isinstance(events_raw, list) or not events_raw:
             raise ConfigError("events must be a non-empty list")
@@ -319,7 +269,6 @@ class ExperimentConfig:
             grid=grid,
             bound_scale=bound_scale,
             require_burnin=require_burnin,
-            raw=raw,
         )
 
     def to_dict(self) -> dict:

@@ -38,10 +38,6 @@ class SymMatrix:
             raise InvalidInput("SymMatrix input contains non-finite entries")
         self.a = 0.5 * (a + a.T)
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
     def eigvals(self) -> np.ndarray:
         """All eigenvalues, ascending."""
         return np.linalg.eigvalsh(self.a)

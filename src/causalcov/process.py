@@ -55,6 +55,9 @@ _LANCZOS_NCV = 40
 _LANCZOS_TOL = 1e-10
 _LANCZOS_SEED = 0
 
+#: largest magnitude whose square is still a finite float
+_SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 def _read_only(m) -> np.ndarray:
     out = np.array(m, dtype=float)
@@ -127,8 +130,7 @@ def companion(sys: VarSystem) -> np.ndarray:
     d, L = sys.d, sys.n_lags
     a = np.zeros((d * L, d * L))
     a[:d] = sys.regression_matrix()
-    for l in range(L - 1):
-        a[(l + 1) * d : (l + 2) * d, l * d : (l + 1) * d] = np.eye(d)
+    a[d:, : d * (L - 1)] = np.eye(d * (L - 1))
     return a
 
 
@@ -246,6 +248,13 @@ def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> 
     return passed
 
 
+def _lag_overflow(lag: int, what: str, horizon: int) -> InvalidInput:
+    return InvalidInput(
+        f"var model overflows at lag {lag}: {what} exceeds "
+        f"{_SQRT_FLOAT_MAX:.3g}, so its square is not a finite float (horizon {horizon})"
+    )
+
+
 class VarAnalysis:
     """Every statistic of one VarSystem that the bounds read, each computed once.
 
@@ -254,20 +263,20 @@ class VarAnalysis:
     (P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T) -- are kept for the longest
     horizon asked so far and extended by the same recursion, so a shorter
     horizon reads a prefix with the same bytes; so are the per-time
-    lam_max(P_t) and the running power-norm sums.  Gamma_k and the k-step
-    diagonal block of L are held per k, and lam_max(L^T L) per horizon.
-    Every array handed out is read-only.  Built by var_analysis; it holds
-    no reference to its system.
+    lam_max(P_t) and the squared power norms ||A^j||_2^2.  Gamma_k and the
+    k-step diagonal block of L are held per k, and lam_max(L^T L) per
+    horizon.  Every array handed out is read-only.  Built by var_analysis;
+    it holds no reference to its system.  A config runs check_overflow for
+    its longest horizon at load, so the series are formed there, once, and
+    checked exactly as the bounds later read them.
     """
 
     def __init__(self, sys: VarSystem):
         self.a = _read_only(companion(sys))
         self.b = _read_only(sys.lifted_noise_map())
-        self._bbt = self.b @ self.b.T
         self._series = {
             "impulses": _read_only(self.b[None]),
             "powers": _read_only(np.eye(len(self.a))[None]),
-            "covariances": _read_only(self._bbt[None]),
         }
         self._derived_series: dict = {}
         self._gamma: dict = {}
@@ -303,6 +312,9 @@ class VarAnalysis:
 
     def covariances(self, n: int) -> np.ndarray:
         """P_t = E X_t X_t^T for t = 0..n-1, shape (n, dL, dL)."""
+        if "covariances" not in self._series:  # lazy, so B B^T waits for check_overflow
+            self._bbt = self.b @ self.b.T
+            self._series["covariances"] = _read_only(self._bbt[None])
         return self._prefix("covariances", n)
 
     def per_time_lam_max(self, n: int) -> np.ndarray:
@@ -311,15 +323,55 @@ class VarAnalysis:
             "per_time_lam_max", n, lambda m: np.linalg.eigvalsh(self.covariances(m))[:, -1]
         )
 
+    def _squared_power_norms(self, n: int) -> np.ndarray:
+        """||A^j||_2^2 for j = 0..n-1 (one batched norm over the stacked powers)."""
+        return self._derived(
+            "squared_power_norms",
+            n,
+            lambda m: np.linalg.norm(self._prefix("powers", m), 2, axis=(1, 2)) ** 2,
+        )
+
     def power_norm_sum(self, n: int) -> float:
         """sum_{j<n} ||A^j (A^j)^T|| = sum of squared spectral norms, added in
-        order of j (one batched norm over the stacked powers)."""
-        sums = self._derived(
-            "power_norm_sums",
-            n,
-            lambda m: np.cumsum(np.linalg.norm(self._prefix("powers", m), 2, axis=(1, 2)) ** 2),
-        )
-        return float(sums[n - 1])
+        order of j."""
+        return float(np.cumsum(self._squared_power_norms(n))[-1])
+
+    def check_overflow(self, horizon: int) -> None:
+        """Raise InvalidInput unless the series the bounds read over horizon
+        steps are finite floats.
+
+        In order: no entry of A^j or of A^j B (A^0 B = B, the noise map), and
+        then no ||A^j||_2, may exceed sqrt(float max) for a lag j < horizon;
+        then the sums of those squares must be finite: sum_j ||A^j||_2^2, and
+        the energy 2 * horizon * sum_j ||A^j B||_F^2, which bounds every entry
+        of P_t, of sum_t P_t and of their symmetrisation.  The series are
+        formed here under np.errstate, so an overflow is reported, not warned.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers, impulses = self._prefix("powers", horizon), self._prefix("impulses", horizon)
+            big_a, big_b = (
+                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, impulses)
+            )
+            if big_a.any() or big_b.any():
+                lag = int(np.argmax(big_a | big_b))
+                noise = f"the impulse response A^{lag} B" if lag else "the noise map B = [H; 0]"
+                what = f"A^{lag}" if big_a[lag] else noise
+                raise _lag_overflow(lag, f"an entry of {what}", horizon)
+            big_norm = ~np.isfinite(self._squared_power_norms(horizon))
+            if big_norm.any():
+                lag = int(np.argmax(big_norm))
+                raise _lag_overflow(lag, f"||A^{lag}||_2", horizon)
+            power_sum = self.power_norm_sum(horizon)
+            energy = 2.0 * horizon * float(np.sum(impulses * impulses))
+        for what, total, consequence in (
+            ("sum_{j<horizon} ||A^j||_2^2", power_sum, "ARMA bounds"),
+            ("2 * horizon * sum_{j<horizon} ||A^j B||_F^2", energy, "process covariances"),
+        ):
+            if not np.isfinite(total):
+                raise InvalidInput(
+                    f"var model overflows within horizon {horizon}: {what} is not a "
+                    f"finite float, so the {consequence} are not finite"
+                )
 
     def gamma(self, k: int) -> SymMatrix:
         """Gamma_k = (1/k) sum_{t<k} P_t (shared; its array is read-only)."""

@@ -178,6 +178,28 @@ class TestBounds:
             dense, free = tmp_path / "dense" / name, tmp_path / "free" / name
             assert dense.read_bytes() == free.read_bytes()
 
+    def test_load_forms_the_series_once(self, tmp_path, monkeypatch):
+        # the load-time overflow check forms the analysis's series for the
+        # longest horizon; the bounds run then reads them without extending
+        cfg = write_config(tmp_path / "c.json", base_config(T=48, grid={"T": [24, 48]}))
+        config = load_config(cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the analysis must be built once, at load")
+
+        real_prefix = process.VarAnalysis._prefix
+
+        def no_growth(self, name, n):
+            if name != "covariances":
+                assert n <= len(self._series[name]), f"{name} extended to {n} after load"
+            return real_prefix(self, name, n)
+
+        monkeypatch.setattr(process, "companion", refuse)
+        monkeypatch.setattr(process.VarAnalysis, "_prefix", no_growth)
+        monkeypatch.setattr(cli, "load_config", lambda path: config)
+        for subcommand in ("bounds", "sweep"):
+            assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+
     def test_insufficient_excitation_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -451,6 +473,11 @@ class TestErrors:
         cfg = write_config(tmp_path / "c.json", base_config(typo_key=True))
         assert main(["verify", "--config", cfg]) == 2
 
+    def test_null_block_length_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", base_config(k=None))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "k must be an integer, got None" in capsys.readouterr().err
+
     def test_horizon_shorter_than_block_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=2, k=4))
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -541,6 +568,53 @@ class TestErrors:
         assert "overflows at lag 308: an entry of the impulse response A^308 B" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "identify", "sweep", "simulate"])
+    def test_overflowing_power_norm_exit_2(self, tmp_path, capsys, subcommand):
+        # every entry of A^876 is 0.67 sqrt(float max), but ||A^876||_2^2 = 1.5^1752
+        # overflows, and with it the power-norm sums and the bounded-real recursion
+        model = {
+            "type": "var",
+            "a_lags": [[[0.75, 0.75], [0.75, 0.75]]],
+            "h": [[1e-10, 0.0], [0.0, 1e-10]],
+        }
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=877, replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "overflows at lag 876" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize(
+        "model, direction, message",
+        [
+            pytest.param(None, [[1e200, 0.0]], "direction is too large", id="gram-overflows"),
+            pytest.param(None, [[1e100, 0.0]], "S2 = sum_j tr(Q_j^2)", id="s2-overflows"),
+            pytest.param(
+                {"type": "var", "a_lags": [[[0.5]]], "h": [[1e100]]}, None, "S2", id="h-overflows"
+            ),
+        ],
+    )
+    def test_oversized_chernoff_direction_exit_2(self, tmp_path, capsys, model, direction, message):
+        model = model or {"type": "var", "a_lags": [[[0.5, 0.1], [0, 0.4]]], "h": [[1, 0], [0, 1]]}
+        event = {"event": "chernoff-direction"}
+        if direction is not None:
+            event["params"] = {"direction": direction}
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=model, T=10, events=[event], replicates=50)
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize("subcommand", ["bounds", "sweep"])
+    def test_infinite_ls_bound_exit_2(self, tmp_path, capsys, subcommand):
+        # the least-squares constant c_sys overflows, so the LS bound is inf
+        model = {"type": "var", "a_lags": [[[0.5]]], "h": [[1e100]]}
+        events = ["lower-tail-eigenvalue"]
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=10, events=events))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "event 'ls-error-exceeds-bound': the bound evaluates to inf" in err
+        assert not list((tmp_path / "o").glob("*"))
 
     @pytest.mark.parametrize(
         "subcommand, target, event",
