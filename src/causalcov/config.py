@@ -11,7 +11,9 @@ every report.
 
 A var model is checked for overflow at load by its own analysis
 (VarAnalysis.check_overflow) over the longest horizon in T and grid.T; this
-module forms no power or product of the companion matrix.
+module forms no power or product of the companion matrix.  A raw operator
+is rejected at load when its energy 2 * T' * ||L||_F^2, which bounds every
+entry of its covariances, is not a finite float.
 """
 
 from __future__ import annotations
@@ -235,6 +237,14 @@ class ExperimentConfig:
                 var_analysis(model).check_overflow(max([T, *grid.get("T", [])]))
             except InvalidInput as exc:
                 raise ConfigError(str(exc)) from exc
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = 2.0 * model.T * float(np.sum(model.dense() ** 2))
+            if not np.isfinite(energy):
+                raise ConfigError(
+                    f"operator model overflows: 2 * T' * ||L||_F^2 (T' = {model.T}) is not "
+                    "a finite float, so the process covariances are not finite"
+                )
         k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else model.k)
         k, k_auto = resolve_block_length(model, T, k_raw)
         if isinstance(model, CausalOperator):

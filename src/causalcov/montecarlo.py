@@ -12,10 +12,10 @@ sits at or below the bound, or trivially when the bound is vacuous (>= 1).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from ._rng import mix64
 from .bounds import (
@@ -76,7 +76,7 @@ def wilson_interval(hits: int, n: int, confidence: float = CONFIDENCE) -> tuple[
         raise InvalidInput(f"hits {hits} outside [0, {n}]")
     if not 0.0 < confidence < 1.0:
         raise InvalidInput("confidence must lie in (0, 1)")
-    z = float(_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    z = statistics.NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom

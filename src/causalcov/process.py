@@ -17,7 +17,11 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+
+# NumPy imports these submodules on first attribute access; every subcommand
+# uses them, so they load with the package, not inside the first run
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from ._rng import mix64, replicate_states
 from .errors import HorizonTooShort, InvalidInput, NonFiniteBound
@@ -49,9 +53,11 @@ GRAM_MARGINS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 _BISECTION_LEVELS = 15
 
 #: Lanczos settings for the estimate of lam_max(L^T L): the Krylov basis
-#: size (an L^T L no larger than it is formed whole), the relative
-#: tolerance, and the seed of the start vector's fixed noise direction
+#: size (an L^T L no larger than it is formed whole), the Ritz vectors a
+#: restart keeps, the relative tolerance, and the seed of the start
+#: vector's fixed noise direction
 _LANCZOS_NCV = 40
+_LANCZOS_KEEP = 20
 _LANCZOS_TOL = 1e-10
 _LANCZOS_SEED = 0
 
@@ -197,16 +203,51 @@ def _gram_estimate(impulses: np.ndarray) -> float:
     size = t_eff * p
     if size <= _LANCZOS_NCV:
         return float(np.linalg.eigvalsh(np.column_stack([gram(e) for e in np.eye(size)]))[-1])
-    top = eigsh(
-        LinearOperator((size, size), matvec=gram, dtype=float),
-        k=1,
-        which="LA",
-        v0=np.tile(np.random.default_rng(_LANCZOS_SEED).standard_normal(p), t_eff),
-        ncv=_LANCZOS_NCV,
-        tol=_LANCZOS_TOL,
-        return_eigenvectors=False,
-    )
-    return float(top[0])
+    start = np.tile(np.random.default_rng(_LANCZOS_SEED).standard_normal(p), t_eff)
+    return _top_ritz_value(gram, start)
+
+
+def _top_ritz_value(matvec, start: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric operator matvec, by thick-restart
+    Lanczos (Wu & Simon 2000) from start; a Ritz value, so at most lam_max.
+
+    The basis holds _LANCZOS_NCV vectors, each orthogonalised twice against
+    the ones before it; the projected matrix is read off those
+    coefficients.  A restart keeps the top _LANCZOS_KEEP Ritz vectors and
+    the residual.  The run stops when the top Ritz pair's residual
+    beta |y_m| is at most _LANCZOS_TOL times its value, ARPACK's test.  It
+    stops at once if beta is that small against the projected matrix's
+    largest diagonal entry (no more than its top eigenvalue): the basis
+    then spans an invariant subspace, as when the operator's rank is below
+    the basis size, and normalising the residual would fill the basis
+    with rounding noise.
+    """
+    m = _LANCZOS_NCV
+    basis = np.empty((m + 1, start.size))
+    basis[0] = start / np.linalg.norm(start)
+    projected = np.zeros((m, m))
+    kept = 0
+    while True:
+        for j in range(kept, m):
+            done = basis[: j + 1]
+            w = matvec(basis[j])
+            h = done @ w
+            w = w - h @ done
+            again = done @ w
+            w -= again @ done
+            projected[: j + 1, j] = projected[j, : j + 1] = h + again
+            beta = float(np.linalg.norm(w))
+            if beta <= _LANCZOS_TOL * projected.diagonal()[: j + 1].max():
+                return float(np.linalg.eigvalsh(projected[: j + 1, : j + 1])[-1])
+            basis[j + 1] = w / beta
+        theta, y = np.linalg.eigh(projected)
+        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
+            return float(theta[-1])
+        kept = _LANCZOS_KEEP
+        basis[:kept] = y[:, -kept:].T @ basis[:m]
+        basis[kept] = basis[m]
+        projected[:] = 0.0
+        np.fill_diagonal(projected[:kept, :kept], theta[-kept:])
 
 
 def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
@@ -268,7 +309,8 @@ class VarAnalysis:
     horizon.  Every array handed out is read-only.  Built by var_analysis;
     it holds no reference to its system.  A config runs check_overflow for
     its longest horizon at load, so the series are formed there, once, and
-    checked exactly as the bounds later read them.
+    checked exactly as the bounds later read them; the impulses are formed
+    there only when a bound from the powers cannot rule out their overflow.
     """
 
     def __init__(self, sys: VarSystem):
@@ -346,23 +388,38 @@ class VarAnalysis:
         the energy 2 * horizon * sum_j ||A^j B||_F^2, which bounds every entry
         of P_t, of sum_t P_t and of their symmetrisation.  The series are
         formed here under np.errstate, so an overflow is reported, not warned.
+
+        The impulses A^j B are formed only if they might overflow.  As
+        ||A^j B||_F^2 <= ||A^j||_2^2 ||B||_F^2, the bound
+        2 * horizon * ||B||_F^2 * sum_j ||A^j||_2^2 is at least the energy
+        and at least twice the square of every entry of A^j B; when twice
+        the bound is still finite (room for rounding), both impulse checks
+        pass without them.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            powers, impulses = self._prefix("powers", horizon), self._prefix("impulses", horizon)
-            big_a, big_b = (
-                ~np.all(np.abs(m) <= _SQRT_FLOAT_MAX, axis=(1, 2)) for m in (powers, impulses)
-            )
-            if big_a.any() or big_b.any():
-                lag = int(np.argmax(big_a | big_b))
-                noise = f"the impulse response A^{lag} B" if lag else "the noise map B = [H; 0]"
-                what = f"A^{lag}" if big_a[lag] else noise
-                raise _lag_overflow(lag, f"an entry of {what}", horizon)
+            powers = self._prefix("powers", horizon)
+            big_a = ~np.all(np.abs(powers) <= _SQRT_FLOAT_MAX, axis=(1, 2))
+            energy = np.inf
+            if not big_a.any():
+                noise_sq = float(np.sum(self.b * self.b))
+                power_sq = float(np.sum(self._squared_power_norms(horizon)))
+                energy = 2.0 * horizon * noise_sq * power_sq
+            if not np.isfinite(2.0 * energy):
+                impulses = self._prefix("impulses", horizon)
+                big_b = ~np.all(np.abs(impulses) <= _SQRT_FLOAT_MAX, axis=(1, 2))
+                if big_a.any() or big_b.any():
+                    lag = int(np.argmax(big_a | big_b))
+                    noise = (
+                        f"the impulse response A^{lag} B" if lag else "the noise map B = [H; 0]"
+                    )
+                    what = f"A^{lag}" if big_a[lag] else noise
+                    raise _lag_overflow(lag, f"an entry of {what}", horizon)
+                energy = 2.0 * horizon * float(np.sum(impulses * impulses))
             big_norm = ~np.isfinite(self._squared_power_norms(horizon))
             if big_norm.any():
                 lag = int(np.argmax(big_norm))
                 raise _lag_overflow(lag, f"||A^{lag}||_2", horizon)
             power_sum = self.power_norm_sum(horizon)
-            energy = 2.0 * horizon * float(np.sum(impulses * impulses))
         for what, total, consequence in (
             ("sum_{j<horizon} ||A^j||_2^2", power_sum, "ARMA bounds"),
             ("2 * horizon * sum_{j<horizon} ||A^j B||_F^2", energy, "process covariances"),

@@ -27,7 +27,7 @@ from causalcov import (
 )
 from causalcov.bounds import _analysis, _operator_stats
 from causalcov import process
-from causalcov.process import _bounded_real_passes, var_analysis
+from causalcov.process import _bounded_real_passes, _top_ritz_value, var_analysis
 from conftest import random_operator, random_psd, random_var_system
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -140,6 +140,74 @@ def test_narrowing_passes_reach_the_dense_norm(monkeypatch, shortfall):
     gram = var_analysis(sys).lam_max_gram(60)
     assert exact * (1 - 1e-12) <= gram <= exact * (1 + 2e-10)
     assert len(passes) > 1
+
+
+def _spectrum_matrix(rng, eigs):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    return (q * eigs) @ q.T
+
+
+@pytest.mark.parametrize("n", [41, 64, 150, 300])
+def test_top_ritz_value_matches_eigvalsh(n):
+    rng = np.random.default_rng(n)
+    matrix = random_psd(rng, n, scale=3.0)
+    start = rng.standard_normal(n)
+    top = _top_ritz_value(lambda v: matrix @ v, start)
+    assert top == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-10)
+    assert _top_ritz_value(lambda v: matrix @ v, start) == top  # the same bytes again
+
+
+@pytest.mark.parametrize("rank", [1, 12, 30])
+def test_top_ritz_value_stops_at_an_invariant_subspace(rank):
+    # the Krylov space has dimension at most rank + 1 (in exact arithmetic),
+    # so the residual vanishes before the basis is full
+    rng = np.random.default_rng(rank)
+    eigs = np.concatenate([rng.uniform(1.0, 5.0, rank), np.zeros(200 - rank)])
+    matrix = _spectrum_matrix(rng, eigs)
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        return matrix @ v
+
+    top = _top_ritz_value(matvec, rng.standard_normal(200))
+    assert top == pytest.approx(np.linalg.eigvalsh(matrix)[-1], rel=1e-12)
+    assert len(calls) < process._LANCZOS_NCV
+
+
+def test_top_ritz_value_clustered_top():
+    rng = np.random.default_rng(5)
+    eigs = np.concatenate([1.0 - 1e-7 * np.arange(10), rng.uniform(0.0, 0.9, 190)])
+    matrix = _spectrum_matrix(rng, eigs)
+    top = _top_ritz_value(lambda v: matrix @ v, rng.standard_normal(200))
+    assert top == pytest.approx(1.0, rel=1e-10)
+    assert top <= 1.0 + 1e-14  # a Ritz value: at most lam_max, to rounding
+
+
+def test_gram_estimate_matches_arpack():
+    # the perfbench model at T' = 512; ARPACK is a test-only oracle
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    sys = VarSystem([np.array([[0.5, 0.1], [0.0, 0.4]])], np.eye(2))
+    dense = var_to_operator(sys, 512).dense()
+    size = dense.shape[1]
+    gram = LinearOperator((size, size), matvec=lambda v: dense.T @ (dense @ v), dtype=float)
+    oracle = float(eigsh(gram, k=1, which="LA", return_eigenvectors=False)[0])
+    estimate = process._gram_estimate(var_analysis(sys).impulses(512))
+    assert estimate == pytest.approx(oracle, rel=1e-12)
+
+
+def test_overflow_check_forms_impulses_only_near_overflow():
+    # far from overflow the bound 2 T ||B||_F^2 sum_j ||A^j||_2^2 settles the
+    # impulse checks; near it the impulses are formed and checked.  Here
+    # A^j B = 0 for j >= 1, so twice the bound overflows but the energy
+    # 2 T ||B||_F^2 does not, and the check passes.
+    far = var_analysis(VarSystem([np.array([[0.9]])], np.array([[1e10]])))
+    far.check_overflow(4096)
+    assert len(far._series["impulses"]) == 1  # B itself
+    near = var_analysis(VarSystem([np.diag([0.99, 0.0])], np.array([[0.0], [3.16e153]])))
+    near.check_overflow(4)
+    assert len(near._series["impulses"]) == 4
 
 
 def test_var_system_is_immutable():

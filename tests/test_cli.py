@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalcov
 from causalcov import (
     ExperimentConfig,
     NonFiniteBound,
@@ -179,10 +182,12 @@ class TestBounds:
             assert dense.read_bytes() == free.read_bytes()
 
     def test_load_forms_the_series_once(self, tmp_path, monkeypatch):
-        # the load-time overflow check forms the analysis's series for the
-        # longest horizon; the bounds run then reads them without extending
+        # the load-time overflow check forms the companion powers for the
+        # longest horizon; the bounds run then reads them without extending.
+        # This model is far from overflow, so the impulses wait for the bounds.
         cfg = write_config(tmp_path / "c.json", base_config(T=48, grid={"T": [24, 48]}))
         config = load_config(cfg)
+        assert len(process.var_analysis(config.model)._series["impulses"]) == 1
 
         def refuse(*args, **kwargs):
             raise AssertionError("the analysis must be built once, at load")
@@ -190,7 +195,7 @@ class TestBounds:
         real_prefix = process.VarAnalysis._prefix
 
         def no_growth(self, name, n):
-            if name != "covariances":
+            if name == "powers":
                 assert n <= len(self._series[name]), f"{name} extended to {n} after load"
             return real_prefix(self, name, n)
 
@@ -527,6 +532,17 @@ class TestErrors:
         assert "overflows at lag 0" in err and "noise map" in err
         assert not list((tmp_path / "o").glob("*"))
 
+    @pytest.mark.parametrize("subcommand", ["bounds", "verify", "sweep", "simulate"])
+    def test_overflowing_operator_exit_2(self, tmp_path, capsys, subcommand):
+        # every entry of L is finite, but its square is not
+        model = {"type": "operator", "d": 1, "p": 1, "k": 1,
+                 "blocks": [[[[1e200]]], [[[0.0]], [[1e200]]]]}
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=2, replicates=50))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "operator model overflows: 2 * T' * ||L||_F^2 (T' = 2) is not a finite" in err
+        assert not list((tmp_path / "o").glob("*"))
+
     @pytest.mark.parametrize("k", ["auto", 1])
     @pytest.mark.parametrize("subcommand", ["bounds", "verify", "identify", "sweep", "simulate"])
     def test_overflowing_covariance_exit_2(self, tmp_path, capsys, subcommand, k):
@@ -653,6 +669,21 @@ class TestErrors:
         cfg = write_config(tmp_path / "c.json", base_config(replicates=50))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "error: linear algebra failed: SVD did not converge" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    # SciPy is a test dependency only: importing it costs most of a CLI
+    # process's start-up
+    src = str(Path(causalcov.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, causalcov.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

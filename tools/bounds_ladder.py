@@ -6,7 +6,8 @@ Each horizon runs in a fresh interpreter with BLAS on one thread, on the
 model of perfbench/configs/bounds-T512.json with only T changed.  The
 package is imported from --src (default: this checkout's src/), so the
 same script times another checkout.  One JSON object per horizon is
-printed: T, the exit code, wall_s (entry to return of
+printed: T, the exit code, import_s (the child's time to import
+causalcov.cli, NumPy included), wall_s (entry to return of
 causalcov.cli.main) and peak_rss_mb (the child's ru_maxrss).
 """
 
@@ -26,12 +27,14 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 CHILD = """
 import json, resource, sys, time
-from causalcov.cli import main
 t0 = time.perf_counter()
+from causalcov.cli import main
+t1 = time.perf_counter()
 code = main(["bounds", "--config", sys.argv[1], "--out", sys.argv[2]])
-wall = time.perf_counter() - t0
+wall = time.perf_counter() - t1
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"exit": code, "wall_s": round(wall, 4), "peak_rss_mb": round(rss, 1)}))
+print(json.dumps({"exit": code, "import_s": round(t1 - t0, 4), "wall_s": round(wall, 4),
+                  "peak_rss_mb": round(rss, 1)}))
 """
 
 
