@@ -18,10 +18,6 @@ Wall-clock timestamps live only in the .meta.json sidecar next to each
 report, which is excluded from any byte-level comparison.  The CSV column
 orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
 and the config schema for users.
-
-The ``bound_scale`` config key is a test hook: every theoretical bound is
-multiplied by it immediately before certification (reported bounds are the
-scaled ones), so a deliberately wrong bound can be injected end-to-end.
 """
 
 from __future__ import annotations
@@ -42,12 +38,11 @@ from .bounds import (
     arma_prefactor,
     armastability_bound,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _require_int, _require_seed, load_config
 from .errors import CausalCovError, ConfigError
 from .estimator import ls_bound_details, ls_error_bound
 from .montecarlo import (
     _finite_bound,
-    certify,
     run_identification_experiment,
     run_tail_experiment,
 )
@@ -140,22 +135,16 @@ def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
 def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     config = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        config.seed = args.seed
+        config.seed = _require_seed(args.seed, "--seed")
     if args.replicates is not None:
-        if args.replicates < 1:
-            raise ConfigError(f"--replicates must be >= 1, got {args.replicates}")
-        config.replicates = args.replicates
+        config.replicates = _require_int(args.replicates, "--replicates")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return config, out_dir
 
 
-def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
-    """Flatten one experiment into a CSV/JSON row, applying the bound hook."""
-    bound = exp.bound * scale
-    certified, vacuous = certify(exp.ci[1], bound)
+def _experiment_row(exp, spec: ProcessSpec) -> dict:
+    """Flatten one experiment into a CSV/JSON row."""
     return {
         "event": exp.event,
         "T": spec.T,
@@ -165,9 +154,9 @@ def _experiment_row(exp, spec: ProcessSpec, scale: float) -> dict:
         "frequency": exp.frequency,
         "ci_low": exp.ci[0],
         "ci_high": exp.ci[1],
-        "bound": bound,
-        "vacuous": vacuous,
-        "certified": certified,
+        "bound": exp.bound,
+        "vacuous": exp.vacuous,
+        "certified": exp.certified,
         "seed": exp.seed,
         "extras": {k_: v for k_, v in exp.extras.items() if np.isscalar(v) or v is None},
     }
@@ -240,7 +229,7 @@ def _run_events(config: ExperimentConfig, spec: ProcessSpec, seed_offset: int) -
             R=config.replicates,
             seed=derive_seed(config.seed, seed_offset + idx),
         )
-        rows.append(_experiment_row(exp, spec, config.bound_scale))
+        rows.append(_experiment_row(exp, spec))
     return rows
 
 
@@ -288,8 +277,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
     )
     op_errors = exp.extras["op_errors"]
     burnin_ok = bool(exp.extras["burnin_satisfied"])
-    bound = exp.bound * config.bound_scale
-    certified, vacuous = certify(exp.ci[1], bound)
     report: dict = {
         "config": config.to_dict(),
         "ls_error_bound": exp.extras["ls_bound"],
@@ -301,14 +288,14 @@ def cmd_identify(args: argparse.Namespace) -> int:
             "frequency": exp.frequency,
             "ci_low": exp.ci[0],
             "ci_high": exp.ci[1],
-            "budget": bound,
+            "budget": exp.bound,
         },
         "median_op_error": exp.extras["median_op_error"],
         "seed": exp.seed,
     }
     if burnin_ok:
-        report["certified"] = certified
-        report["vacuous"] = vacuous
+        report["certified"] = exp.certified
+        report["vacuous"] = exp.vacuous
     csv_path = out_dir / "identify.csv"
     json_path = out_dir / "identify.json"
     _write_csv(
@@ -320,12 +307,12 @@ def cmd_identify(args: argparse.Namespace) -> int:
     _write_meta(out_dir / "identify.meta.json", "identify", [csv_path, json_path])
     print(
         f"ls-error-exceeds-bound: frequency={exp.frequency:.6g} "
-        f"budget={bound:.6g} burnin_satisfied={burnin_ok}"
+        f"budget={exp.bound:.6g} burnin_satisfied={burnin_ok}"
     )
     print(f"wrote {csv_path} and {json_path}")
     if not burnin_ok:
         return 0
-    return 0 if certified else 1
+    return 0 if exp.certified else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

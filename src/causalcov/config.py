@@ -39,12 +39,14 @@ _TOP_KEYS = {
     "seed",
     "events",
     "grid",
-    "bound_scale",
     "require_burnin",
 }
 _VAR_KEYS = {"type", "a_lags", "h"}
 _OPERATOR_KEYS = {"type", "d", "p", "k", "blocks"}
 _GRID_KEYS = {"T", "k", "delta"}
+
+#: mix64 reduces a seed mod 2**64, so a larger seed would alias a smaller one
+_SEED_LIMIT = 2**64
 
 _EVENT_PARAMS = {
     "lower-tail-eigenvalue": set(),
@@ -65,6 +67,20 @@ def _require_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _require_seed(value, name: str) -> int:
+    seed = _require_int(value, name, minimum=0)
+    if seed >= _SEED_LIMIT:
+        raise ConfigError(f"{name} must be < 2**64, got {seed}")
+    return seed
+
+
+def _require_delta(value, name: str) -> float:
+    delta = _require_float(value, name)
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {delta}")
+    return delta
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -91,7 +107,7 @@ class EventSpec:
         return out
 
 
-def _parse_event(raw) -> EventSpec:
+def _parse_event(raw, state_dim: int) -> EventSpec:
     if isinstance(raw, str):
         name, params = raw, {}
     elif isinstance(raw, dict):
@@ -118,6 +134,11 @@ def _parse_event(raw) -> EventSpec:
         params = {"q": q}
     elif name == "chernoff-direction" and "direction" in params:
         direction = _matrix(params["direction"], "direction")
+        if direction.shape[1] != state_dim:
+            raise ConfigError(
+                f"direction must have {state_dim} columns (the state dimension), "
+                f"got {direction.shape[1]}"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(direction.T @ direction)):
                 raise ConfigError("direction is too large: direction^T direction overflows")
@@ -203,7 +224,6 @@ class ExperimentConfig:
     seed: int
     events: list[EventSpec]
     grid: dict
-    bound_scale: float
     require_burnin: bool
 
     @classmethod
@@ -226,7 +246,7 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown grid keys: {sorted(extra)}")
         grid: dict = {}
-        for key, parse in (("T", _require_int), ("k", _require_int), ("delta", _require_float)):
+        for key, parse in (("T", _require_int), ("k", _require_int), ("delta", _require_delta)):
             if key in grid_raw:
                 vals = grid_raw[key]
                 if not isinstance(vals, list) or not vals:
@@ -252,18 +272,18 @@ class ExperimentConfig:
                 raise ConfigError(f"k={k} conflicts with operator block length {model.k}")
             if T != model.T:
                 raise ConfigError(f"T={T} conflicts with operator horizon {model.T}")
-        delta = _require_float(raw.get("delta", 0.1), "delta")
-        if not 0.0 < delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+        for t_cell in grid.get("T", [T]):
+            for k_cell in grid.get("k", [k]):
+                if k_cell > t_cell:
+                    raise ConfigError(f"block length k={k_cell} exceeds horizon T={t_cell}")
+        delta = _require_delta(raw.get("delta", 0.1), "delta")
         replicates = _require_int(raw.get("replicates", 10_000), "replicates")
-        seed = _require_int(raw.get("seed", 0), "seed", minimum=0)
+        seed = _require_seed(raw.get("seed", 0), "seed")
         events_raw = raw.get("events", ["lower-tail-eigenvalue"])
         if not isinstance(events_raw, list) or not events_raw:
             raise ConfigError("events must be a non-empty list")
-        events = [_parse_event(e) for e in events_raw]
-        bound_scale = _require_float(raw.get("bound_scale", 1.0), "bound_scale")
-        if bound_scale <= 0.0:
-            raise ConfigError(f"bound_scale must be positive, got {bound_scale}")
+        state_dim = model.lifted_dim if isinstance(model, VarSystem) else model.d
+        events = [_parse_event(e, state_dim) for e in events_raw]
         require_burnin = raw.get("require_burnin", False)
         if not isinstance(require_burnin, bool):
             raise ConfigError("require_burnin must be a boolean")
@@ -277,7 +297,6 @@ class ExperimentConfig:
             seed=seed,
             events=events,
             grid=grid,
-            bound_scale=bound_scale,
             require_burnin=require_burnin,
         )
 
@@ -311,8 +330,6 @@ class ExperimentConfig:
         }
         if self.grid:
             out["grid"] = dict(self.grid)
-        if self.bound_scale != 1.0:
-            out["bound_scale"] = self.bound_scale
         if self.require_burnin:
             out["require_burnin"] = True
         return out

@@ -21,8 +21,11 @@ __all__ = [
     "CausalOperator",
 ]
 
-#: default relative tolerance for PSD checks
+#: relative tolerance of PSD checks
 PSD_RTOL = 1e-10
+
+#: relative tolerance under which two diagonal blocks count as identical
+DIAG_BLOCK_RTOL = 1e-12
 
 
 class SymMatrix:
@@ -51,9 +54,9 @@ class SymMatrix:
         w = self.eigvals()
         return float(w[0]), float(w[-1])
 
-    def is_psd(self, rtol: float = PSD_RTOL) -> bool:
+    def is_psd(self) -> bool:
         lo, hi = self.eig_extremes()
-        return lo >= -rtol * max(hi, 1.0)
+        return lo >= -PSD_RTOL * max(hi, 1.0)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
@@ -61,10 +64,10 @@ class SymMatrix:
         return self.a
 
 
-def require_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> np.ndarray:
+def require_psd(m, name: str = "matrix") -> np.ndarray:
     """Symmetrize and return the matrix, raising InvalidInput if not PSD."""
     sm = m if isinstance(m, SymMatrix) else SymMatrix(m)
-    if not sm.is_psd(rtol):
+    if not sm.is_psd():
         raise InvalidInput(f"{name} is not positive semidefinite within tolerance")
     return sm.a
 
@@ -189,12 +192,12 @@ class CausalOperator:
         weighted = np.einsum("ab,tbq->taq", dm, r).reshape(b.shape)
         return b.T @ weighted
 
-    def identical_diag_blocks(self, rtol: float = 1e-12) -> bool:
+    def identical_diag_blocks(self) -> bool:
         """True when every diagonal block equals block (0, 0)."""
         first = self.diag_block(0)
         scale = max(float(np.max(np.abs(first))), 1e-300)
         return all(
-            np.max(np.abs(self.diag_block(j) - first)) <= rtol * scale
+            np.max(np.abs(self.diag_block(j) - first)) <= DIAG_BLOCK_RTOL * scale
             for j in range(1, self.n_blocks)
         )
 

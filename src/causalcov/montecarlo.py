@@ -68,15 +68,13 @@ class TailExperiment:
     extras: dict = field(default_factory=dict)
 
 
-def wilson_interval(hits: int, n: int, confidence: float = CONFIDENCE) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at CONFIDENCE for a binomial proportion."""
     if n < 1:
         raise InvalidInput("need at least one trial")
     if not 0 <= hits <= n:
         raise InvalidInput(f"hits {hits} outside [0, {n}]")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidInput("confidence must lie in (0, 1)")
-    z = statistics.NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
+    z = statistics.NormalDist().inv_cdf(1.0 - (1.0 - CONFIDENCE) / 2.0)
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom

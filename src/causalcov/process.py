@@ -618,10 +618,10 @@ def gamma_k(sys: VarSystem, k: int) -> SymMatrix:
     return var_analysis(sys).gamma(k)
 
 
-def kappa(sys: VarSystem, k_max: int, rtol: float = KAPPA_RTOL) -> int | None:
+def kappa(sys: VarSystem, k_max: int) -> int | None:
     """Smallest k <= k_max with Gamma_k nonsingular, or None if unreachable.
 
-    Nonsingularity is an eigenvalue test (lam_min > rtol * lam_max); no
+    Nonsingularity is an eigenvalue test (lam_min > KAPPA_RTOL * lam_max); no
     determinant is formed.  With full-rank H H^T this equals the lag order.
     """
     if k_max < 1:
@@ -631,7 +631,7 @@ def kappa(sys: VarSystem, k_max: int, rtol: float = KAPPA_RTOL) -> int | None:
     for k in range(1, k_max + 1):
         running = running + covs[k - 1]
         lo, hi = SymMatrix(running / k).eig_extremes()
-        if hi > 0 and lo > rtol * hi:
+        if hi > 0 and lo > KAPPA_RTOL * hi:
             return k
     return None
 

@@ -242,12 +242,9 @@ MATRIX_ENTRY = st.floats(-0.45, 0.45, allow_nan=False).map(lambda x: round(x, 6)
     delta=st.floats(0.001, 0.999),
     replicates=st.integers(1, 10**6),
     seed=st.integers(0, 2**63),
-    bound_scale=st.sampled_from([1.0, 0.5, 1e-12]),
     require_burnin=st.booleans(),
 )
-def test_config_round_trip(
-    d, n_lags, data, T, delta, replicates, seed, bound_scale, require_burnin
-):
+def test_config_round_trip(d, n_lags, data, T, delta, replicates, seed, require_burnin):
     matrix = st.lists(st.lists(MATRIX_ENTRY, min_size=d, max_size=d), min_size=d, max_size=d)
     lags = data.draw(st.lists(matrix, min_size=n_lags, max_size=n_lags))
     h = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
@@ -259,7 +256,8 @@ def test_config_round_trip(
                     "lower-tail-eigenvalue",
                     "chernoff-direction",
                     {"event": "upper-tail-opnorm", "params": {"q": 2.5}},
-                    {"event": "chernoff-direction", "params": {"direction": [[1.0] * d]}},
+                    # a VAR's state is its lifted one, of dimension d * n_lags
+                    {"event": "chernoff-direction", "params": {"direction": [[1.0] * d * n_lags]}},
                 ]
             ),
             min_size=1,
@@ -276,7 +274,6 @@ def test_config_round_trip(
         "seed": seed,
         "events": events,
         "grid": grid,
-        "bound_scale": bound_scale,
         "require_burnin": require_burnin,
     }
     config = ExperimentConfig.from_dict(raw)

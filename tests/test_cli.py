@@ -45,6 +45,10 @@ def base_config(**overrides) -> dict:
     return cfg
 
 
+def _chernoff(direction) -> dict:
+    return {"event": "chernoff-direction", "params": {"direction": direction}}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -235,8 +239,10 @@ class TestVerify:
         summary = json.loads((out / "verify.json").read_text())
         assert summary["overall_pass"] is True
 
-    def test_negative_control_exit_1(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", base_config(bound_scale=1e-12))
+    def test_negative_control_exit_1(self, tmp_path, monkeypatch):
+        # a deliberately wrong bound must fail certification end to end
+        monkeypatch.setattr(montecarlo, "chernoff_lower_tail", lambda *args, **kwargs: 1e-300)
+        cfg = write_config(tmp_path / "c.json", base_config())
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         summary = json.loads((out / "verify.json").read_text())
@@ -486,6 +492,67 @@ class TestErrors:
     def test_horizon_shorter_than_block_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=2, k=4))
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(
+                {"grid": {"delta": [0.1, 1.5]}},
+                "grid.delta[] must lie in (0, 1), got 1.5",
+                id="grid-delta",
+            ),
+            pytest.param(
+                {"grid": {"T": [256, 8], "k": [1, 16]}},
+                "block length k=16 exceeds horizon T=8",
+                id="grid-block",
+            ),
+            pytest.param(
+                {
+                    "model": {
+                        "type": "var",
+                        "a_lags": [[[0.5, 0.1], [0, 0.4]]],
+                        "h": [[1, 0], [0, 1]],
+                    },
+                    "events": [_chernoff([[1, 0, 0]])],
+                },
+                "direction must have 2 columns (the state dimension), got 3",
+                id="direction-width",
+            ),
+            pytest.param(
+                {
+                    "model": {"type": "var", "a_lags": [[[0.5]], [[0.1]]], "h": [[1.0]]},
+                    "events": [_chernoff([[1.0]])],
+                },
+                "direction must have 2 columns (the state dimension), got 1",
+                id="direction-width-lifted",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["verify", "sweep"])
+    def test_rejected_at_load_exit_2(
+        self, tmp_path, capsys, monkeypatch, subcommand, overrides, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started before the config was rejected")
+
+        monkeypatch.setattr(cli, "run_tail_experiment", never)
+        cfg = write_config(tmp_path / "c.json", base_config(**overrides))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
+    def test_seed_below_2_to_64(self, tmp_path, capsys):
+        # mix64 reduces a seed mod 2**64, so 2**64 + 5 would replay seed 5
+        big, top = str(2**64 + 5), str(2**64 - 1)
+        out = str(tmp_path / "o")
+        too_big = write_config(tmp_path / "big.json", base_config(replicates=2, seed=2**64 + 5))
+        assert main(["simulate", "--config", too_big, "--out", out]) == 2
+        assert f"error: seed must be < 2**64, got {big}" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=2))
+        assert main(["simulate", "--config", cfg, "--out", out, "--seed", big]) == 2
+        assert f"error: --seed must be < 2**64, got {big}" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+        assert main(["simulate", "--config", cfg, "--out", out, "--seed", top]) == 0
 
 
     EXPLOSIVE = {
