@@ -285,22 +285,17 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     t_eff = op.T
     d = op.d
 
-    if d == 1:
-        val, _, _, _ = _psi_value(g_stack, t_eff, np.ones(1))
-        direction = np.ones(1)
-    else:
-        starts = [np.eye(d)[i] for i in range(d)]
-        w, u = np.linalg.eigh(total.a)
-        starts.extend(u[:, i] for i in range(d))
-        rng = np.random.Generator(np.random.PCG64(_PSI_SEED))
-        while len(starts) < _PSI_STARTS:
-            starts.append(rng.standard_normal(d))
-        best_val, best_dir = np.inf, None
-        for v0 in starts:
-            val, v = _psi_descend(g_stack, t_eff, np.asarray(v0, float))
-            if val < best_val:
-                best_val, best_dir = val, v
-        val, direction = best_val, best_dir
+    starts = [np.eye(d)[i] for i in range(d)]
+    _, u = np.linalg.eigh(total.a)
+    starts.extend(u[:, i] for i in range(d))
+    rng = np.random.Generator(np.random.PCG64(_PSI_SEED))
+    while len(starts) < _PSI_STARTS:
+        starts.append(rng.standard_normal(d))
+    val, direction = np.inf, None
+    for v0 in starts:
+        start_val, v = _psi_descend(g_stack, t_eff, np.asarray(v0, float))
+        if start_val < val:
+            val, direction = start_val, v
 
     if op.identical_diag_blocks():
         val = max(val, 1.0 / op.k)

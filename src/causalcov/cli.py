@@ -17,7 +17,10 @@ keys, CSV with a fixed documented header, floats via repr round-tripping.
 Wall-clock timestamps live only in the .meta.json sidecar next to each
 report, which is excluded from any byte-level comparison.  The CSV column
 orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
-and the config schema for users.
+and the config schema for users.  Every CSV report goes through _write_csv,
+row by row: simulate writes each batch of montecarlo's sampling loop as it
+is drawn, so it holds one batch in memory, and its paths are exactly those
+the tail events sample from the same seed.
 """
 
 from __future__ import annotations
@@ -43,18 +46,11 @@ from .errors import CausalCovError, ConfigError
 from .estimator import ls_bound_details, ls_error_bound
 from .montecarlo import (
     _finite_bound,
+    _path_batches,
     run_identification_experiment,
     run_tail_experiment,
 )
-from .process import (
-    ProcessSpec,
-    VarSystem,
-    derive_seed,
-    gamma_k,
-    kappa,
-    noise_block,
-    paths_from_noise,
-)
+from .process import ProcessSpec, VarSystem, derive_seed, gamma_k, kappa
 
 __all__ = ["main"]
 
@@ -113,12 +109,19 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
+#: cell types the csv module already writes as _csv_cell would (str(), which
+#: is repr() for a float)
+_PLAIN_CELLS = frozenset({int, float, str})
+
+
 def _write_csv(path: Path, columns, rows) -> None:
+    """Header, then each row (its values in column order) as it comes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerows(
+            [v if type(v) in _PLAIN_CELLS else _csv_cell(v) for v in row] for row in rows
+        )
 
 
 def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
@@ -248,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary["truncation_notice"] = spec.truncation_notice
     csv_path = out_dir / "verify.csv"
     json_path = out_dir / "verify.json"
-    _write_csv(csv_path, VERIFY_COLUMNS, rows)
+    _write_csv(csv_path, VERIFY_COLUMNS, (map(r.get, VERIFY_COLUMNS) for r in rows))
     _write_json(json_path, summary)
     _write_meta(out_dir / "verify.meta.json", "verify", [csv_path, json_path])
     for r in rows:
@@ -298,11 +301,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         report["vacuous"] = exp.vacuous
     csv_path = out_dir / "identify.csv"
     json_path = out_dir / "identify.json"
-    _write_csv(
-        csv_path,
-        ("replicate", "op_error"),
-        [{"replicate": i, "op_error": e} for i, e in enumerate(op_errors)],
-    )
+    _write_csv(csv_path, ("replicate", "op_error"), enumerate(op_errors))
     _write_json(json_path, report)
     _write_meta(out_dir / "identify.meta.json", "identify", [csv_path, json_path])
     print(
@@ -348,7 +347,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     csv_path = out_dir / "sweep.csv"
     json_path = out_dir / "sweep.json"
-    _write_csv(csv_path, SWEEP_COLUMNS, rows)
+    _write_csv(csv_path, SWEEP_COLUMNS, (map(r.get, SWEEP_COLUMNS) for r in rows))
     _write_json(json_path, summary)
     _write_meta(out_dir / "sweep.meta.json", "sweep", [csv_path, json_path])
     print(f"{len(rows)} rows over {len(cells)} cells; overall_pass={overall}")
@@ -359,21 +358,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
     spec = config.process_spec()
-    w = noise_block(spec, config.seed, 0, config.replicates)
-    x = paths_from_noise(spec, w)
-    d = spec.state_dim
-    columns = ("replicate", "t") + tuple(f"x{i}" for i in range(d))
-    rows = []
-    for r in range(x.shape[0]):
-        for t in range(x.shape[1]):
-            row = {"replicate": r, "t": t}
-            for i in range(d):
-                row[f"x{i}"] = x[r, t, i]
-            rows.append(row)
+    columns = ("replicate", "t") + tuple(f"x{i}" for i in range(spec.state_dim))
+    batches = _path_batches(spec, config.seed, config.replicates)
+    paths = (path for x in batches for path in x.tolist())
+    rows = ((r, t, *state) for r, path in enumerate(paths) for t, state in enumerate(path))
     csv_path = out_dir / "simulate.csv"
     _write_csv(csv_path, columns, rows)
     _write_meta(out_dir / "simulate.meta.json", "simulate", [csv_path])
-    print(f"wrote {csv_path} ({x.shape[0]} paths, horizon {x.shape[1]})")
+    print(f"wrote {csv_path} ({config.replicates} paths, horizon {spec.effective_horizon})")
     return 0
 
 

@@ -3,6 +3,9 @@
 Every experiment is reproducible: replicate r of master seed s draws its
 noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
+One loop (_path_batches) draws and simulates those batches for every
+consumer: the tail events, the identification experiment and the CLI's
+simulate report, each of which reads one batch at a time.
 
 Certification is one-sided by design: an experiment certifies its bound
 when the upper edge of the 99.9% Wilson interval for the event frequency
@@ -101,18 +104,16 @@ def _finite_bound(event: str, bound: float) -> float:
     return bound
 
 
-def _path_stats(spec: ProcessSpec, seed: int, R: int, stat) -> np.ndarray:
-    """stat(paths) -> 1-d array over replicates 0..R-1 of spec, in order.
+def _path_batches(spec: ProcessSpec, seed: int, R: int):
+    """Paths of replicates 0..R-1 of spec, in order, one batch at a time.
 
-    Each batch simulates max(1, STEPS // T') replicates (the last one may
-    hold fewer) through noise_block and paths_from_noise.
+    Each batch holds max(1, STEPS // T') replicates (the last one may hold
+    fewer), drawn by noise_block and simulated by paths_from_noise.  Every
+    sampled path of the package comes from this loop.
     """
     size = max(1, STEPS // spec.effective_horizon)
-    parts = []
     for start in range(0, R, size):
-        w = noise_block(spec, seed, start, min(size, R - start))
-        parts.append(stat(paths_from_noise(spec, w)))
-    return np.concatenate(parts)
+        yield paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
 
 
 def run_tail_experiment(
@@ -152,28 +153,22 @@ def run_tail_experiment(
         d_mat = require_psd(direction.T @ direction, "direction Gram")
         bound = _finite_bound(event, chernoff_lower_tail(spec, d_mat))
         threshold = chernoff_threshold(spec, d_mat)
-        extras["threshold"] = threshold
+        hit = np.less_equal
 
         def batch_stat(x):
             probed = np.einsum("rtd,ed->rte", x, direction)
             return np.einsum("rte,rte->r", probed, probed)
 
-        stat = _path_stats(spec, seed, R, batch_stat)
-        hits = int(np.count_nonzero(stat <= threshold))
-
     elif event == "lower-tail-eigenvalue":
         report = anticoncentration_bound(spec)
         bound = _finite_bound(event, report.anticonc_probability)
         threshold = report.anticonc_threshold
-        extras["threshold"] = threshold
+        hit = np.less_equal
         extras["psi_k"] = report.psi_k
 
         def batch_stat(x):
             grams = np.einsum("rti,rtj->rij", x, x) / t_eff
             return np.linalg.eigvalsh(grams)[:, 0]
-
-        stat = _path_stats(spec, seed, R, batch_stat)
-        hits = int(np.count_nonzero(stat <= threshold))
 
     elif event == "upper-tail-opnorm":
         if "q" not in params:
@@ -181,21 +176,21 @@ def run_tail_experiment(
         q = float(params.pop("q"))
         bound = _finite_bound(event, upper_tail_bound(spec, q))
         threshold = 2.0 * q * _analysis(spec).stats["lam_max_per_time_sum"]
-        extras["threshold"] = threshold
+        hit = np.greater_equal
         extras["q"] = q
 
         def batch_stat(x):
             grams = np.einsum("rti,rtj->rij", x, x)
             return np.linalg.eigvalsh(grams)[:, -1]
 
-        stat = _path_stats(spec, seed, R, batch_stat)
-        hits = int(np.count_nonzero(stat >= threshold))
-
     else:
         raise InvalidInput(f"unknown trajectory event {event!r}")
 
     if params:
         raise InvalidInput(f"unused event parameters: {sorted(params)}")
+    stat = np.concatenate([batch_stat(x) for x in _path_batches(spec, seed, R)])
+    hits = int(np.count_nonzero(hit(stat, threshold)))
+    extras["threshold"] = threshold
     frequency = hits / R
     ci = wilson_interval(hits, R)
     certified, vacuous = certify(ci[1], bound)
@@ -283,7 +278,8 @@ def run_identification_experiment(
             [least_squares(xr[:t_eff], xr[1:, : sys.d], a_star=a_star).op_error for xr in x]
         )
 
-    op_errors = _path_stats(ProcessSpec(source=sys, T=t_eff + 1), seed, R, batch_stat)
+    spec = ProcessSpec(source=sys, T=t_eff + 1)
+    op_errors = np.concatenate([batch_stat(x) for x in _path_batches(spec, seed, R)])
     hits = int(np.count_nonzero(op_errors > bound))
     frequency = hits / R
     ci = wilson_interval(hits, R)

@@ -6,6 +6,7 @@ oracle they must match.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from causalcov import (
     exact_mgf,
     mgf_upper_bound,
     psi_k,
+    run_identification_experiment,
+    run_tail_experiment,
     var_to_operator,
 )
 from causalcov.bounds import _analysis, _operator_stats
-from causalcov import process
+from causalcov import montecarlo, process
 from causalcov.process import _bounded_real_passes, _top_ritz_value, var_analysis
 from conftest import random_operator, random_psd, random_var_system
 
@@ -295,6 +298,43 @@ def test_chernoff_lower_tail_is_scale_invariant(seed, log_scale, var_source):
     weight = random_psd(rng, dim) + 0.05 * np.eye(dim)
     base = chernoff_lower_tail(process, weight)
     assert chernoff_lower_tail(process, 10.0**log_scale * weight) == pytest.approx(base, rel=1e-12)
+
+
+TAIL_EVENTS = (
+    ("chernoff-direction", {}),
+    ("lower-tail-eigenvalue", {}),
+    ("upper-tail-opnorm", {"q": 2.0}),
+)
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    d=st.integers(1, 3),
+    n_lags=st.integers(1, 2),
+    T=st.integers(2, 64),
+    R=st.integers(1, 40),
+    data=st.data(),
+)
+def test_reported_statistics_are_batch_invariant(seed, d, n_lags, T, R, data):
+    # VAR sources only: a raw operator's gemm rounds by row count (README,
+    # "Determinism").  k = n_lags makes Gamma_k nonsingular.
+    sys = random_var_system(np.random.default_rng(seed), d, n_lags, rho=0.9)
+    spec = ProcessSpec(source=sys, T=T, k=n_lags)
+    block = process.paths_from_noise(spec, process.noise_block(spec, seed, 0, R))
+    outcomes = []
+    # from one replicate per batch to all R in one batch
+    for per_batch in data.draw(st.lists(st.integers(1, R), min_size=2, max_size=2)):
+        with mock.patch.object(montecarlo, "STEPS", per_batch * spec.effective_horizon):
+            paths = np.concatenate(list(montecarlo._path_batches(spec, seed, R)))
+            assert paths.tobytes() == block.tobytes()
+            tails = [
+                run_tail_experiment(spec, event, dict(params), R=R, seed=seed)
+                for event, params in TAIL_EVENTS
+            ]
+            ident = run_identification_experiment(sys, T, n_lags, 0.1, R=R, seed=seed)
+        outcomes.append((tails, ident.extras["op_errors"].tobytes()))
+    assert outcomes[0] == outcomes[1]
 
 
 @PROPERTY

@@ -256,10 +256,11 @@ class TestVerify:
             monkeypatch.setattr(montecarlo, "STEPS", steps)
             out = tmp_path / f"s{steps}"
             assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out)
         for out in outs[1:]:
-            assert (outs[0] / "verify.csv").read_bytes() == (out / "verify.csv").read_bytes()
-            assert (outs[0] / "verify.json").read_bytes() == (out / "verify.json").read_bytes()
+            for name in ("verify.csv", "verify.json", "simulate.csv"):
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_seed_and_replicates_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())
@@ -469,6 +470,31 @@ class TestSimulate:
         again = tmp_path / "again"
         main(["simulate", "--config", cfg, "--out", str(again)])
         assert (out / "simulate.csv").read_bytes() == (again / "simulate.csv").read_bytes()
+
+    def test_one_batch_at_a_time(self, tmp_path, monkeypatch, capsys):
+        # T' = 6 and STEPS = 12: batches of 2, 2 and 1 replicates, the last run
+        # as two equal rows; the CSV holds the paths of one block of five
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=5, T=6))
+        draws = []
+        real_noise_block = montecarlo.noise_block
+
+        def spy(spec, seed, start, count):
+            draws.append(count)
+            return real_noise_block(spec, seed, start, count)
+
+        monkeypatch.setattr(montecarlo, "noise_block", spy)
+        monkeypatch.setattr(montecarlo, "STEPS", 2 * 6)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "(5 paths, horizon 6)" in capsys.readouterr().out
+        assert sum(draws) == 5 and max(draws) <= 2
+        spec = load_config(cfg).process_spec()
+        block = process.paths_from_noise(spec, real_noise_block(spec, 13, 0, 5))
+        rows = read_rows(out / "simulate.csv")
+        assert [(int(r["replicate"]), int(r["t"])) for r in rows] == [
+            (i, t) for i in range(5) for t in range(6)
+        ]
+        assert [r["x0"] for r in rows] == [repr(v) for v in block[:, :, 0].ravel().tolist()]
 
 
 class TestErrors:
