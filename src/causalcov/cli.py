@@ -19,8 +19,9 @@ report, which is excluded from any byte-level comparison.  The CSV column
 orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
 and the config schema for users.  Every CSV report goes through _write_csv,
 row by row: simulate writes each batch of montecarlo's sampling loop as it
-is drawn, so it holds one batch in memory, and its paths are exactly those
-the tail events sample from the same seed.
+is drawn, so it holds one batch in memory.  At seed s it writes the paths
+run_tail_experiment(seed=s) samples; verify runs event i at the sub-seed
+derive_seed(s, i), so its events sample other paths.
 """
 
 from __future__ import annotations
@@ -109,19 +110,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-#: cell types the csv module already writes as _csv_cell would (str(), which
-#: is repr() for a float)
-_PLAIN_CELLS = frozenset({int, float, str})
-
-
 def _write_csv(path: Path, columns, rows) -> None:
     """Header, then each row (its values in column order) as it comes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(
-            [v if type(v) in _PLAIN_CELLS else _csv_cell(v) for v in row] for row in rows
-        )
+        writer.writerows(map(_csv_cell, row) for row in rows)
 
 
 def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
