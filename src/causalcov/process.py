@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# NumPy imports these submodules on first attribute access; every subcommand
-# uses them, so they load with the package, not inside the first run
-import numpy.fft  # noqa: F401
+# NumPy imports this submodule on first attribute access; every subcommand
+# uses it, so it loads with the package, not inside the first run
 import numpy.random  # noqa: F401
 
 from ._rng import mix64, replicate_states
@@ -44,22 +43,8 @@ __all__ = [
 #: relative eigenvalue tolerance for the excitation-index rank test
 KAPPA_RTOL = 1e-9
 
-#: relative margins above the Lanczos estimate of lam_max(L^T L) that the
-#: bounded-real test tries first; the first one is also the relative width
-#: to which a wider bracket [failed, passed] is then narrowed
-GRAM_MARGINS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
-
-#: levels per narrowing pass of the bounded-real test
-_BISECTION_LEVELS = 15
-
-#: Lanczos settings for the estimate of lam_max(L^T L): the Krylov basis
-#: size (an L^T L no larger than it is formed whole), the Ritz vectors a
-#: restart keeps, the relative tolerance, and the seed of the start
-#: vector's fixed noise direction
-_LANCZOS_NCV = 40
-_LANCZOS_KEEP = 20
-_LANCZOS_TOL = 1e-10
-_LANCZOS_SEED = 0
+#: levels the bounded-real test tries in each bisection pass of lam_max_gram
+_GRAM_LEVELS = 64
 
 #: largest magnitude whose square is still a finite float
 _SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
@@ -175,81 +160,6 @@ def var_to_operator(sys: VarSystem, T: int, k: int = 1) -> CausalOperator:
     return CausalOperator(sys.lifted_dim, sys.p, k, _lower_block_toeplitz(impulses))
 
 
-def _gram_estimate(impulses: np.ndarray) -> float:
-    """Lanczos estimate of lam_max(L^T L), L the lower block-Toeplitz
-    operator of the impulses; a Ritz value, so at most lam_max.
-
-    L and L^T are applied as block convolution and correlation by FFT, so
-    neither L nor L^T L is formed unless it is no larger than the Krylov
-    basis.  The start vector repeats one fixed Gaussian direction u in
-    every step, so the estimate is deterministic.  It is in the null space
-    of L only if B u = 0, which no structure of the model arranges (an
-    all-ones start is, whenever H 1 = 0).  Being constant in time, it
-    starts near the top eigenvector of a low-pass system: on the perfbench
-    model a fully random start needs 3 times the mat-vecs at 8192 steps.
-    """
-    t_eff, _, p = impulses.shape
-    nfft = 2 * t_eff
-    h = np.fft.rfft(impulses, n=nfft, axis=0)
-    h_adj = np.conj(np.swapaxes(h, 1, 2))
-
-    def gram(v):
-        w = np.fft.rfft(v.reshape(t_eff, p), n=nfft, axis=0)
-        x = np.fft.irfft((h @ w[..., None])[..., 0], n=nfft, axis=0)[:t_eff]
-        x_f = np.fft.rfft(x, n=nfft, axis=0)
-        y = np.fft.irfft((h_adj @ x_f[..., None])[..., 0], n=nfft, axis=0)
-        return y[:t_eff].reshape(-1)
-
-    size = t_eff * p
-    if size <= _LANCZOS_NCV:
-        return float(np.linalg.eigvalsh(np.column_stack([gram(e) for e in np.eye(size)]))[-1])
-    start = np.tile(np.random.default_rng(_LANCZOS_SEED).standard_normal(p), t_eff)
-    return _top_ritz_value(gram, start)
-
-
-def _top_ritz_value(matvec, start: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric operator matvec, by thick-restart
-    Lanczos (Wu & Simon 2000) from start; a Ritz value, so at most lam_max.
-
-    The basis holds _LANCZOS_NCV vectors, each orthogonalised twice against
-    the ones before it; the projected matrix is read off those
-    coefficients.  A restart keeps the top _LANCZOS_KEEP Ritz vectors and
-    the residual.  The run stops when the top Ritz pair's residual
-    beta |y_m| is at most _LANCZOS_TOL times its value, ARPACK's test.  It
-    stops at once if beta is that small against the projected matrix's
-    largest diagonal entry (no more than its top eigenvalue): the basis
-    then spans an invariant subspace, as when the operator's rank is below
-    the basis size, and normalising the residual would fill the basis
-    with rounding noise.
-    """
-    m = _LANCZOS_NCV
-    basis = np.empty((m + 1, start.size))
-    basis[0] = start / np.linalg.norm(start)
-    projected = np.zeros((m, m))
-    kept = 0
-    while True:
-        for j in range(kept, m):
-            done = basis[: j + 1]
-            w = matvec(basis[j])
-            h = done @ w
-            w = w - h @ done
-            again = done @ w
-            w -= again @ done
-            projected[: j + 1, j] = projected[j, : j + 1] = h + again
-            beta = float(np.linalg.norm(w))
-            if beta <= _LANCZOS_TOL * projected.diagonal()[: j + 1].max():
-                return float(np.linalg.eigvalsh(projected[: j + 1, : j + 1])[-1])
-            basis[j + 1] = w / beta
-        theta, y = np.linalg.eigh(projected)
-        if beta * abs(y[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
-            return float(theta[-1])
-        kept = _LANCZOS_KEEP
-        basis[:kept] = y[:, -kept:].T @ basis[:m]
-        basis[kept] = basis[m]
-        projected[:] = 0.0
-        np.fill_diagonal(projected[:kept, :kept], theta[-kept:])
-
-
 def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
     """Which levels g make g I - L^T L positive definite, for L the causal
     operator of x_t = A x_{t-1} + B w_t over horizon steps.
@@ -287,6 +197,70 @@ def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> 
                 s = eye + a.T @ (s + np.swapaxes(bts, 1, 2) @ np.linalg.solve(r, bts)) @ a
     passed[live] = True
     return passed
+
+
+def _settle(triple, live: np.ndarray):
+    """Fail every level whose triple is not finite, and zero the triples of
+    the failed levels, so that later compositions overflow nothing."""
+    live = live & np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in triple])
+    for m in triple:
+        m[~live] = 0.0
+    return triple, live
+
+
+def _compose(earlier, later, live: np.ndarray):
+    """The triple of the map S -> f1(f2(S)), f1 the earlier segment's map
+    and f2 the later one's, and the levels at which it is defined."""
+    a1, g1, h1 = earlier
+    a2, g2, h2 = later
+    gh = g1 @ h2
+    live = live & np.isfinite(gh).all(axis=(1, 2))
+    gh[~live] = 0.0
+    # the eigenvalues of G1 H2 are real and nonnegative: those of a product
+    # of two positive semidefinite matrices
+    live &= np.linalg.eigvals(gh).real.max(axis=1) < 1.0
+    gh[~live] = 0.0
+    m = np.linalg.inv(np.eye(gh.shape[1]) - gh)
+    a2m = a2 @ m
+    a1_t = np.swapaxes(a1, 1, 2)
+    triple = (a2m @ a1, g2 + a2m @ g1 @ np.swapaxes(a2, 1, 2), h1 + a1_t @ h2 @ m @ a1)
+    return _settle(triple, live)
+
+
+def _bounded_real_doubling(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
+    """The verdicts of _bounded_real_passes (its step-by-step oracle) in
+    O(log horizon) steps per level.
+
+    At level g, one reverse-time step of that test is the Riccati map
+    S -> I + A^T S (I - G S)^{-1} A with G = B B^T / g, defined while every
+    eigenvalue of G S is below 1, i.e. while the pivot g I - B^T S B is
+    positive definite.  A map S -> H + A^T S (I - G S)^{-1} A is held as its
+    triple (A, G, H).  A later segment (A2, G2, H2), whose map runs first
+    in reverse time, followed by an earlier one (A1, G1, H1) is the triple
+    A = A2 M A1, G = G2 + A2 M G1 A2^T, H = H1 + A1^T H2 M A1 with
+    M = (I - G1 H2)^{-1}, defined iff both segments are and every
+    eigenvalue of G1 H2 is below 1.  The test is
+    horizon + 1 steps from S = 0 (the first one always defined), composed
+    by binary powers as in the doubling algorithm of Anderson & Moore
+    (1979) and Chu, Fan & Lin (2005).  A non-finite or non-positive level
+    fails; every level runs in one batch, under np.errstate, so nothing
+    warns.
+    """
+    levels = np.asarray(levels, dtype=float)
+    batch = (levels.size, 1, 1)
+    with np.errstate(all="ignore"):
+        live = np.isfinite(levels) & (levels > 0)
+        g = (b @ b.T) / levels[:, None, None]
+        step, live = _settle((np.tile(a, batch), g, np.tile(np.eye(len(a)), batch)), live)
+        result = None
+        steps = horizon + 1
+        while True:
+            if steps & 1:
+                result, live = (step, live) if result is None else _compose(result, step, live)
+            steps >>= 1
+            if not steps:
+                return live
+            step, live = _compose(step, step, live)
 
 
 def _lag_overflow(lag: int, what: str, horizon: int) -> InvalidInput:
@@ -449,13 +423,17 @@ class VarAnalysis:
     def lam_max_gram(self, n: int) -> float:
         """Certified upper bound on lam_max(L^T L) for L over n steps.
 
-        A Lanczos estimate theta (a Ritz value, so at most lam_max) is
-        raised by each of GRAM_MARGINS, and every level goes through the
-        bounded-real test in one pass.  Unless theta (1 + 1e-10) already
-        passes, the bracket between the highest failed level (or theta) and
-        the lowest passed one is narrowed by further passes until it is
-        1e-10 wide.  The lowest passed level is returned: an upper bound on
-        lam_max within 1e-10 relative of it.  Neither L nor L^T L is formed.
+        The bracket's lower end is lam_max(sum_j (A^j B)^T A^j B), that of
+        the top-left block of L^T L; its upper end is (sum_j ||A^j B||_2)^2,
+        which bounds the norm of a block-Toeplitz L, raised by 1e-10
+        relative to cover rounding.  Each pass puts _GRAM_LEVELS levels
+        through the doubling bounded-real test (_bounded_real_doubling): the
+        first pass spans the bracket up to its upper end, and each later one
+        the interior of the bracket between the highest failed level and the
+        lowest passed one, until that is 1e-10 wide.  The lowest passed
+        level is returned: an upper bound on lam_max within 1e-10 relative
+        of it, which has always passed the test.  Neither L nor L^T L is
+        formed.
         """
         if n not in self._gram:
             self._gram[n] = self._certified_gram(n)
@@ -465,24 +443,28 @@ class VarAnalysis:
         impulses = self.impulses(n)
         if not impulses.any():
             return 0.0
-        low = _gram_estimate(impulses)
-        levels = low * (1.0 + np.array(GRAM_MARGINS))
-        high = None
+        rtol = 1e-10
+        corner = np.einsum("jnp,jnq->pq", impulses, impulses)
+        low = float(np.linalg.eigvalsh(corner)[-1])
+        high = float(np.sum(np.linalg.norm(impulses, 2, axis=(1, 2)))) ** 2 * (1.0 + rtol)
+        levels = np.linspace(low, high, _GRAM_LEVELS + 1)[1:]
+        certified = None
         while True:
-            passed = _bounded_real_passes(self.a, self.b, n, levels)
+            passed = _bounded_real_doubling(self.a, self.b, n, levels)
             if passed.any():
-                high = float(levels[np.argmax(passed)])
-            elif high is None:
+                certified = high = float(levels[np.argmax(passed)])
+            elif certified is None:
                 raise NonFiniteBound(
                     f"lam_max(L^T L) over {n} steps could not be certified: the "
-                    "bounded-real test rejected every level up to twice its Lanczos estimate"
+                    f"bounded-real test rejected every level up to {high:.6g}, "
+                    "the upper end of its bracket"
                 )
             failed = levels[~passed & (levels < high)]
             if failed.size:
                 low = max(low, float(failed.max()))
-            if high <= low * (1.0 + GRAM_MARGINS[0]):
-                return high
-            levels = np.linspace(low, high, _BISECTION_LEVELS + 2)[1:-1]
+            if high <= low * (1.0 + rtol):
+                return certified
+            levels = np.linspace(low, high, _GRAM_LEVELS + 2)[1:-1]
 
 
 _ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

@@ -370,7 +370,7 @@ class TestSweep:
     def test_one_anticoncentration_per_cell(self, tmp_path, monkeypatch):
         calls = {"anticoncentration_bound": [], "psi_k": [], "svd": 0, "gram": []}
         real_anticonc, real_psi, real_svd = cli.anticoncentration_bound, bounds.psi_k, np.linalg.svd
-        real_gram = process._gram_estimate
+        real_gram = process.VarAnalysis._certified_gram
 
         def counted_anticonc(op):
             calls["anticoncentration_bound"].append((op.T, op.k))
@@ -384,14 +384,14 @@ class TestSweep:
             calls["svd"] += 1
             return real_svd(*args, **kwargs)
 
-        def counted_gram(impulses):
-            calls["gram"].append(len(impulses))
-            return real_gram(impulses)
+        def counted_gram(analysis, n):
+            calls["gram"].append(n)
+            return real_gram(analysis, n)
 
         monkeypatch.setattr(cli, "anticoncentration_bound", counted_anticonc)
         monkeypatch.setattr(bounds, "psi_k", counted_psi)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(process, "_gram_estimate", counted_gram)
+        monkeypatch.setattr(process.VarAnalysis, "_certified_gram", counted_gram)
         events = [
             "lower-tail-eigenvalue",
             "chernoff-direction",
@@ -411,7 +411,7 @@ class TestSweep:
         # the sweep head, the lower-tail and the upper-tail events of every
         # delta read one analysis per (T, k); a VAR runs neither the psi_k
         # search nor a dense SVD, and lam_max(L^T L), which does not depend
-        # on k, is estimated once per T
+        # on k, is certified once per T
         assert calls["anticoncentration_bound"] == grid_cells
         assert calls["psi_k"] == []
         assert calls["svd"] == 0
