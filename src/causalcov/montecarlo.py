@@ -5,7 +5,12 @@ noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
 One loop (_path_batches) draws and simulates those batches for every
 consumer: the tail events, the identification experiment and the CLI's
-simulate report, each of which reads one batch at a time.
+simulate report, each of which reads one batch at a time.  The simulator
+(process.paths_from_noise) advances a VAR a block of time steps per matrix
+product, in blocks anchored at t = 0, and pads every batch to a multiple
+of eight rows with copies of its first row, so a replicate's path, and
+every statistic computed from it, has the same bytes in a batch of any
+size.  The per-replicate statistics are batched matrix products too.
 
 Certification is one-sided by design: an experiment certifies its bound
 when the upper edge of the 99.9% Wilson interval for the event frequency
@@ -155,8 +160,10 @@ def run_tail_experiment(
         threshold = chernoff_threshold(spec, d_mat)
         hit = np.less_equal
 
+        direction_t = np.ascontiguousarray(direction.T)
+
         def batch_stat(x):
-            probed = np.einsum("rtd,ed->rte", x, direction)
+            probed = x @ direction_t
             return np.einsum("rte,rte->r", probed, probed)
 
     elif event == "lower-tail-eigenvalue":
@@ -167,7 +174,7 @@ def run_tail_experiment(
         extras["psi_k"] = report.psi_k
 
         def batch_stat(x):
-            grams = np.einsum("rti,rtj->rij", x, x) / t_eff
+            grams = np.swapaxes(x, 1, 2) @ x / t_eff
             return np.linalg.eigvalsh(grams)[:, 0]
 
     elif event == "upper-tail-opnorm":
@@ -180,7 +187,7 @@ def run_tail_experiment(
         extras["q"] = q
 
         def batch_stat(x):
-            grams = np.einsum("rti,rtj->rij", x, x)
+            grams = np.swapaxes(x, 1, 2) @ x
             return np.linalg.eigvalsh(grams)[:, -1]
 
     else:

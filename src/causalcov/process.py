@@ -9,6 +9,15 @@ whose causal operator has impulse blocks L[t, s] = A^{t-s} B for s <= t.
 Every statistic the bounds read of a VAR comes from one VarAnalysis per
 system (var_analysis), by recursions in time; L itself is formed only by
 var_to_operator, which the test suite uses as an oracle.
+
+Sampled paths are X = L W (paths_from_noise).  A VAR's lifted state
+advances _PATH_BLOCK time steps per matrix product, in blocks anchored at
+t = 0, _PATH_BLOCK, 2 _PATH_BLOCK, ..., through the m-step diagonal block
+L_m of L and the powers A^1 .. A^m, so a path's arithmetic depends only on
+T'.  Every batch is padded to a multiple of _PATH_ROWS rows with copies of
+its first row, and the noise and right operands are C-contiguous, so a
+path has the same bytes in a batch of any size, for a VAR and for a raw
+operator.
 """
 
 from __future__ import annotations
@@ -46,12 +55,24 @@ KAPPA_RTOL = 1e-9
 #: levels the bounded-real test tries in each bisection pass of lam_max_gram
 _GRAM_LEVELS = 64
 
+#: time steps a VAR path advances per matrix product in paths_from_noise
+_PATH_BLOCK = 16
+
+#: paths_from_noise pads every batch to a multiple of this many rows
+_PATH_ROWS = 8
+
 #: largest magnitude whose square is still a finite float
 _SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def _read_only(m) -> np.ndarray:
     out = np.array(m, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _contiguous_read_only(m: np.ndarray) -> np.ndarray:
+    out = np.ascontiguousarray(m)
     out.flags.writeable = False
     return out
 
@@ -297,6 +318,7 @@ class VarAnalysis:
         self._derived_series: dict = {}
         self._gamma: dict = {}
         self._blocks: dict = {}
+        self._block_ops: dict = {}
         self._gram: dict = {}
 
     def _prefix(self, name: str, n: int) -> np.ndarray:
@@ -419,6 +441,18 @@ class VarAnalysis:
             _, n, p = self.impulses(k).shape
             self._blocks[k] = CausalOperator(n, p, k, _lower_block_toeplitz(self.impulses(k)))
         return self._blocks[k]
+
+    def _block_operators(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(L_m^T, [A^1 ... A^m]^T) as C-contiguous arrays, formed once per m:
+        the right operands of one m-step block of paths_from_noise."""
+        if m not in self._block_ops:
+            n = len(self.a)
+            powers = self._prefix("powers", m + 1)[1:].reshape(m * n, n)
+            self._block_ops[m] = (
+                _contiguous_read_only(self.diagonal_block(m).dense().T),
+                _contiguous_read_only(powers.T),
+            )
+        return self._block_ops[m]
 
     def lam_max_gram(self, n: int) -> float:
         """Certified upper bound on lam_max(L^T L) for L over n steps.
@@ -557,32 +591,58 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     return w
 
 
+_TRANSPOSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _operator_transpose(op: CausalOperator) -> np.ndarray:
+    """L^T of a raw operator as a C-contiguous copy, formed once per operator."""
+    if op not in _TRANSPOSES:
+        _TRANSPOSES[op] = _contiguous_read_only(op.dense().T)
+    return _TRANSPOSES[op]
+
+
 def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     """Trajectories driven by the given noise, shape (count, T', d).
 
-    VAR sources run the lifted recursion (algebraically identical to the
-    operator product); raw operators multiply by the operator matrix.  A
-    single replicate is run as two equal rows: a one-row product would take
-    BLAS's matrix-vector route, which rounds differently from the
-    matrix-matrix route of every larger batch, so a path's bytes would
-    depend on how the replicates were split.
+    Both routes compute X = L W.  A VAR source runs its lifted recursion
+    _PATH_BLOCK steps per matrix product: with m the block length, the
+    block of steps t0..t0+m-1 is
+    x[:, t0:t0+m] = w[:, t0:t0+m] @ L_m^T + x[:, t0-1] @ [A^1 ... A^m]^T,
+    L_m the m-step diagonal block of L (VarAnalysis._block_operators).
+    Blocks start at t = 0, m, 2m, ...; the last one may be shorter and
+    reads the leading sub-blocks of the same matrices.  A raw operator
+    multiplies by its matrix, through a transpose formed once per operator.
+
+    A path's bytes do not depend on how the replicates are split into
+    batches: every batch is padded to a multiple of _PATH_ROWS rows with
+    copies of its first row, the noise is made C-contiguous and the right
+    operands are C-contiguous copies made once per model, so each product
+    takes BLAS's matrix-matrix route with the same rounding whatever the
+    row count.  A one-row product would take the matrix-vector route, a few
+    rows round differently from many in blocked products, and an operand
+    without unit inner stride (padding by np.broadcast_to) would take
+    NumPy's own loop.  The padding is sliced off.
     """
     count, t_eff, p = w.shape
-    if count == 1:
-        return paths_from_noise(spec, np.concatenate([w, w]))[:1]
-    if isinstance(spec.source, VarSystem):
-        analysis = var_analysis(spec.source)
-        a, b = analysis.a, analysis.b
-        x = np.empty((count, t_eff, len(a)))
-        state = w[:, 0, :] @ b.T
-        x[:, 0, :] = state
-        for t in range(1, t_eff):
-            state = state @ a.T + w[:, t, :] @ b.T
-            x[:, t, :] = state
-        return x
-    dense = spec.source.dense()
-    flat = w.reshape(count, t_eff * p) @ dense.T
-    return flat.reshape(count, t_eff, spec.source.d)
+    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
+    w = np.ascontiguousarray(w)
+    if rows > count:
+        w = np.concatenate([w, np.repeat(w[:1], rows - count, axis=0)])
+    if isinstance(spec.source, CausalOperator):
+        flat = w.reshape(rows, t_eff * p) @ _operator_transpose(spec.source)
+        return flat.reshape(rows, t_eff, spec.source.d)[:count]
+    analysis = var_analysis(spec.source)
+    n = len(analysis.a)
+    m = min(_PATH_BLOCK, t_eff)
+    x = np.empty((rows, t_eff, n))
+    for t0 in range(0, t_eff, m):
+        steps = min(m, t_eff - t0)
+        noise_t, powers_t = analysis._block_operators(steps)
+        block = w[:, t0 : t0 + steps].reshape(rows, steps * p) @ noise_t
+        if t0:
+            block += x[:, t0 - 1] @ powers_t
+        x[:, t0 : t0 + steps] = block.reshape(rows, steps, n)
+    return x[:count]
 
 
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:

@@ -135,6 +135,22 @@ def convolution_paths(sys: VarSystem, w: np.ndarray) -> np.ndarray:
     return x
 
 
+def step_by_step_paths(sys: VarSystem, w: np.ndarray) -> np.ndarray:
+    """Lifted trajectories by the recursion x_t = A x_{t-1} + B w_t, one
+    time step per iteration, not the blocked products of paths_from_noise."""
+    from causalcov import companion
+
+    count, t_eff, _ = w.shape
+    a, b = companion(sys), sys.lifted_noise_map()
+    x = np.empty((count, t_eff, sys.lifted_dim))
+    state = w[:, 0, :] @ b.T
+    x[:, 0, :] = state
+    for t in range(1, t_eff):
+        state = state @ a.T + w[:, t, :] @ b.T
+        x[:, t, :] = state
+    return x
+
+
 def per_time_cov_oracle(sys: VarSystem, T: int) -> np.ndarray:
     """E X_t X_t' for the lifted state, summed impulse responses squared."""
     from causalcov import companion

@@ -472,8 +472,8 @@ class TestSimulate:
         assert (out / "simulate.csv").read_bytes() == (again / "simulate.csv").read_bytes()
 
     def test_one_batch_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # T' = 6 and STEPS = 12: batches of 2, 2 and 1 replicates, the last run
-        # as two equal rows; the CSV holds the paths of one block of five
+        # T' = 6 and STEPS = 12: batches of 2, 2 and 1 replicates, each padded
+        # to eight rows; the CSV holds the paths of one block of five
         cfg = write_config(tmp_path / "c.json", base_config(replicates=5, T=6))
         draws = []
         real_noise_block = montecarlo.noise_block

@@ -1,7 +1,11 @@
 """Process construction: lifted recursions, operators, covariances, seeding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causalcov import (
     HorizonTooShort,
@@ -19,7 +23,14 @@ from causalcov import (
     var_time_covariances,
     var_to_operator,
 )
-from conftest import convolution_paths, per_time_cov_oracle, random_var_system
+from causalcov import process
+from conftest import (
+    convolution_paths,
+    per_time_cov_oracle,
+    random_operator,
+    random_var_system,
+    step_by_step_paths,
+)
 
 
 def scalar_system(a: float = 0.5, h: float = 1.0) -> VarSystem:
@@ -125,6 +136,54 @@ def test_noise_and_paths_shapes_and_determinism():
     assert x.shape == (5, 10, 1) and w.shape == (5, 10, 1)
     again = paths_from_noise(spec, noise_block(spec, seed=3, start=0, count=5))
     assert np.array_equal(x, again)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n_lags=st.integers(1, 2),
+    p=st.integers(1, 3),
+    rho=st.floats(0.0, 0.999),
+    block=st.sampled_from([1, 3, 5, None]),
+    t_from_block=st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 5)]),
+    count=st.sampled_from([1, 7, 9]),
+)
+@example(seed=0, d=3, n_lags=2, p=3, rho=0.999, block=None, t_from_block=(3, 5), count=9)
+@example(seed=1, d=1, n_lags=1, p=1, rho=0.5, block=1, t_from_block=(0, 1), count=1)
+def test_blocked_paths_match_step_by_step(seed, d, n_lags, p, rho, block, t_from_block, count):
+    # T' = a * m + b for (a, b) = t_from_block: 1, 2, m - 1, m, m + 1 and
+    # 3m + 5, m the block length (the module's own when block is None)
+    m = process._PATH_BLOCK if block is None else block
+    t_eff = max(1, t_from_block[0] * m + t_from_block[1])
+    sys = random_var_system(np.random.default_rng(seed), d, n_lags, rho=rho, p=p)
+    spec = ProcessSpec(source=sys, T=t_eff)
+    w = noise_block(spec, seed, 0, count)
+    with mock.patch.object(process, "_PATH_BLOCK", m):
+        x = paths_from_noise(spec, w)
+        single = [paths_from_noise(spec, w[i : i + 1]) for i in range(count)]
+    oracle = step_by_step_paths(sys, w)
+    assert x.shape == oracle.shape
+    assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # the same bytes for a replicate alone as in a batch of 7 or 9
+    assert np.concatenate(single).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("var_source", [True, False])
+def test_noncontiguous_noise_gives_the_same_paths(rng, var_source):
+    if var_source:
+        spec = ProcessSpec(source=random_var_system(rng, d=2, n_lags=2, rho=0.9), T=37)
+    else:
+        spec = ProcessSpec.from_operator(random_operator(rng, d=2, p=3, k=2, n_blocks=9))
+    w = noise_block(spec, seed=4, start=0, count=11)
+    fortran = np.asfortranarray(w)
+    assert not fortran.flags.c_contiguous
+    assert paths_from_noise(spec, fortran).tobytes() == paths_from_noise(spec, w).tobytes()
+    # eight rows need no padding, so the zero-stride rows reach the products
+    # unless the noise is copied first
+    repeated = np.broadcast_to(w[:1], (8,) + w.shape[1:])
+    copied = np.repeat(w[:1], 8, axis=0)
+    assert paths_from_noise(spec, repeated).tobytes() == paths_from_noise(spec, copied).tobytes()
 
 
 def test_per_time_covariance_routes_agree(rng):
