@@ -17,7 +17,7 @@ All bounds are reported unclamped; values above 1 are vacuous but honest.
 
 A process is a CausalOperator or a ProcessSpec.  A raw operator's
 statistics come from its dense matrix; a VAR's come from its VarAnalysis
-(process.var_analysis), by recursions in time, without forming L.
+(process.var_analysis), from its companion powers, without forming L.
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ class _RecursionAnalysis(_Analysis):
     """A VAR at one (T', k), read from its VarAnalysis without forming L.
 
     Every diagonal block of a VAR's operator is its k-step head, counted
-    T'/k times.  sum_t P_t and lam_max(P_t) come from the covariance
-    recursion, the decoupled sum T' Gamma_k from the head, and
+    T'/k times.  sum_t P_t and lam_max(P_t) come from the covariances
+    P_t, the decoupled sum T' Gamma_k from the head, and
     lam_max(L^T L) is a certified upper bound (VarAnalysis.lam_max_gram).
     Every diagonal block is the same, so every unit direction gives
     psi_k = 1/k exactly; the first coordinate axis is reported.

@@ -154,8 +154,7 @@ def ls_bound_details(sys: VarSystem, T: int, k: int, delta: float) -> dict:
         )
     analysis = var_analysis(sys)
     sum_lam_max = float(analysis.per_time_lam_max(t_eff).sum())
-    head = analysis.covariances(k).sum(axis=0)
-    head_lo = float(np.linalg.eigvalsh(0.5 * (head + head.T))[0])
+    head_lo = k * g_lo  # lam_min(sum_{t<k} P_t)
     try:
         c_sys = 1.0 + 32.0 * sum_lam_max**2 / head_lo**2
     except (OverflowError, ZeroDivisionError):

@@ -142,7 +142,7 @@ def run_tail_experiment(
 
     Bounds and thresholds read the process's analysis, computed once per
     process and shared by every event and report on it: psi_k and the
-    dense statistics for a raw operator, the recursion-based VarAnalysis
+    dense statistics for a raw operator, the VarAnalysis
     for a VAR, whose operator L is never formed.
     """
     params = dict(params or {})

@@ -7,7 +7,8 @@ X_t = A X_{t-1} + B W_t with the companion matrix A and B = [H; 0; ...],
 whose causal operator has impulse blocks L[t, s] = A^{t-s} B for s <= t.
 
 Every statistic the bounds read of a VAR comes from one VarAnalysis per
-system (var_analysis), by recursions in time; L itself is formed only by
+system (var_analysis), which forms the companion powers A^j by doubling and
+reads the impulses and covariances off them; L itself is formed only by
 var_to_operator, which the test suite uses as an oracle.
 
 Sampled paths are X = L W (paths_from_noise).  A VAR's lifted state
@@ -294,47 +295,27 @@ def _lag_overflow(lag: int, what: str, horizon: int) -> InvalidInput:
 class VarAnalysis:
     """Every statistic of one VarSystem that the bounds read, each computed once.
 
-    Horizon-indexed series -- the impulse responses A^j B, the companion
-    powers A^j and the covariances P_t = E X_t X_t^T of the lifted state
-    (P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T) -- are kept for the longest
-    horizon asked so far and extended by the same recursion, so a shorter
-    horizon reads a prefix with the same bytes; so are the per-time
-    lam_max(P_t) and the squared power norms ||A^j||_2^2.  Gamma_k and the
-    k-step diagonal block of L are held per k, and lam_max(L^T L) per
-    horizon.  Every array handed out is read-only.  Built by var_analysis;
+    One recursion, in closed form: the companion powers A^j, each the
+    product A^h A^(j-h) with h the largest power of two below j, formed as
+    one stacked product per h.  Every other horizon-indexed series is read
+    off them: the impulse responses A^j B, the covariances
+    P_t = E X_t X_t^T = sum_{j<=t} A^j B (A^j B)^T of the lifted state
+    (added in order of j), the per-time lam_max(P_t) and the squared power
+    norms ||A^j||_2^2.  A series is computed for the longest horizon asked
+    so far and handed out as a prefix; as each term's arithmetic depends on
+    its index alone, a prefix has the same bytes whatever was asked before.
+    Gamma_k, the k-step diagonal block of L and lam_max(L^T L) are held per
+    argument.  Every array handed out is read-only.  Built by var_analysis;
     it holds no reference to its system.  A config runs check_overflow for
-    its longest horizon at load, so the series are formed there, once, and
-    checked exactly as the bounds later read them; the impulses are formed
-    there only when a bound from the powers cannot rule out their overflow.
+    its longest horizon at load, so the powers and impulses are formed
+    there, once, and checked exactly as the bounds later read them.
     """
 
     def __init__(self, sys: VarSystem):
         self.a = _read_only(companion(sys))
         self.b = _read_only(sys.lifted_noise_map())
-        self._series = {
-            "impulses": _read_only(self.b[None]),
-            "powers": _read_only(np.eye(len(self.a))[None]),
-        }
         self._derived_series: dict = {}
-        self._gamma: dict = {}
-        self._blocks: dict = {}
-        self._block_ops: dict = {}
-        self._gram: dict = {}
-
-    def _prefix(self, name: str, n: int) -> np.ndarray:
-        have = self._series[name]
-        if len(have) < n:
-            grown = np.empty((n,) + have.shape[1:])
-            grown[: len(have)] = have
-            a = self.a
-            for t in range(len(have), n):
-                if name == "covariances":
-                    grown[t] = a @ grown[t - 1] @ a.T + self._bbt
-                else:
-                    grown[t] = a @ grown[t - 1]
-            grown.flags.writeable = False
-            self._series[name] = have = grown
-        return have[:n]
+        self._memo: dict = {}
 
     def _derived(self, name: str, n: int, compute) -> np.ndarray:
         have = self._derived_series.get(name)
@@ -344,16 +325,40 @@ class VarAnalysis:
             self._derived_series[name] = have
         return have[:n]
 
+    def _once(self, name: str, arg: int, compute):
+        key = (name, arg)
+        if key not in self._memo:
+            self._memo[key] = compute(arg)
+        return self._memo[key]
+
+    def powers(self, n: int) -> np.ndarray:
+        """A^j for j = 0..n-1, shape (n, dL, dL)."""
+        return self._derived("powers", n, self._powers)
+
+    def _powers(self, n: int) -> np.ndarray:
+        powers = np.empty((n,) + self.a.shape)
+        powers[:1] = np.eye(len(self.a))
+        powers[1:2] = self.a
+        h = 1
+        while h + 1 < n:
+            stop = min(2 * h + 1, n)
+            np.matmul(powers[h], powers[1 : stop - h], out=powers[h + 1 : stop])
+            h *= 2
+        return powers
+
     def impulses(self, n: int) -> np.ndarray:
         """A^j B for j = 0..n-1, shape (n, dL, p)."""
-        return self._prefix("impulses", n)
+        return self._derived("impulses", n, lambda m: self.powers(m) @ self.b)
 
     def covariances(self, n: int) -> np.ndarray:
         """P_t = E X_t X_t^T for t = 0..n-1, shape (n, dL, dL)."""
-        if "covariances" not in self._series:  # lazy, so B B^T waits for check_overflow
-            self._bbt = self.b @ self.b.T
-            self._series["covariances"] = _read_only(self._bbt[None])
-        return self._prefix("covariances", n)
+
+        def compute(m):
+            g = self.impulses(m)
+            terms = g @ np.swapaxes(g, 1, 2)
+            return np.cumsum(terms, axis=0, out=terms)
+
+        return self._derived("covariances", n, compute)
 
     def per_time_lam_max(self, n: int) -> np.ndarray:
         """lam_max(P_t) for t = 0..n-1."""
@@ -366,7 +371,7 @@ class VarAnalysis:
         return self._derived(
             "squared_power_norms",
             n,
-            lambda m: np.linalg.norm(self._prefix("powers", m), 2, axis=(1, 2)) ** 2,
+            lambda m: np.linalg.norm(self.powers(m), 2, axis=(1, 2)) ** 2,
         )
 
     def power_norm_sum(self, n: int) -> float:
@@ -382,35 +387,20 @@ class VarAnalysis:
         then no ||A^j||_2, may exceed sqrt(float max) for a lag j < horizon;
         then the sums of those squares must be finite: sum_j ||A^j||_2^2, and
         the energy 2 * horizon * sum_j ||A^j B||_F^2, which bounds every entry
-        of P_t, of sum_t P_t and of their symmetrisation.  The series are
-        formed here under np.errstate, so an overflow is reported, not warned.
-
-        The impulses A^j B are formed only if they might overflow.  As
-        ||A^j B||_F^2 <= ||A^j||_2^2 ||B||_F^2, the bound
-        2 * horizon * ||B||_F^2 * sum_j ||A^j||_2^2 is at least the energy
-        and at least twice the square of every entry of A^j B; when twice
-        the bound is still finite (room for rounding), both impulse checks
-        pass without them.
+        of P_t, of sum_t P_t and of their symmetrisation.  The powers and
+        impulses are formed here under np.errstate, so an overflow is
+        reported, not warned.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = self._prefix("powers", horizon)
+            powers, impulses = self.powers(horizon), self.impulses(horizon)
             big_a = ~np.all(np.abs(powers) <= _SQRT_FLOAT_MAX, axis=(1, 2))
-            energy = np.inf
-            if not big_a.any():
-                noise_sq = float(np.sum(self.b * self.b))
-                power_sq = float(np.sum(self._squared_power_norms(horizon)))
-                energy = 2.0 * horizon * noise_sq * power_sq
-            if not np.isfinite(2.0 * energy):
-                impulses = self._prefix("impulses", horizon)
-                big_b = ~np.all(np.abs(impulses) <= _SQRT_FLOAT_MAX, axis=(1, 2))
-                if big_a.any() or big_b.any():
-                    lag = int(np.argmax(big_a | big_b))
-                    noise = (
-                        f"the impulse response A^{lag} B" if lag else "the noise map B = [H; 0]"
-                    )
-                    what = f"A^{lag}" if big_a[lag] else noise
-                    raise _lag_overflow(lag, f"an entry of {what}", horizon)
-                energy = 2.0 * horizon * float(np.sum(impulses * impulses))
+            big_b = ~np.all(np.abs(impulses) <= _SQRT_FLOAT_MAX, axis=(1, 2))
+            if big_a.any() or big_b.any():
+                lag = int(np.argmax(big_a | big_b))
+                noise = f"the impulse response A^{lag} B" if lag else "the noise map B = [H; 0]"
+                what = f"A^{lag}" if big_a[lag] else noise
+                raise _lag_overflow(lag, f"an entry of {what}", horizon)
+            energy = 2.0 * horizon * float(np.sum(impulses * impulses))
             big_norm = ~np.isfinite(self._squared_power_norms(horizon))
             if big_norm.any():
                 lag = int(np.argmax(big_norm))
@@ -428,31 +418,37 @@ class VarAnalysis:
 
     def gamma(self, k: int) -> SymMatrix:
         """Gamma_k = (1/k) sum_{t<k} P_t (shared; its array is read-only)."""
-        if k not in self._gamma:
+
+        def compute(k):
             gamma = SymMatrix(self.covariances(k).sum(axis=0) / k)
             gamma.a.flags.writeable = False
-            self._gamma[k] = gamma
-        return self._gamma[k]
+            return gamma
+
+        return self._once("gamma", k, compute)
 
     def diagonal_block(self, k: int) -> CausalOperator:
         """The first k steps of L as a one-block operator: every diagonal
         block of a VAR's operator at stride k equals it."""
-        if k not in self._blocks:
-            _, n, p = self.impulses(k).shape
-            self._blocks[k] = CausalOperator(n, p, k, _lower_block_toeplitz(self.impulses(k)))
-        return self._blocks[k]
+        n, p = self.b.shape
+        return self._once(
+            "diagonal_block",
+            k,
+            lambda k: CausalOperator(n, p, k, _lower_block_toeplitz(self.impulses(k))),
+        )
 
     def _block_operators(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(L_m^T, [A^1 ... A^m]^T) as C-contiguous arrays, formed once per m:
         the right operands of one m-step block of paths_from_noise."""
-        if m not in self._block_ops:
+
+        def compute(m):
             n = len(self.a)
-            powers = self._prefix("powers", m + 1)[1:].reshape(m * n, n)
-            self._block_ops[m] = (
+            powers = self.powers(m + 1)[1:].reshape(m * n, n)
+            return (
                 _contiguous_read_only(self.diagonal_block(m).dense().T),
                 _contiguous_read_only(powers.T),
             )
-        return self._block_ops[m]
+
+        return self._once("block_operators", m, compute)
 
     def lam_max_gram(self, n: int) -> float:
         """Certified upper bound on lam_max(L^T L) for L over n steps.
@@ -469,9 +465,7 @@ class VarAnalysis:
         of it, which has always passed the test.  Neither L nor L^T L is
         formed.
         """
-        if n not in self._gram:
-            self._gram[n] = self._certified_gram(n)
-        return self._gram[n]
+        return self._once("gram", n, self._certified_gram)
 
     def _certified_gram(self, n: int) -> float:
         impulses = self.impulses(n)
@@ -646,8 +640,8 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
 
 
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
-    """E[X_t X_t^T] of the lifted state for t = 0..T-1 via the recursion
-    P_0 = B B^T, P_t = A P_{t-1} A^T + B B^T; shape (T, dL, dL), read-only."""
+    """E[X_t X_t^T] of the lifted state for t = 0..T-1, the running sums
+    P_t = sum_{j<=t} A^j B (A^j B)^T; shape (T, dL, dL), read-only."""
     if T < 1:
         raise InvalidInput("horizon must be >= 1")
     return var_analysis(sys).covariances(T)

@@ -1,11 +1,13 @@
 """The VAR analysis against the dense operator route, plus property tests.
 
-For a VAR source the bounds read VarAnalysis (recursions in time and a
-certified lam_max(L^T L)); the dense statistics of var_to_operator are the
-oracle they must match.
+For a VAR source the bounds read VarAnalysis (series read off the companion
+powers and a certified lam_max(L^T L)); the dense statistics of
+var_to_operator and the one-step recursions are the oracles they must
+match.
 """
 
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -75,7 +77,7 @@ def test_analysis_matches_dense_operator(seed, d, n_lags, p_less, t_eff, rho):
             oracle = {**oracle, "lam_min_decoupled_sum": lo, "lam_max_decoupled_sum": hi}
         stats = _analysis(spec).stats
         # eigenvalues agree to 1e-12 of the matrix's scale; per-time sums in the
-        # order of the recursion, not of the operator's rows
+        # order of the analysis, not of the operator's rows
         for key in COVARIANCE_KEYS:
             scale = max(abs(oracle[key.replace("lam_min", "lam_max")]), 1e-300)
             assert abs(stats[key] - oracle[key]) <= 1e-12 * scale, key
@@ -196,17 +198,78 @@ def test_lam_max_gram_matches_arpack():
     assert oracle * (1 - 1e-12) <= var_analysis(sys).lam_max_gram(512) <= oracle * (1 + 2e-10)
 
 
-def test_overflow_check_forms_impulses_only_near_overflow():
-    # far from overflow the bound 2 T ||B||_F^2 sum_j ||A^j||_2^2 settles the
-    # impulse checks; near it the impulses are formed and checked.  Here
-    # A^j B = 0 for j >= 1, so twice the bound overflows but the energy
-    # 2 T ||B||_F^2 does not, and the check passes.
+def test_overflow_check_passes_models_near_overflow():
+    # one model far from overflow, and one whose 2 T ||B||_F^2 sum_j ||A^j||_2^2
+    # overflows while the energy 2 T sum_j ||A^j B||_F^2 does not (A^j B = 0
+    # for j >= 1): both pass, without a warning
     far = var_analysis(VarSystem([np.array([[0.9]])], np.array([[1e10]])))
-    far.check_overflow(4096)
-    assert len(far._series["impulses"]) == 1  # B itself
     near = var_analysis(VarSystem([np.diag([0.99, 0.0])], np.array([[0.0], [3.16e153]])))
-    near.check_overflow(4)
-    assert len(near._series["impulses"]) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far.check_overflow(4096)
+        near.check_overflow(4)
+
+
+def _step_series(a: np.ndarray, b: np.ndarray, n: int):
+    """Powers, impulses and covariances by the one-step recursions
+    A^j = A A^(j-1), A^j B = A A^(j-1) B and P_t = A P_{t-1} A^T + B B^T."""
+    powers, impulses, covs = [np.eye(len(a))], [b], [b @ b.T]
+    for _ in range(1, n):
+        powers.append(a @ powers[-1])
+        impulses.append(a @ impulses[-1])
+        covs.append(a @ covs[-1] @ a.T + b @ b.T)
+    return np.array(powers), np.array(impulses), np.array(covs)
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    d=st.integers(1, 3),
+    n_lags=st.integers(1, 2),
+    p_less=st.integers(0, 2),
+    t_eff=st.integers(1, 600),
+    rho=st.floats(0.0, 0.999),
+)
+@example(seed=5, d=2, n_lags=2, p_less=1, t_eff=1, rho=0.9)
+@example(seed=6, d=1, n_lags=1, p_less=0, t_eff=2, rho=0.999)
+@example(seed=7, d=3, n_lags=1, p_less=0, t_eff=3, rho=0.5)
+@example(seed=8, d=3, n_lags=2, p_less=0, t_eff=4096, rho=0.999)
+def test_series_match_the_step_recursions(seed, d, n_lags, p_less, t_eff, rho):
+    # the powers by doubling, and the impulses and covariances read off
+    # them, against the one-step recursions, within 1e-12 of each series'
+    # largest entry; random lags are non-normal
+    rng = np.random.default_rng(seed)
+    sys = random_var_system(rng, d, n_lags, rho=rho, p=max(1, d - p_less))
+    analysis = process.VarAnalysis(sys)
+    oracles = _step_series(np.asarray(analysis.a), np.asarray(analysis.b), t_eff)
+    for name, oracle in zip(("powers", "impulses", "covariances"), oracles):
+        series = getattr(analysis, name)(t_eff)
+        assert series.shape == oracle.shape, name
+        assert np.max(np.abs(series - oracle)) <= 1e-12 * np.max(np.abs(oracle)), name
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 2), (3, 17), (100, 129), (64, 1000)])
+def test_series_do_not_depend_on_the_order_of_requests(n1, n2):
+    # one analysis asked for n1 steps then n2, another for n2 then n1: every
+    # series has the same bytes at both lengths, and so has lam_max_gram
+    sys = random_var_system(np.random.default_rng(n1 + n2), 2, 2, rho=0.95, p=1)
+    series = (
+        "powers",
+        "impulses",
+        "covariances",
+        "per_time_lam_max",
+        "_squared_power_norms",
+        "lam_max_gram",
+    )
+    read = {}
+    for order in ((n1, n2), (n2, n1)):
+        analysis = process.VarAnalysis(sys)
+        for n in order:
+            for name in series:
+                getattr(analysis, name)(n)
+        read[order] = [np.asarray(getattr(analysis, name)(n)).tobytes()
+                       for name in series for n in (n1, n2)]
+    assert read[(n1, n2)] == read[(n2, n1)]
 
 
 def test_var_system_is_immutable():

@@ -186,25 +186,22 @@ class TestBounds:
             assert dense.read_bytes() == free.read_bytes()
 
     def test_load_forms_the_series_once(self, tmp_path, monkeypatch):
-        # the load-time overflow check forms the companion powers for the
-        # longest horizon; the bounds run then reads them without extending.
-        # This model is far from overflow, so the impulses wait for the bounds.
+        # the load-time overflow check forms the companion powers and the
+        # impulses for the longest horizon; the bounds runs then read them
+        # without extending the powers
         cfg = write_config(tmp_path / "c.json", base_config(T=48, grid={"T": [24, 48]}))
         config = load_config(cfg)
-        assert len(process.var_analysis(config.model)._series["impulses"]) == 1
+        analysis = process.var_analysis(config.model)
+        assert [len(analysis._derived_series[name]) for name in ("powers", "impulses")] == [48, 48]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the analysis must be built once, at load")
 
-        real_prefix = process.VarAnalysis._prefix
-
-        def no_growth(self, name, n):
-            if name == "powers":
-                assert n <= len(self._series[name]), f"{name} extended to {n} after load"
-            return real_prefix(self, name, n)
+        def no_growth(self, n):
+            raise AssertionError(f"powers extended to {n} after load")
 
         monkeypatch.setattr(process, "companion", refuse)
-        monkeypatch.setattr(process.VarAnalysis, "_prefix", no_growth)
+        monkeypatch.setattr(process.VarAnalysis, "_powers", no_growth)
         monkeypatch.setattr(cli, "load_config", lambda path: config)
         for subcommand in ("bounds", "sweep"):
             assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
