@@ -5,15 +5,26 @@ from NumPy's ``Generator(PCG64(mix64(s, r)))``, so any subset of
 replicates can be produced independently of batching or execution order.
 
 Building a SeedSequence, a PCG64 and a Generator per replicate costs twice
-as much as drawing its noise, so replicate_states computes the seeded
+as much as drawing its noise, so replicate_words computes the seeded
 PCG64 states of a whole batch in one vectorised pass instead: SplitMix64
 on a uint64 array, then SeedSequence's entropy pool and
-generate_state(4, uint64) on uint32 arrays, then PCG64's seeding step in
-128-bit integers.  The caller sets each state on one bit generator per
-batch; its draws are bit-identical to a freshly built PCG64(mix64(s, r)).
+generate_state(4, uint64) on uint32 arrays, then PCG64's seeding step on
+uint64 arrays, its 128-bit sums with carries and its 64 x 64 -> 128-bit
+products in 32-bit halves.  Each replicate's state is four 64-bit words,
+[state_lo, state_hi, inc_lo, inc_hi].
+
+The caller writes each row into one bit generator per batch through
+pcg64_word_view, a uint64 view of the generator's pcg64_random_t, in the
+word order pcg64_word_order finds once per process by a round trip
+through the public PCG64.state getter.  Its draws are bit-identical to a
+freshly built PCG64(mix64(s, r)).  When the round trip fails, the order
+is None and the caller sets each state through the public setter.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -33,9 +44,15 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 
-# PCG64's 128-bit LCG multiplier.
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit LCG multiplier, high and low word.
+_PCG_MULT_HI = 0x2360ED051FC65DA4
+_PCG_MULT_LO = 0x4385DF649FCCF645
+
+#: column orders of replicate_words that a pcg64_random_t may hold in memory
+_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+#: the layout probe's seed, and the four distinct words it writes (inc odd)
+_PROBE_SEED = 12345
+_PROBE_WORDS = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6979, 0x8796A5B4C3D2E1F0]
 
 
 def mix64(seed: int, counter: int) -> int:
@@ -94,25 +111,97 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=-1)
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, inc) pair of np.random.PCG64(e) for each uint64 e.
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of a * b for a uint64 array a and a 64-bit constant b.
 
-    PCG64 takes its initial state and stream from the seed words and runs
-    pcg_setseq_128_srandom: inc = (initseq << 1) | 1, then two LCG steps
-    from zero with initstate added in between.
+    Four 32 x 32 -> 64-bit products; the middle sum of the low halves
+    carries into the high word.
     """
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in _seed_words(entropy).tolist():
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        out.append((state, inc))
-    return out
+    half, low_half = np.uint64(32), np.uint64(_MASK32)
+    a_lo, a_hi = a & low_half, a >> half
+    b_lo, b_hi = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    cross_a = a_lo * b_hi
+    cross_b = a_hi * b_lo
+    mid = ((a_lo * b_lo) >> half) + (cross_a & low_half) + (cross_b & low_half)
+    return a_hi * b_hi + (cross_a >> half) + (cross_b >> half) + (mid >> half)
 
 
-def replicate_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of replicates start..start+count-1 under master seed.
+def _add128(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+    """(a + b) mod 2**128 on (low, high) uint64 word arrays."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
 
-    Entry i is np.random.PCG64(mix64(seed, start + i)).state's pair,
+
+def _pcg64_words(seed_words: np.ndarray) -> np.ndarray:
+    """The seeded state of PCG64 for each row of generate_state(4, uint64) words.
+
+    Returns shape (n, 4): row i is [state_lo, state_hi, inc_lo, inc_hi],
+    the 64-bit halves of np.random.PCG64's (state, inc).  PCG64 reads a
+    row as initstate = (w0, w1) and initseq = (w2, w3), high word first,
+    and runs pcg_setseq_128_srandom: inc = (initseq << 1) | 1, then two LCG
+    steps from zero with initstate added in between, which leaves
+    state = (inc + initstate) * MULT + inc mod 2**128.
+    """
+    s_hi, s_lo, q_hi, q_lo = seed_words.T
+    one = np.uint64(1)
+    inc_lo = (q_lo << one) | one
+    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
+    sum_lo, sum_hi = _add128(inc_lo, inc_hi, s_lo, s_hi)
+    mult_lo, mult_hi = np.uint64(_PCG_MULT_LO), np.uint64(_PCG_MULT_HI)
+    prod_lo = sum_lo * mult_lo
+    prod_hi = _mulhi64(sum_lo, _PCG_MULT_LO) + sum_lo * mult_hi + sum_hi * mult_lo
+    state_lo, state_hi = _add128(prod_lo, prod_hi, inc_lo, inc_hi)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=-1)
+
+
+def replicate_words(seed: int, start: int, count: int) -> np.ndarray:
+    """PCG64 states of replicates start..start+count-1 under master seed.
+
+    Returns a (count, 4) uint64 array: row i is [state_lo, state_hi,
+    inc_lo, inc_hi] of np.random.PCG64(mix64(seed, start + i)).state,
     computed for the whole batch in one vectorised pass.
     """
-    return _pcg64_states(_mix64_counters(seed, start, count))
+    return _pcg64_words(_seed_words(_mix64_counters(seed, start, count)))
+
+
+def pcg64_word_view(bit_gen: np.random.PCG64) -> np.ndarray:
+    """A writable uint64 view of the four words of bit_gen's (state, inc).
+
+    bit_gen.ctypes.state_address points to NumPy's pcg64_state, whose first
+    field points to the pcg64_random_t: two 128-bit integers, state then
+    inc.  How each integer splits into two words is pcg64_word_order's
+    to say.  The view does not keep bit_gen alive.
+    """
+    address = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    if not address:
+        raise ValueError("PCG64 has no state pointer")
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+
+
+def _state_words(bit_gen: np.random.PCG64) -> list[int]:
+    """[state_lo, state_hi, inc_lo, inc_hi] as the public PCG64.state reports them."""
+    pair = bit_gen.state["state"]
+    return [pair["state"] & _MASK, pair["state"] >> 64, pair["inc"] & _MASK, pair["inc"] >> 64]
+
+
+@functools.cache
+def pcg64_word_order() -> tuple[int, ...] | None:
+    """The columns of replicate_words in the order pcg64_word_view stores them.
+
+    (0, 1, 2, 3) on __uint128_t builds of NumPy, (1, 0, 3, 2) on its
+    emulated 128-bit struct (high word first), or None when neither holds.
+    Checked once per process through the public PCG64.state getter: the
+    view of a seeded generator must first read as its state in that order,
+    and then a pattern written through the view must read back the same.
+    """
+    try:
+        bit_gen = np.random.PCG64(_PROBE_SEED)
+        view = pcg64_word_view(bit_gen)
+    except ValueError:
+        return None
+    seeded = _state_words(bit_gen)
+    for order in _WORD_ORDERS:
+        if view.tolist() == [seeded[j] for j in order]:
+            view[:] = [_PROBE_WORDS[j] for j in order]
+            return order if _state_words(bit_gen) == _PROBE_WORDS else None
+    return None

@@ -121,6 +121,8 @@ def _write_csv(path: Path, columns, rows) -> None:
 def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
     meta = {
         "created": datetime.now(timezone.utc).isoformat(),
+        # the noise route reads NumPy's PCG64 struct layout (causalcov._rng)
+        "numpy": np.__version__,
         "subcommand": subcommand,
         "tool": "causalcov",
         "version": __version__,

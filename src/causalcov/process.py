@@ -32,7 +32,7 @@ import numpy as np
 # uses it, so it loads with the package, not inside the first run
 import numpy.random  # noqa: F401
 
-from ._rng import mix64, replicate_states
+from ._rng import mix64, pcg64_word_order, pcg64_word_view, replicate_words
 from .errors import HorizonTooShort, InvalidInput, NonFiniteBound
 from .linalg import CausalOperator, SymMatrix
 
@@ -567,21 +567,34 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     Replicate r's noise is exactly NumPy's
     Generator(PCG64(mix64(seed, r))).standard_normal((T', p)), so the result
     is independent of batching.  The batch's seeded states come from one
-    vectorised pass (replicate_states), and one bit generator is set to
-    each of them in turn instead of being built per replicate.
+    vectorised pass (replicate_words), four 64-bit words per replicate.
+    One bit generator serves the batch: each replicate's words are written
+    into its (state, inc) through pcg64_word_view, in the order that
+    pcg64_word_order checked once per process, and the fill reads them.
+    A normal fill never draws 32 bits, so the generator's cached 32-bit
+    half stays empty.  Where the layout check fails, each state is set
+    through the public PCG64.state setter instead, with the same bytes.
     """
     t_eff, p = spec.effective_horizon, spec.noise_dim
     w = np.empty((count, t_eff, p))
+    words = replicate_words(seed, start, count)
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    for i, (state, inc) in enumerate(replicate_states(seed, start, count)):
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=w[i])
+    order = pcg64_word_order()
+    if order is None:
+        for row, (s_lo, s_hi, i_lo, i_hi) in zip(w, words.tolist()):
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=row)
+        return w
+    view = pcg64_word_view(bit_gen)
+    for row, state in zip(w, words[:, order]):
+        view[:] = state
+        gen.standard_normal(out=row)
     return w
 
 

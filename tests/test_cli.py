@@ -141,7 +141,8 @@ class TestBounds:
         assert report["gamma_k_spectrum"]
         assert report["c_sys"] > 1.0
         assert "arma_corollary_bound" in report
-        assert (out / "bounds.meta.json").exists()
+        meta = json.loads((out / "bounds.meta.json").read_text())
+        assert meta["numpy"] == np.__version__
 
     def test_iid_psi_is_one(self, tmp_path):
         cfg = write_config(
