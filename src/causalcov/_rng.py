@@ -72,18 +72,31 @@ def _mix64_counters(seed: int, start: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix with its running hash constant, on uint32 arrays."""
-    hash_const = init
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's running hash constant before and after each of calls hashmixes.
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+    Call i XORs its value with entry i and multiplies it by entry i + 1.
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)
 
-    return hashmix
+
+# the pool's 4 initial and 12 mixing hashmixes, and the 8 output ones
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on uint32 arrays, shape (m, n) for m + 1 constants.
+
+    Row i hashes values[i] (or values itself, when it is one row) as the
+    call that meets the running constant at consts[i].
+    """
+    value = values ^ consts[:-1, None]
+    value = value * consts[1:, None]
+    return value ^ (value >> np.uint32(16))
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
@@ -91,24 +104,27 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
 
     SeedSequence splits e into little-endian uint32 words, one word when
     e < 2**32; its pool hashes a missing word like a zero word, so two
-    words are used throughout.
+    words are used throughout.  Its hashmixes run in a fixed schedule of
+    constants, and the three mixes out of one source read the same source
+    word, so each stage is one (m, n) operation: the 4 initial hashmixes,
+    then per source its 3 hashmixes and the mix into its 3 destinations,
+    then the 8 output hashmixes.
     """
     entropy = np.asarray(entropy, dtype=np.uint64)
-    lo = (entropy & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (entropy >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in (lo, hi, zero, zero)]
+    words = np.zeros((_POOL_SIZE, entropy.shape[0]), dtype=np.uint32)
+    words[0] = entropy & np.uint64(_MASK32)
+    words[1] = entropy >> np.uint64(32)
+    pool = _hashmix(words, _POOL_HASH[: _POOL_SIZE + 1])
+    call = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                hashed = hashmix(pool[i_src])
-                mixed = np.uint32(_MIX_MULT_L) * pool[i_dst] - np.uint32(_MIX_MULT_R) * hashed
-                pool[i_dst] = mixed ^ (mixed >> np.uint32(16))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        i_dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        hashed = _hashmix(pool[i_src], _POOL_HASH[call : call + _POOL_SIZE])
+        call += _POOL_SIZE - 1
+        mixed = np.uint32(_MIX_MULT_L) * pool[i_dst] - np.uint32(_MIX_MULT_R) * hashed
+        pool[i_dst] = mixed ^ (mixed >> np.uint32(16))
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_HASH).astype(np.uint64)
     # generate_state(4, uint64) reads the eight words as little-endian pairs
-    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)], axis=-1)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

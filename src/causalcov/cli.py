@@ -20,14 +20,17 @@ orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
 and the config schema for users.  Every CSV report goes through _write_csv,
 row by row: simulate writes each batch of montecarlo's sampling loop as it
 is drawn, so it holds one batch in memory.  At seed s it writes the paths
-run_tail_experiment(seed=s) samples; verify runs event i at the sub-seed
-derive_seed(s, i), so its events sample other paths.
+run_tail_experiment(seed=s) samples.  verify and sweep sample each (T, k)
+cell once, at the sub-seed derive_seed(s, c), c the cell's index in grid
+order (T outer, k inner; verify's one cell is 0), and score every event
+of the cell, at every delta, on those paths.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from datetime import datetime, timezone
@@ -49,7 +52,7 @@ from .montecarlo import (
     _finite_bound,
     _path_batches,
     run_identification_experiment,
-    run_tail_experiment,
+    run_tail_experiments,
 )
 from .process import ProcessSpec, VarSystem, derive_seed, gamma_k, kappa
 
@@ -218,24 +221,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_events(config: ExperimentConfig, spec: ProcessSpec, seed_offset: int) -> list[dict]:
-    rows = []
-    for idx, ev in enumerate(config.events):
-        exp = run_tail_experiment(
-            spec,
-            ev.event,
-            params=dict(ev.params),
-            R=config.replicates,
-            seed=derive_seed(config.seed, seed_offset + idx),
-        )
-        rows.append(_experiment_row(exp, spec))
-    return rows
+def _run_events(config: ExperimentConfig, spec: ProcessSpec, cell: int) -> list[dict]:
+    """One row per config event, all scored on one sample of the cell's paths."""
+    exps = run_tail_experiments(
+        spec,
+        [(ev.event, dict(ev.params)) for ev in config.events],
+        R=config.replicates,
+        seed=derive_seed(config.seed, cell),
+    )
+    return [_experiment_row(exp, spec) for exp in exps]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
     spec = config.process_spec()
-    rows = _run_events(config, spec, seed_offset=0)
+    rows = _run_events(config, spec, cell=0)
     overall = all(r["certified"] for r in rows)
     summary: dict = {
         "config": config.to_dict(),
@@ -319,21 +319,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep grids over T or k require a var model")
     rows: list[dict] = []
     cells: list[dict] = []
-    offset = 0
-    for T in t_grid:
-        for k in k_grid:
-            spec = config.process_spec(T, k)
-            op_cell = _operator_bounds(spec)
-            del op_cell["intermediates"]
-            for delta in d_grid:
-                cell_head = {**op_cell, **_ls_bounds(config, spec, delta)}
-                event_rows = _run_events(config, spec, seed_offset=offset)
-                offset += len(config.events)
-                for r in event_rows:
-                    r["delta"] = delta
-                    r.update({col: cell_head[col] for col in SWEEP_COLUMNS[-6:]})
-                rows.extend(event_rows)
-                cells.append({"T": T, "k": k, "delta": delta, **cell_head})
+    for cell, (T, k) in enumerate(itertools.product(t_grid, k_grid)):
+        spec = config.process_spec(T, k)
+        op_cell = _operator_bounds(spec)
+        del op_cell["intermediates"]
+        heads = [{**op_cell, **_ls_bounds(config, spec, delta)} for delta in d_grid]
+        # no tail event depends on delta: every delta reuses the cell's rows
+        event_rows = _run_events(config, spec, cell)
+        for delta, cell_head in zip(d_grid, heads):
+            columns = {col: cell_head[col] for col in SWEEP_COLUMNS[-6:]}
+            rows.extend({**r, "delta": delta, **columns} for r in event_rows)
+            cells.append({"T": T, "k": k, "delta": delta, **cell_head})
     overall = all(r["certified"] for r in rows)
     summary = {
         "config": config.to_dict(),

@@ -5,7 +5,11 @@ noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
 One loop (_path_batches) draws and simulates those batches for every
 consumer: the tail events, the identification experiment and the CLI's
-simulate report, each of which reads one batch at a time.  The simulator
+simulate report, each of which reads one batch at a time.  The tail
+events of one process share a single pass: run_tail_experiments scores
+each batch with every event's statistic and keeps only hit counts, so R
+paths serve any number of events, and an event's row equals the one it
+gets from run_tail_experiment alone at the same seed.  The simulator
 (process.paths_from_noise) advances a VAR a block of time steps per matrix
 product, in blocks anchored at t = 0, and pads every batch to a multiple
 of eight rows with copies of its first row, so a replicate's path, and
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +49,7 @@ __all__ = [
     "TailExperiment",
     "wilson_interval",
     "run_tail_experiment",
+    "run_tail_experiments",
     "run_mgf_experiment",
     "run_identification_experiment",
 ]
@@ -121,33 +127,44 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int):
         yield paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
 
 
-def run_tail_experiment(
-    spec: ProcessSpec,
-    event: str,
-    params: dict | None = None,
-    R: int = 10_000,
-    seed: int = 0,
-) -> TailExperiment:
-    """Estimate an event frequency over R sampled paths and certify its bound.
+@dataclass(frozen=True)
+class _EventPlan:
+    """How one tail event scores a batch of paths, fixed before any sampling.
 
-    Events:
-
-    - "lower-tail-eigenvalue": lam_min of the empirical covariance falls to
-      or below the protected threshold; bound from anticoncentration_bound.
-    - "chernoff-direction": the probed energy sum_t ||Delta X_t||^2 drops
-      to half its decoupled mean; params may carry "direction" (a d' x d
-      matrix, default identity); bound from chernoff_lower_tail.
-    - "upper-tail-opnorm": ||sum_t X_t X_t^T|| reaches 2q times its mean
-      operator norm; params must carry "q" > 1; bound from upper_tail_bound.
-
-    Bounds and thresholds read the process's analysis, computed once per
-    process and shared by every event and report on it: psi_k and the
-    dense statistics for a raw operator, the VarAnalysis
-    for a VAR, whose operator L is never formed.
+    batch_stat maps a (count, T', d) batch of paths to one statistic per
+    replicate; a replicate hits when hit(statistic, threshold) holds.
     """
+
+    event: str
+    bound: float
+    threshold: float
+    hit: Callable[[np.ndarray, float], np.ndarray]
+    batch_stat: Callable[[np.ndarray], np.ndarray]
+    extras: dict
+
+    def hits(self, x: np.ndarray) -> int:
+        return int(np.count_nonzero(self.hit(self.batch_stat(x), self.threshold)))
+
+    def result(self, hits: int, R: int, seed: int) -> TailExperiment:
+        ci = wilson_interval(hits, R)
+        certified, vacuous = certify(ci[1], self.bound)
+        return TailExperiment(
+            event=self.event,
+            replicates=R,
+            hits=hits,
+            frequency=hits / R,
+            ci=ci,
+            bound=self.bound,
+            vacuous=vacuous,
+            certified=certified,
+            seed=int(seed),
+            extras={**self.extras, "threshold": self.threshold},
+        )
+
+
+def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPlan:
+    """The bound, threshold and batch statistic of one event; bad input raises here."""
     params = dict(params or {})
-    if R < 1:
-        raise InvalidInput("replicate count must be >= 1")
     t_eff, d = spec.effective_horizon, spec.state_dim
     extras: dict = {}
 
@@ -195,24 +212,60 @@ def run_tail_experiment(
 
     if params:
         raise InvalidInput(f"unused event parameters: {sorted(params)}")
-    stat = np.concatenate([batch_stat(x) for x in _path_batches(spec, seed, R)])
-    hits = int(np.count_nonzero(hit(stat, threshold)))
-    extras["threshold"] = threshold
-    frequency = hits / R
-    ci = wilson_interval(hits, R)
-    certified, vacuous = certify(ci[1], bound)
-    return TailExperiment(
-        event=event,
-        replicates=R,
-        hits=hits,
-        frequency=frequency,
-        ci=ci,
-        bound=bound,
-        vacuous=vacuous,
-        certified=certified,
-        seed=int(seed),
-        extras=extras,
-    )
+    return _EventPlan(event, bound, threshold, hit, batch_stat, extras)
+
+
+def run_tail_experiments(
+    spec: ProcessSpec,
+    events: Sequence[tuple[str, dict | None]],
+    R: int = 10_000,
+    seed: int = 0,
+) -> list[TailExperiment]:
+    """Estimate each event's frequency over the same R sampled paths and certify its bound.
+
+    events is a sequence of (event, params) pairs; the result holds one
+    TailExperiment per pair, in order.  Events:
+
+    - "lower-tail-eigenvalue": lam_min of the empirical covariance falls to
+      or below the protected threshold; bound from anticoncentration_bound.
+    - "chernoff-direction": the probed energy sum_t ||Delta X_t||^2 drops
+      to half its decoupled mean; params may carry "direction" (a d' x d
+      matrix, default identity); bound from chernoff_lower_tail.
+    - "upper-tail-opnorm": ||sum_t X_t X_t^T|| reaches 2q times its mean
+      operator norm; params must carry "q" > 1; bound from upper_tail_bound.
+
+    Every event is validated, and its bound and threshold computed, before
+    any path is drawn.  Then one pass of _path_batches samples replicates
+    0..R-1 of seed, and each batch is scored by every event in turn and
+    dropped, so an event's row is the one it gets when run alone: it does
+    not depend on which other events share the pass, nor on their order.
+    The events' hit indicators are dependent, since they read the same
+    paths; each one's Wilson interval is valid on its own.
+
+    Bounds and thresholds read the process's analysis, computed once per
+    process and shared by every event and report on it: psi_k and the
+    dense statistics for a raw operator, the VarAnalysis
+    for a VAR, whose operator L is never formed.
+    """
+    if R < 1:
+        raise InvalidInput("replicate count must be >= 1")
+    plans = [_event_plan(spec, event, params) for event, params in events]
+    hits = [0] * len(plans)
+    for x in _path_batches(spec, seed, R):
+        for i, plan in enumerate(plans):
+            hits[i] += plan.hits(x)
+    return [plan.result(h, R, seed) for plan, h in zip(plans, hits)]
+
+
+def run_tail_experiment(
+    spec: ProcessSpec,
+    event: str,
+    params: dict | None = None,
+    R: int = 10_000,
+    seed: int = 0,
+) -> TailExperiment:
+    """One event of run_tail_experiments, on its own pass over R paths."""
+    return run_tail_experiments(spec, [(event, params)], R, seed)[0]
 
 
 def run_mgf_experiment(q, x, lam: float, R: int = 10_000, seed: int = 0) -> TailExperiment:

@@ -3,13 +3,14 @@
 Every oracle here is deliberately implemented by a different route than
 the library code it checks: quadrature instead of closed forms, explicit
 convolution instead of recursion, dense grids instead of optimizers.
+The SciPy oracles import SciPy when called, so test modules that use none
+of them run without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
 from causalcov import CausalOperator, VarSystem
 
@@ -72,11 +73,15 @@ def random_operator(
 
 def chi2_lower(T: int) -> float:
     """P(chi^2_T <= T/2), the exact lower-tail probability for iid sums."""
+    from scipy import stats
+
     return float(stats.chi2.cdf(T / 2.0, df=T))
 
 
 def mgf_quadrature(q: np.ndarray, x: np.ndarray, lam: float) -> float:
     """E exp(-lam [x;W]' Q [x;W]) for W ~ N(0, I_m), m <= 2, by quadrature."""
+    from scipy import integrate, stats
+
     q = np.asarray(q, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]

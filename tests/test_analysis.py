@@ -28,6 +28,7 @@ from causalcov import (
     psi_k,
     run_identification_experiment,
     run_tail_experiment,
+    run_tail_experiments,
     var_to_operator,
 )
 from causalcov.bounds import _analysis, _operator_stats
@@ -398,6 +399,8 @@ def test_reported_statistics_are_batch_invariant(seed, d, n_lags, T, R, per_batc
                 run_tail_experiment(spec, event, dict(params), R=R, seed=seed)
                 for event, params in TAIL_EVENTS
             ]
+            # one shared pass scores each event as its own pass does
+            assert run_tail_experiments(spec, TAIL_EVENTS, R=R, seed=seed) == tails
             if var_source:
                 ident = run_identification_experiment(sys, T, n_lags, 0.1, R=R, seed=seed)
                 tails.append(ident.extras["op_errors"].tobytes())

@@ -54,6 +54,41 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+THREE_EVENTS = [
+    "lower-tail-eigenvalue",
+    "chernoff-direction",
+    {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+]
+
+
+def spy_draws(monkeypatch) -> list:
+    """Record (T', seed, count) of every noise_block call the sampling loop makes."""
+    draws = []
+    real_noise_block = montecarlo.noise_block
+
+    def spy(spec, seed, start, count):
+        draws.append((spec.effective_horizon, seed, count))
+        return real_noise_block(spec, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "noise_block", spy)
+    return draws
+
+
+def assert_rows_match_single_runs(cfg, rows, cell_of) -> None:
+    """Each report row is run_tail_experiment alone at its cell's sub-seed."""
+    config = load_config(cfg)
+    params = {ev.event: ev.params for ev in config.events}
+    for row in rows:
+        spec = config.process_spec(row["T"], row["k"])
+        seed = process.derive_seed(config.seed, cell_of(row))
+        exp = montecarlo.run_tail_experiment(
+            spec, row["event"], dict(params[row["event"]]), R=config.replicates, seed=seed
+        )
+        assert row["seed"] == exp.seed == seed
+        assert (row["hits"], row["frequency"], row["bound"]) == (exp.hits, exp.frequency, exp.bound)
+        assert (row["ci_low"], row["ci_high"]) == exp.ci
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -260,6 +295,20 @@ class TestVerify:
             for name in ("verify.csv", "verify.json", "simulate.csv"):
                 assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_events_share_one_sample(self, tmp_path, monkeypatch):
+        draws = spy_draws(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", base_config(events=THREE_EVENTS, replicates=300))
+        out = tmp_path / "out"
+        main(["verify", "--config", cfg, "--out", str(out)])
+        # 300 replicates, not 3 x 300, all at the sub-seed of cell 0
+        assert sum(count for _, _, count in draws) == 300
+        assert {seed for _, seed, _ in draws} == {process.derive_seed(13, 0)}
+        rows = json.loads((out / "verify.json").read_text())["results"]
+        assert [r["event"] for r in rows] == [
+            "lower-tail-eigenvalue", "chernoff-direction", "upper-tail-opnorm"
+        ]
+        assert_rows_match_single_runs(cfg, rows, cell_of=lambda row: 0)
+
     def test_seed_and_replicates_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -364,6 +413,51 @@ class TestSweep:
         for row in rows:
             assert float(row["psi_k"]) >= 1.0 / float(row["k"]) - 1e-9
 
+
+    def test_each_cell_sampled_once(self, tmp_path, monkeypatch):
+        draws = spy_draws(monkeypatch)
+        grid = {"T": [12, 24], "k": [1, 2], "delta": [0.05, 0.2]}
+        cfg = write_config(
+            tmp_path / "c.json", base_config(events=THREE_EVENTS, replicates=64, grid=grid)
+        )
+        out = tmp_path / "out"
+        main(["sweep", "--config", cfg, "--out", str(out)])
+        # R draws per (T, k) cell, at derive_seed(s, c) for c in grid order
+        cells = [(12, 1), (12, 2), (24, 1), (24, 2)]
+        per_seed: dict = {}
+        for t_eff, seed, count in draws:
+            per_seed[(t_eff, seed)] = per_seed.get((t_eff, seed), 0) + count
+        assert per_seed == {(T, process.derive_seed(13, c)): 64 for c, (T, _) in enumerate(cells)}
+        rows = json.loads((out / "sweep.json").read_text())["results"]
+        assert len(rows) == len(cells) * 2 * len(THREE_EVENTS)
+        assert_rows_match_single_runs(
+            cfg, rows, cell_of=lambda row: cells.index((row["T"], row["k"]))
+        )
+        # the two deltas of a cell share its event rows
+        keep = ("event", "hits", "ci_low", "ci_high", "bound", "seed")
+        by_delta = [
+            [tuple(r[c] for c in keep) for r in rows if r["delta"] == delta]
+            for delta in grid["delta"]
+        ]
+        assert by_delta[0] == by_delta[1]
+
+    @pytest.mark.parametrize("subcommand", ["verify", "sweep"])
+    def test_event_order_only_permutes_rows(self, tmp_path, subcommand):
+        grid = {"T": [12, 24], "delta": [0.05, 0.2]}
+        results = []
+        for name, events in (("fwd", THREE_EVENTS), ("rev", THREE_EVENTS[::-1])):
+            cfg = write_config(
+                tmp_path / f"{name}.json",
+                base_config(events=events, replicates=200, T=12, grid=grid),
+            )
+            out = tmp_path / name
+            main([subcommand, "--config", cfg, "--out", str(out)])
+            results.append(json.loads((out / f"{subcommand}.json").read_text())["results"])
+        n = len(THREE_EVENTS)
+        fwd, rev = results
+        assert len(fwd) % n == 0
+        for i in range(0, len(fwd), n):
+            assert fwd[i : i + n] == rev[i : i + n][::-1]
 
     def test_one_anticoncentration_per_cell(self, tmp_path, monkeypatch):
         calls = {"anticoncentration_bound": [], "psi_k": [], "svd": 0, "gram": []}
@@ -559,7 +653,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("sampling started before the config was rejected")
 
-        monkeypatch.setattr(cli, "run_tail_experiment", never)
+        monkeypatch.setattr(cli, "run_tail_experiments", never)
         cfg = write_config(tmp_path / "c.json", base_config(**overrides))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err

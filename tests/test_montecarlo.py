@@ -13,6 +13,7 @@ from causalcov import (
     run_identification_experiment,
     run_mgf_experiment,
     run_tail_experiment,
+    run_tail_experiments,
     wilson_interval,
 )
 from causalcov import montecarlo
@@ -114,7 +115,7 @@ def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
             assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
 
 
-def test_tail_experiment_event_validation():
+def test_tail_experiment_event_validation(monkeypatch):
     spec = iid_spec(8)
     with pytest.raises(InvalidInput):
         run_tail_experiment(spec, "no-such-event", R=4, seed=0)
@@ -122,6 +123,20 @@ def test_tail_experiment_event_validation():
         run_tail_experiment(spec, "upper-tail-opnorm", R=4, seed=0)  # missing q
     with pytest.raises(InvalidInput):
         run_tail_experiment(spec, "chernoff-direction", params={"bogus": 1}, R=4, seed=0)
+
+    def never(*args):
+        raise AssertionError("sampling started before the last event was checked")
+
+    # every event is checked before the shared pass draws a path
+    monkeypatch.setattr(montecarlo, "noise_block", never)
+    with pytest.raises(InvalidInput, match="unknown trajectory event 'no-such-event'"):
+        run_tail_experiments(spec, [("chernoff-direction", None), ("no-such-event", None)], R=4)
+    with pytest.raises(InvalidInput, match="direction must be d' x 1"):
+        run_tail_experiments(
+            spec,
+            [("lower-tail-eigenvalue", {}), ("chernoff-direction", {"direction": np.eye(2)})],
+            R=4,
+        )
 
 
 def test_upper_tail_event_counts_extreme_gram():
