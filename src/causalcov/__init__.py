@@ -51,7 +51,6 @@ from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
 from .montecarlo import (
     TailExperiment,
     run_identification_experiment,
-    run_mgf_experiment,
     run_tail_experiment,
     run_tail_experiments,
     wilson_interval,
@@ -115,7 +114,6 @@ __all__ = [
     # monte-carlo
     "TailExperiment",
     "run_identification_experiment",
-    "run_mgf_experiment",
     "run_tail_experiment",
     "run_tail_experiments",
     "wilson_interval",

@@ -46,6 +46,24 @@ class LsFit:
     self_normalized: float | None = None
 
 
+def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
+    """Least-squares fits A_hat = syx gram^+ of a stack of regressions.
+
+    gram (..., n, n) holds each fit's sum_t X_t X_t^T and syx (..., d, n)
+    its sum_t Y_t X_t^T.  The Gram is symmetrised as (G + G^T)/2 and
+    inverted through eigh, keeping the eigenvalues above GRAM_CUTOFF times
+    the largest.  Returns (a_hat, u, inv_w): the fits, the eigenvectors,
+    and the inverted eigenvalues with 0 where cut.  Every step runs one fit
+    at a time inside NumPy, so a fit has the same bytes in a stack of any
+    size: least_squares is the one-fit case, and the identification
+    experiment fits a whole batch of replicates in one call.
+    """
+    w, u = np.linalg.eigh(0.5 * (gram + np.swapaxes(gram, -1, -2)))
+    keep = w > GRAM_CUTOFF * np.maximum(w[..., -1:], 0.0)
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    return syx @ ((u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)), u, inv_w
+
+
 def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None) -> LsFit:
     """Fit A_hat = (sum_t Y_t X_t^T)(sum_t X_t X_t^T)^+.
 
@@ -61,26 +79,20 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
     gram = x.T @ x
     syx = y.T @ x
     sym_gram = SymMatrix(gram)
-    w, u = sym_gram.eigh()
-    cut = GRAM_CUTOFF * max(float(w[-1]), 0.0)
-    keep = w > cut
-    rank_deficient = bool(np.count_nonzero(keep) < gram.shape[0])
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    pinv = (u * inv_w) @ u.T
-    a_hat = syx @ pinv
+    a_hat, u, inv_w = _pinv_fits(gram, syx)
     fit = LsFit(
         a_hat=a_hat,
         gram=sym_gram,
         syx=syx,
         n_samples=int(x.shape[0]),
-        rank_deficient=rank_deficient,
+        rank_deficient=bool(np.count_nonzero(inv_w) < gram.shape[0]),
     )
     if a_star is not None:
         a_star = np.asarray(a_star, dtype=float)
         if a_star.shape != a_hat.shape:
             raise InvalidInput(f"truth shape {a_star.shape} != fit shape {a_hat.shape}")
         fit.op_error = float(np.linalg.norm(a_hat - a_star, 2))
-        inv_sqrt = (u * np.where(keep, inv_w**0.5, 0.0)) @ u.T
+        inv_sqrt = (u * inv_w**0.5) @ u.T
         svx = syx - a_star @ gram
         fit.self_normalized = float(np.linalg.norm(svx @ inv_sqrt, 2))
     return fit

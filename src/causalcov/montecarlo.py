@@ -5,20 +5,22 @@ noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
 One loop (_path_batches) draws and simulates those batches for every
 consumer: the tail events, the identification experiment and the CLI's
-simulate report, each of which reads one batch at a time.  The tail
-events of one process share a single pass: run_tail_experiments scores
-each batch with every event's statistic and keeps only hit counts, so R
-paths serve any number of events, and an event's row equals the one it
-gets from run_tail_experiment alone at the same seed.  The simulator
+simulate report, each of which reads one batch at a time.  The simulator
 (process.paths_from_noise) advances a VAR a block of time steps per matrix
 product, in blocks anchored at t = 0, and pads every batch to a multiple
 of eight rows with copies of its first row, so a replicate's path, and
 every statistic computed from it, has the same bytes in a batch of any
-size.  The per-replicate statistics are batched matrix products too.
+size.
 
-Certification is one-sided by design: an experiment certifies its bound
-when the upper edge of the 99.9% Wilson interval for the event frequency
-sits at or below the bound, or trivially when the bound is vacuous (>= 1).
+A batch goes from paths to one matrix per replicate to one statistic per
+replicate.  Every tail event reads the empirical covariance
+S_r = sum_t X_t X_t^T, formed once per batch and shared by all events of
+the pass (run_tail_experiments): lam_min(S_r / T'), lam_max(S_r) or the
+probed energy tr(D S_r).  The identification experiment fits a batch's
+regressions in one stacked least-squares solve.  One function (_verdict)
+turns every experiment's hit count into its TailExperiment: the bound is
+certified when the upper edge of the 99.9% Wilson interval for the event
+frequency sits at or below it, or trivially when it is vacuous (>= 1).
 """
 
 from __future__ import annotations
@@ -30,31 +32,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import mix64
 from .bounds import (
     _analysis,
     anticoncentration_bound,
     chernoff_lower_tail,
     chernoff_threshold,
-    exact_mgf,
-    mgf_upper_bound,
     upper_tail_bound,
 )
 from .errors import InvalidInput, NonFiniteBound
-from .estimator import least_squares, ls_bound_details
+from .estimator import _pinv_fits, ls_bound_details
 from .linalg import require_psd
-from .process import ProcessSpec, VarSystem, noise_block, paths_from_noise
+from .process import _PATH_ROWS, ProcessSpec, VarSystem, noise_block, paths_from_noise
 
 __all__ = [
     "TailExperiment",
     "wilson_interval",
     "run_tail_experiment",
     "run_tail_experiments",
-    "run_mgf_experiment",
     "run_identification_experiment",
 ]
 
-#: simulated time steps per batch, which bounds the memory of its noise and paths
+#: simulated time steps per batch, which bounds the memory of its noise and
+#: paths, except that a batch holds at least _PATH_ROWS replicates
 STEPS = 2**15
 
 #: two-sided confidence of the certification interval
@@ -64,15 +63,14 @@ CONFIDENCE = 0.999
 class TailExperiment:
     """Outcome of one certification experiment.
 
-    frequency is the empirical event frequency (or the mean estimate for
-    mgf-estimate runs, whose hits field is None); ci is the certification
-    interval; certified is a pure function of (ci, bound): upper edge <=
-    bound, or bound >= 1 (then vacuous is set).
+    frequency is the empirical event frequency hits / replicates; ci is its
+    Wilson interval; certified is a pure function of (ci, bound): upper
+    edge <= bound, or bound >= 1 (then vacuous is set).
     """
 
     event: str
     replicates: int
-    hits: int | None
+    hits: int
     frequency: float
     ci: tuple[float, float]
     bound: float
@@ -115,24 +113,38 @@ def _finite_bound(event: str, bound: float) -> float:
     return bound
 
 
+def _verdict(
+    event: str, hits: int, R: int, bound: float, seed: int, extras: dict
+) -> TailExperiment:
+    """The TailExperiment of hits out of R replicates against bound."""
+    ci = wilson_interval(hits, R)
+    certified, vacuous = certify(ci[1], bound)
+    return TailExperiment(
+        event=event, replicates=R, hits=hits, frequency=hits / R, ci=ci, bound=bound,
+        vacuous=vacuous, certified=certified, seed=int(seed), extras=extras,
+    )
+
+
 def _path_batches(spec: ProcessSpec, seed: int, R: int):
     """Paths of replicates 0..R-1 of spec, in order, one batch at a time.
 
-    Each batch holds max(1, STEPS // T') replicates (the last one may hold
-    fewer), drawn by noise_block and simulated by paths_from_noise.  Every
-    sampled path of the package comes from this loop.
+    A batch holds the largest multiple of _PATH_ROWS replicates at or below
+    STEPS // T', and at least _PATH_ROWS, so only the last batch can be
+    short and padded.  Batches are drawn by noise_block and simulated by
+    paths_from_noise; every sampled path of the package comes from here.
     """
-    size = max(1, STEPS // spec.effective_horizon)
+    size = max(_PATH_ROWS, STEPS // spec.effective_horizon // _PATH_ROWS * _PATH_ROWS)
     for start in range(0, R, size):
         yield paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
 
 
 @dataclass(frozen=True)
 class _EventPlan:
-    """How one tail event scores a batch of paths, fixed before any sampling.
+    """How one tail event scores a batch, fixed before any sampling.
 
-    batch_stat maps a (count, T', d) batch of paths to one statistic per
-    replicate; a replicate hits when hit(statistic, threshold) holds.
+    batch_stat maps the batch's (count, d, d) stack of empirical
+    covariances S_r = sum_t X_t X_t^T to one statistic per replicate; a
+    replicate hits when hit(statistic, threshold) holds.
     """
 
     event: str
@@ -142,24 +154,8 @@ class _EventPlan:
     batch_stat: Callable[[np.ndarray], np.ndarray]
     extras: dict
 
-    def hits(self, x: np.ndarray) -> int:
-        return int(np.count_nonzero(self.hit(self.batch_stat(x), self.threshold)))
-
-    def result(self, hits: int, R: int, seed: int) -> TailExperiment:
-        ci = wilson_interval(hits, R)
-        certified, vacuous = certify(ci[1], self.bound)
-        return TailExperiment(
-            event=self.event,
-            replicates=R,
-            hits=hits,
-            frequency=hits / R,
-            ci=ci,
-            bound=self.bound,
-            vacuous=vacuous,
-            certified=certified,
-            seed=int(seed),
-            extras={**self.extras, "threshold": self.threshold},
-        )
+    def hits(self, grams: np.ndarray) -> int:
+        return int(np.count_nonzero(self.hit(self.batch_stat(grams), self.threshold)))
 
 
 def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPlan:
@@ -177,11 +173,8 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         threshold = chernoff_threshold(spec, d_mat)
         hit = np.less_equal
 
-        direction_t = np.ascontiguousarray(direction.T)
-
-        def batch_stat(x):
-            probed = x @ direction_t
-            return np.einsum("rte,rte->r", probed, probed)
+        def batch_stat(grams):
+            return np.einsum("rij,ij->r", grams, d_mat)
 
     elif event == "lower-tail-eigenvalue":
         report = anticoncentration_bound(spec)
@@ -190,9 +183,8 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         hit = np.less_equal
         extras["psi_k"] = report.psi_k
 
-        def batch_stat(x):
-            grams = np.swapaxes(x, 1, 2) @ x / t_eff
-            return np.linalg.eigvalsh(grams)[:, 0]
+        def batch_stat(grams):
+            return np.linalg.eigvalsh(grams / t_eff)[:, 0]
 
     elif event == "upper-tail-opnorm":
         if "q" not in params:
@@ -203,8 +195,7 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         hit = np.greater_equal
         extras["q"] = q
 
-        def batch_stat(x):
-            grams = np.swapaxes(x, 1, 2) @ x
+        def batch_stat(grams):
             return np.linalg.eigvalsh(grams)[:, -1]
 
     else:
@@ -236,9 +227,10 @@ def run_tail_experiments(
 
     Every event is validated, and its bound and threshold computed, before
     any path is drawn.  Then one pass of _path_batches samples replicates
-    0..R-1 of seed, and each batch is scored by every event in turn and
-    dropped, so an event's row is the one it gets when run alone: it does
-    not depend on which other events share the pass, nor on their order.
+    0..R-1 of seed; each batch's empirical covariances are formed once,
+    scored by every event in turn and dropped, so an event's row is the
+    one it gets when run alone: it does not depend on which other events
+    share the pass, nor on their order.
     The events' hit indicators are dependent, since they read the same
     paths; each one's Wilson interval is valid on its own.
 
@@ -252,9 +244,13 @@ def run_tail_experiments(
     plans = [_event_plan(spec, event, params) for event, params in events]
     hits = [0] * len(plans)
     for x in _path_batches(spec, seed, R):
+        grams = np.swapaxes(x, 1, 2) @ x
         for i, plan in enumerate(plans):
-            hits[i] += plan.hits(x)
-    return [plan.result(h, R, seed) for plan, h in zip(plans, hits)]
+            hits[i] += plan.hits(grams)
+    return [
+        _verdict(p.event, h, R, p.bound, seed, {**p.extras, "threshold": p.threshold})
+        for p, h in zip(plans, hits)
+    ]
 
 
 def run_tail_experiment(
@@ -266,48 +262,6 @@ def run_tail_experiment(
 ) -> TailExperiment:
     """One event of run_tail_experiments, on its own pass over R paths."""
     return run_tail_experiments(spec, [(event, params)], R, seed)[0]
-
-
-def run_mgf_experiment(q, x, lam: float, R: int = 10_000, seed: int = 0) -> TailExperiment:
-    """Monte-Carlo estimate of E exp(-lam [x;W]^T Q [x;W]) with a 5-SE band.
-
-    The estimate is compared against both the closed form (consistency)
-    and the exponential upper bound (certification); hits is None since
-    the outcome is a mean, not an event count.  The R x m noise block is
-    drawn from a single derived-seed generator.
-    """
-    if R < 2:
-        raise InvalidInput("need at least two replicates for a standard error")
-    qa = require_psd(q, "Q")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    n = xv.shape[0]
-    m = qa.shape[0] - n
-    if m < 1:
-        raise InvalidInput("Q must have at least one noise coordinate")
-    q11, q12, q22 = qa[:n, :n], qa[:n, n:], qa[n:, n:]
-    rng = np.random.Generator(np.random.PCG64(mix64(seed, 0)))
-    w = rng.standard_normal((R, m))
-    const = float(xv @ q11 @ xv)
-    lin = 2.0 * (q12.T @ xv)
-    quad = np.einsum("ri,ij,rj->r", w, q22, w)
-    vals = np.exp(-lam * (const + w @ lin + quad))
-    estimate = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(R))
-    ci = (max(0.0, estimate - 5.0 * se), estimate + 5.0 * se)
-    bound = mgf_upper_bound(q22, lam)
-    certified, vacuous = certify(ci[1], bound)
-    return TailExperiment(
-        event="mgf-estimate",
-        replicates=R,
-        hits=None,
-        frequency=estimate,
-        ci=ci,
-        bound=bound,
-        vacuous=vacuous,
-        certified=certified,
-        seed=int(seed),
-        extras={"exact": exact_mgf(qa, xv, lam), "se": se, "lam": float(lam)},
-    )
 
 
 def run_identification_experiment(
@@ -322,9 +276,11 @@ def run_identification_experiment(
 
     Each replicate simulates the lifted state for T'+1 steps as a k=1
     process, fits the regression of Z_{t+1} on the lifted X_t by least
-    squares, and records the operator-norm error.  The certified budget is
-    2*delta (bound failure plus burn-in failure); an unsatisfied burn-in
-    is flagged in extras but the experiment proceeds.
+    squares, and records the operator-norm error; a batch's replicates are
+    fitted in one stacked solve (estimator._pinv_fits), each with the bytes
+    least_squares gives it alone.  The certified budget is 2*delta (bound
+    failure plus burn-in failure); an unsatisfied burn-in is flagged in
+    extras but the experiment proceeds.
     """
     if R < 1:
         raise InvalidInput("replicate count must be >= 1")
@@ -334,33 +290,20 @@ def run_identification_experiment(
     a_star = sys.regression_matrix()
 
     def batch_stat(x):
-        return np.array(
-            [least_squares(xr[:t_eff], xr[1:, : sys.d], a_star=a_star).op_error for xr in x]
-        )
+        lagged, ahead = x[:, :t_eff], x[:, 1:, : sys.d]
+        gram, syx = np.swapaxes(lagged, 1, 2) @ lagged, np.swapaxes(ahead, 1, 2) @ lagged
+        a_hat = _pinv_fits(gram, syx)[0]
+        return np.linalg.norm(a_hat - a_star, 2, axis=(1, 2))
 
     spec = ProcessSpec(source=sys, T=t_eff + 1)
     op_errors = np.concatenate([batch_stat(x) for x in _path_batches(spec, seed, R)])
     hits = int(np.count_nonzero(op_errors > bound))
-    frequency = hits / R
-    ci = wilson_interval(hits, R)
-    budget = 2.0 * delta
-    certified, vacuous = certify(ci[1], budget)
-    return TailExperiment(
-        event="ls-error-exceeds-bound",
-        replicates=R,
-        hits=hits,
-        frequency=frequency,
-        ci=ci,
-        bound=budget,
-        vacuous=vacuous,
-        certified=certified,
-        seed=int(seed),
-        extras={
-            "ls_bound": bound,
-            "burnin_satisfied": details["burnin_satisfied"],
-            "median_op_error": float(np.median(op_errors)),
-            "op_errors": op_errors,
-            "delta": float(delta),
-            "c_sys": details["c_sys"],
-        },
-    )
+    extras = {
+        "ls_bound": bound,
+        "burnin_satisfied": details["burnin_satisfied"],
+        "median_op_error": float(np.median(op_errors)),
+        "op_errors": op_errors,
+        "delta": float(delta),
+        "c_sys": details["c_sys"],
+    }
+    return _verdict("ls-error-exceeds-bound", hits, R, 2.0 * delta, seed, extras)

@@ -2,17 +2,29 @@
 
 Every oracle here is deliberately implemented by a different route than
 the library code it checks: quadrature instead of closed forms, explicit
-convolution instead of recursion, dense grids instead of optimizers.
-The SciPy oracles import SciPy when called, so test modules that use none
-of them run without it.
+convolution instead of recursion, dense grids instead of optimizers, and
+a plain Monte-Carlo mean on its own generator (run_mgf_experiment) for the
+MGF closed form.  The SciPy oracles import SciPy when called, so test
+modules that use none of them run without it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from causalcov import CausalOperator, VarSystem
+from causalcov import (
+    CausalOperator,
+    InvalidInput,
+    VarSystem,
+    exact_mgf,
+    mgf_upper_bound,
+    require_psd,
+)
+from causalcov._rng import mix64
+from causalcov.montecarlo import TailExperiment, certify
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -107,6 +119,48 @@ def mgf_quadrature(q: np.ndarray, x: np.ndarray, lam: float) -> float:
         val, _ = integrate.dblquad(f, -9.0, 9.0, -9.0, 9.0, epsabs=1e-10)
         return float(val)
     raise ValueError("quadrature oracle supports m in {1, 2}")
+
+
+def run_mgf_experiment(q, x, lam: float, R: int = 10_000, seed: int = 0) -> TailExperiment:
+    """Monte-Carlo estimate of E exp(-lam [x;W]^T Q [x;W]) with a 5-SE band.
+
+    The estimate is compared against both the closed form (consistency)
+    and the exponential upper bound (certification); hits is None since
+    the outcome is a mean, not an event count.  The R x m noise block is
+    drawn from a single derived-seed generator.
+    """
+    if R < 2:
+        raise InvalidInput("need at least two replicates for a standard error")
+    qa = require_psd(q, "Q")
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    n = xv.shape[0]
+    m = qa.shape[0] - n
+    if m < 1:
+        raise InvalidInput("Q must have at least one noise coordinate")
+    q11, q12, q22 = qa[:n, :n], qa[:n, n:], qa[n:, n:]
+    rng = np.random.Generator(np.random.PCG64(mix64(seed, 0)))
+    w = rng.standard_normal((R, m))
+    const = float(xv @ q11 @ xv)
+    lin = 2.0 * (q12.T @ xv)
+    quad = np.einsum("ri,ij,rj->r", w, q22, w)
+    vals = np.exp(-lam * (const + w @ lin + quad))
+    estimate = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(R))
+    ci = (max(0.0, estimate - 5.0 * se), estimate + 5.0 * se)
+    bound = mgf_upper_bound(q22, lam)
+    certified, vacuous = certify(ci[1], bound)
+    return TailExperiment(
+        event="mgf-estimate",
+        replicates=R,
+        hits=None,
+        frequency=estimate,
+        ci=ci,
+        bound=bound,
+        vacuous=vacuous,
+        certified=certified,
+        seed=int(seed),
+        extras={"exact": exact_mgf(qa, xv, lam), "se": se, "lam": float(lam)},
+    )
 
 
 def psi_grid_oracle(op: CausalOperator, n_grid: int = 10_000) -> float:

@@ -27,7 +27,6 @@ from causalcov import (
     paths_from_noise,
     psi_k,
     run_identification_experiment,
-    run_mgf_experiment,
     run_tail_experiment,
     upper_tail_bound,
     var_time_covariances,
@@ -41,6 +40,7 @@ from conftest import (
     random_operator,
     random_psd,
     random_var_system,
+    run_mgf_experiment,
 )
 
 SEED = 0xACCE97
@@ -287,9 +287,9 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     payloads = []
-    # 682 replicates per batch by default (T=48), and 7 per batch; both split
+    # 680 replicates per batch by default (T=48), and 56 per batch; both split
     # 3000 replicates unevenly
-    for steps in (montecarlo.STEPS, 48 * 7):
+    for steps in (montecarlo.STEPS, 48 * 56):
         monkeypatch.setattr(montecarlo, "STEPS", steps)
         out = tmp_path / f"s{steps}"
         assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0

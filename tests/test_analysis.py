@@ -390,8 +390,17 @@ def test_reported_statistics_are_batch_invariant(seed, d, n_lags, T, R, per_batc
         spec = ProcessSpec.from_operator(random_operator(rng, d, d, n_lags, max(1, T // n_lags)))
     block = process.paths_from_noise(spec, process.noise_block(spec, seed, 0, R))
     outcomes = []
-    # from one replicate per batch to all R in one batch
+    # from one replicate per batch to all R in one batch: straight through
+    # the simulator, and through the experiments, whose batches are rounded
+    # to a multiple of eight replicates (at least eight)
     for size in ((n - 1) % R + 1 for n in per_batch):
+        pieces = [
+            process.paths_from_noise(
+                spec, process.noise_block(spec, seed, start, min(size, R - start))
+            )
+            for start in range(0, R, size)
+        ]
+        assert np.concatenate(pieces).tobytes() == block.tobytes()
         with mock.patch.object(montecarlo, "STEPS", size * spec.effective_horizon):
             paths = np.concatenate(list(montecarlo._path_batches(spec, seed, R)))
             assert paths.tobytes() == block.tobytes()

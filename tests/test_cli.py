@@ -282,7 +282,9 @@ class TestVerify:
         assert summary["overall_pass"] is False
 
     def test_step_budget_determinism(self, tmp_path, monkeypatch):
-        # T=24: 1365 replicates per batch by default, so 2100 leaves an uneven last batch
+        # T=24: batches of 1360 replicates by default, of 8 (the floor) at
+        # STEPS=24 and of 1000 at 24007; 2100 replicates leave a last batch of
+        # 740, 4 and 100
         cfg = write_config(tmp_path / "c.json", base_config(replicates=2100))
         outs = []
         for steps in (montecarlo.STEPS, 24, 24 * 1000 + 7):
@@ -335,14 +337,15 @@ class TestIdentify:
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_one_row_batch_determinism(self, tmp_path, monkeypatch, seed):
-        # identify simulates T' + 1 = 65 steps; at two replicates per batch the
-        # fifth replicate runs alone, and must round as in the one batch of five
+        # identify simulates T' + 1 = 65 steps; at eight replicates per batch
+        # the ninth replicate runs alone, and must round as in the one batch of
+        # nine, in its path and in the stacked least-squares fit
         model = {"type": "var", "a_lags": [[[0.5, 0.1], [0.0, 0.4]]], "h": [[1.0, 0.0], [0.0, 1.0]]}
         cfg = write_config(
-            tmp_path / "c.json", base_config(model=model, T=64, replicates=5, seed=seed)
+            tmp_path / "c.json", base_config(model=model, T=64, replicates=9, seed=seed)
         )
         outs = []
-        for steps in (montecarlo.STEPS, 2 * 65):
+        for steps in (montecarlo.STEPS, 8 * 65):
             monkeypatch.setattr(montecarlo, "STEPS", steps)
             out = tmp_path / f"s{steps}"
             main(["identify", "--config", cfg, "--out", str(out)])
@@ -564,9 +567,9 @@ class TestSimulate:
         assert (out / "simulate.csv").read_bytes() == (again / "simulate.csv").read_bytes()
 
     def test_one_batch_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # T' = 6 and STEPS = 12: batches of 2, 2 and 1 replicates, each padded
-        # to eight rows; the CSV holds the paths of one block of five
-        cfg = write_config(tmp_path / "c.json", base_config(replicates=5, T=6))
+        # T' = 6 and STEPS = 48: batches of 8, 8 and 1 replicates, the last
+        # padded to eight rows; the CSV holds the paths of one block of 17
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=17, T=6))
         draws = []
         real_noise_block = montecarlo.noise_block
 
@@ -575,16 +578,16 @@ class TestSimulate:
             return real_noise_block(spec, seed, start, count)
 
         monkeypatch.setattr(montecarlo, "noise_block", spy)
-        monkeypatch.setattr(montecarlo, "STEPS", 2 * 6)
+        monkeypatch.setattr(montecarlo, "STEPS", 8 * 6)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        assert "(5 paths, horizon 6)" in capsys.readouterr().out
-        assert sum(draws) == 5 and max(draws) <= 2
+        assert "(17 paths, horizon 6)" in capsys.readouterr().out
+        assert draws == [8, 8, 1]
         spec = load_config(cfg).process_spec()
-        block = process.paths_from_noise(spec, real_noise_block(spec, 13, 0, 5))
+        block = process.paths_from_noise(spec, real_noise_block(spec, 13, 0, 17))
         rows = read_rows(out / "simulate.csv")
         assert [(int(r["replicate"]), int(r["t"])) for r in rows] == [
-            (i, t) for i in range(5) for t in range(6)
+            (i, t) for i in range(17) for t in range(6)
         ]
         assert [r["x0"] for r in rows] == [repr(v) for v in block[:, :, 0].ravel().tolist()]
 
@@ -844,7 +847,10 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "subcommand, module, target",
-        [("bounds", cli, "anticoncentration_bound"), ("identify", montecarlo, "least_squares")],
+        [
+            ("bounds", cli, "anticoncentration_bound"),
+            ("identify", montecarlo, "_pinv_fits"),
+        ],
     )
     def test_linalg_error_exit_2(self, tmp_path, capsys, monkeypatch, subcommand, module, target):
         def broken(*args, **kwargs):

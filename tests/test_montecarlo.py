@@ -9,9 +9,11 @@ from causalcov import (
     ProcessSpec,
     VarSystem,
     chernoff_threshold,
+    effective_horizon,
     exact_mgf,
+    noise_block,
+    paths_from_noise,
     run_identification_experiment,
-    run_mgf_experiment,
     run_tail_experiment,
     run_tail_experiments,
     wilson_interval,
@@ -22,7 +24,7 @@ from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
 from causalcov.montecarlo import certify
 from causalcov.process import companion
-from conftest import chi2_lower, random_psd
+from conftest import chi2_lower, random_psd, run_mgf_experiment
 
 
 def iid_spec(T: int, d: int = 1) -> ProcessSpec:
@@ -89,6 +91,23 @@ class TestTailExperimentChernoff:
             chernoff_threshold(spec.source, d_mat)
         )
 
+    def test_var_hits_match_probed_energy_oracle(self):
+        # a VAR(2) source, whose lifted state has d = 4, probed by a 2 x 4
+        # direction: the hits read tr(D S_r) off each replicate's Gram, the
+        # oracle sums ||Delta X_t||^2 over the replicate's path
+        a1 = np.array([[0.4, 0.1], [0.0, 0.4]])
+        a2 = np.array([[0.15, 0.0], [0.05, 0.15]])
+        spec = ProcessSpec(source=VarSystem(a_lags=[a1, a2], h=np.eye(2)), T=24, k=2)
+        direction = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.3]])
+        R, seed = 3000, 4
+        exp = run_tail_experiment(
+            spec, "chernoff-direction", params={"direction": direction}, R=R, seed=seed
+        )
+        paths = paths_from_noise(spec, noise_block(spec, seed, 0, R))
+        energy = np.array([float(np.sum((x @ direction.T) ** 2)) for x in paths])
+        assert exp.hits == int(np.count_nonzero(energy <= exp.extras["threshold"]))
+        assert 0 < exp.hits < R
+
     def test_hits_match_direct_replication(self):
         # recompute the event per replicate straight from the seeded streams
         T, R = 8, 40
@@ -107,12 +126,23 @@ def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
     r = 2 * (montecarlo.STEPS // T) + 333  # two full batches and an uneven last one
     events = ("lower-tail-eigenvalue", "chernoff-direction")
     ref = [run_tail_experiment(spec, ev, R=r, seed=3) for ev in events]
-    # one replicate per batch, 100 per batch, and 1000 per batch
+    # 8 replicates per batch (the floor), 96 per batch and 1000 per batch;
+    # the last batch holds 5, 13 and 429
     for steps in (T, 100 * T, 1000 * T + 5):
         monkeypatch.setattr(montecarlo, "STEPS", steps)
         for ev, a in zip(events, ref):
             b = run_tail_experiment(spec, ev, R=r, seed=3)
             assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
+
+
+@pytest.mark.parametrize("t_eff, size", [(16, 2048), (48, 680), (4097, 8), (65536, 8)])
+def test_batches_hold_a_multiple_of_eight_replicates(monkeypatch, t_eff, size):
+    # only the last batch is short, so only the last one is padded
+    monkeypatch.setattr(montecarlo, "noise_block", lambda spec, seed, start, count: np.empty(count))
+    monkeypatch.setattr(montecarlo, "paths_from_noise", lambda spec, w: w)
+    spec = ProcessSpec(source=VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1)), T=t_eff)
+    batches = [len(x) for x in montecarlo._path_batches(spec, 0, 2 * size + 3)]
+    assert batches == [size, size, 3]
 
 
 def test_tail_experiment_event_validation(monkeypatch):
@@ -198,7 +228,8 @@ class TestIdentificationExperiment:
         a2 = np.array([[0.15, 0.0], [0.05, 0.15]])
         sys = VarSystem(a_lags=[a1, a2], h=np.eye(2))
         T, seed = 64, 17
-        size = montecarlo.STEPS // (T + 1)  # replicates per batch at T' + 1 = 65 steps
+        # replicates per batch at T' + 1 = 65 steps, a multiple of eight
+        size = montecarlo.STEPS // (T + 1) // 8 * 8
         R = 2 * size + size // 3  # two full batches and a partial last one
         exp = run_identification_experiment(sys, T=T, k=2, delta=0.1, R=R, seed=seed)
         # independent route: one replicate at a time, matrix-vector recursion
@@ -213,6 +244,23 @@ class TestIdentificationExperiment:
             fit = least_squares(x[:T], x[1:, : sys.d], a_star=sys.regression_matrix())
             expected[r] = fit.op_error
         np.testing.assert_allclose(exp.extras["op_errors"], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("R", [1, 7, 8, 9])
+    def test_stacked_fit_matches_least_squares_bytes(self, R):
+        # one batch of R replicates fitted in one stacked solve gives each
+        # replicate the bytes of its own least_squares fit
+        a1 = np.array([[0.4, 0.1], [0.0, 0.4]])
+        a2 = np.array([[0.15, 0.0], [0.05, 0.15]])
+        sys = VarSystem(a_lags=[a1, a2], h=np.array([[1.0, 0.0], [0.3, 0.8]]))
+        T, k, seed = 41, 2, 5
+        exp = run_identification_experiment(sys, T=T, k=k, delta=0.1, R=R, seed=seed)
+        t_eff = effective_horizon(T, k)
+        spec = ProcessSpec(source=sys, T=t_eff + 1)
+        expected = [
+            least_squares(x[:t_eff], x[1:, : sys.d], a_star=sys.regression_matrix()).op_error
+            for x in paths_from_noise(spec, noise_block(spec, seed, 0, R))
+        ]
+        assert exp.extras["op_errors"].tobytes() == np.array(expected).tobytes()
 
     def test_errors_shrink_with_horizon(self):
         sys = VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1))
