@@ -164,11 +164,16 @@ def block_trace_sums(process, d_mat) -> tuple[float, float]:
     Q_j = L_jj^T blkdiag(D) L_jj; for a VAR, (T'/k) tr(Q_0) and
     (T'/k) tr(Q_0^2) from its k-step diagonal block.  NonFiniteBound where
     either sum overflows."""
-    op, copies = _analysis(process).diagonal_blocks()
+    analysis = _analysis(process)
+    stack, copies = analysis.diagonal_blocks()
     dm = require_psd(d_mat, "weight matrix")
+    if dm.shape != (analysis.d, analysis.d):
+        raise InvalidInput(f"weight matrix must be {analysis.d} x {analysis.d}")
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = [op.diag_gram(j, dm) for j in range(op.n_blocks)]
-        traces = np.array([[float(np.trace(q)), trace_square(q)] for q in grams])
+        rows = stack.reshape(len(stack), analysis.k, analysis.d, stack.shape[2])
+        grams = np.swapaxes(stack, 1, 2) @ np.einsum("ab,jtbq->jtaq", dm, rows).reshape(stack.shape)
+        sym = 0.5 * (grams + np.swapaxes(grams, 1, 2))  # trace_square's symmetrised Q_j
+        traces = np.stack([grams.trace(axis1=1, axis2=2), (sym * sym).sum(axis=(1, 2))], axis=1)
         sums = np.cumsum(_per_block(traces, copies), axis=0)[-1]  # added in block order
     for name, value in zip(("S1 = sum_j tr(Q_j)", "S2 = sum_j tr(Q_j^2)"), sums):
         if not np.isfinite(value):
@@ -211,6 +216,14 @@ def chernoff_threshold(process, d_mat) -> float:
 
 # ---------------------------------------------------------------------------
 # psi_k: block-diversity index
+
+
+def _block_covariances(analysis: "_Analysis") -> np.ndarray:
+    """G_j = sum_tau R_tau R_tau^T, R_tau the tau-th d-row slice of L_jj, for
+    every diagonal block in order with its copies: shape (T'/k, d, d)."""
+    stack, copies = analysis.diagonal_blocks()
+    rows = stack.reshape(len(stack), analysis.k, analysis.d, stack.shape[2])
+    return _per_block(np.einsum("jtiq,jtkq->jik", rows, rows), copies)
 
 
 def _psi_value(g_stack: np.ndarray, t_eff: int, v: np.ndarray):
@@ -267,8 +280,8 @@ def _require_nonsingular_decoupled(lo: float, hi: float) -> None:
 
 def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     """Block-diversity index: inf over unit directions v of
-    (sum_j v^T S_j v)^2 / (T' * sum_j (v^T S_j v)^2), with S_j the j-th
-    diagonal-block Gram summed over its time slots.
+    (sum_j v^T G_j v)^2 / (T' * sum_j (v^T G_j v)^2), with G_j the j-th
+    diagonal block's Gram summed over its time slots (_block_covariances).
 
     Returns (value, minimizing direction), a pure function of the operator.
     The bounds run it for raw operators only: for a VAR the index is
@@ -279,7 +292,7 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     Probes are rank-one: the index scans single unit directions, not
     higher-dimensional subspaces.
     """
-    g_stack = op.block_time_covs()
+    g_stack = _block_covariances(_analysis(op))
     total = SymMatrix(g_stack.sum(axis=0))
     _require_nonsingular_decoupled(*total.eig_extremes())
     t_eff = op.T
@@ -339,7 +352,7 @@ def _operator_stats(op: CausalOperator) -> dict:
     )[:, -1]
     sv = np.linalg.svd(dense, compute_uv=False)
     gram_lam_max = float(sv[0] ** 2)
-    decoupled_sum = op.block_time_covs().sum(axis=0)
+    decoupled_sum = _block_covariances(_analysis(op)).sum(axis=0)
     lo_dec, hi_dec = SymMatrix(decoupled_sum).eig_extremes()
     return {
         "lam_min_per_time_sum": lo_sum,
@@ -356,9 +369,11 @@ class _Analysis:
     and then shared by every bound, event and report on the process.
 
     t_eff, d and k are the horizon, state dimension and block length;
-    diagonal_blocks() gives (op, copies): the operator's diagonal blocks
-    are op's, in order, repeated copies times; stats holds the covariance
-    statistics (the keys of _operator_stats); psi is (psi_k, direction).
+    diagonal_blocks() gives (stack, copies): the operator's diagonal blocks
+    L_jj are the read-only (n, d k, p k) stack, in order, repeated copies
+    times, and psi_k and the decoupled sum read them (_block_covariances);
+    stats holds the covariance statistics (the keys of _operator_stats);
+    psi is (psi_k, direction).
     block_trace_sums reads only the diagonal blocks, so a Chernoff bound
     never pays for lam_max(L^T L) or psi_k.  _analysis picks the subclass.
     """
@@ -381,8 +396,8 @@ class _DenseAnalysis(_Analysis):
         self.t_eff, self.d, self.k = op.T, op.d, op.k
         self._op = weakref.ref(op)
 
-    def diagonal_blocks(self) -> tuple[CausalOperator, int]:
-        return self._op(), 1
+    def diagonal_blocks(self) -> tuple[np.ndarray, int]:
+        return self._op().diag_blocks(), 1
 
     @functools.cached_property
     def stats(self) -> dict:
@@ -408,13 +423,12 @@ class _RecursionAnalysis(_Analysis):
         self.t_eff, self.d, self.k = t_eff, len(var.a), k
         self._var = var
 
-    def diagonal_blocks(self) -> tuple[CausalOperator, int]:
-        return self._var.diagonal_block(self.k), self.t_eff // self.k
+    def diagonal_blocks(self) -> tuple[np.ndarray, int]:
+        return self._var.diagonal_block(self.k)[None], self.t_eff // self.k
 
     @functools.cached_property
     def _decoupled_extremes(self) -> tuple[float, float]:
-        head, copies = self.diagonal_blocks()
-        return SymMatrix(_per_block(head.block_time_covs(), copies).sum(axis=0)).eig_extremes()
+        return SymMatrix(_block_covariances(self).sum(axis=0)).eig_extremes()
 
     @functools.cached_property
     def stats(self) -> dict:

@@ -82,21 +82,12 @@ SWEEP_COLUMNS = VERIFY_COLUMNS[:3] + ("delta",) + VERIFY_COLUMNS[3:] + (
 )
 
 
-def _jsonable(obj):
-    """Recursively convert report objects to plain JSON data."""
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """json.dumps hook: NumPy scalars and arrays as plain data.  A float64 is
+    a float, which json writes with float.__repr__ without the hook."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _csv_cell(value) -> str:
@@ -110,7 +101,7 @@ def _csv_cell(value) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _write_csv(path: Path, columns, rows) -> None:

@@ -129,8 +129,8 @@ def _parse_event(raw, state_dim: int) -> EventSpec:
         if "q" not in params:
             raise ConfigError("event 'upper-tail-opnorm' requires a 'q' parameter")
         q = _require_float(params["q"], "q")
-        if q <= 1.0:
-            raise ConfigError(f"q must be > 1, got {q}")
+        if not 1.0 < q < np.inf:
+            raise ConfigError(f"q must be a finite number > 1, got {q}")
         params = {"q": q}
     elif name == "chernoff-direction" and "direction" in params:
         direction = _matrix(params["direction"], "direction")

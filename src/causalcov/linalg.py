@@ -4,8 +4,9 @@ A causal operator maps a driving noise vector W_{0:T-1} (stacked, p coords
 per step) to a process X_{0:T-1} (d coords per step) through one
 (d*T) x (p*T) matrix L.  Partitioned at stride k, block (i, j) of L has
 shape (d*k, p*k) and is zero for j > i, so each X_t depends only on noise
-up to its own block.  CausalOperator stores L itself; blocks are views
-into it, and a block grid is only an input format (from_blocks).
+up to its own block.  CausalOperator stores L itself; a block is a view
+into it, the diagonal blocks come as one stacked view (diag_blocks), and a
+block grid is only an input format (from_blocks).
 """
 
 from __future__ import annotations
@@ -162,42 +163,16 @@ class CausalOperator:
         rb, cb = self.d * self.k, self.p * self.k
         return self._matrix[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb]
 
-    def diag_block(self, j: int) -> np.ndarray:
-        """Diagonal block L_{j,j}, shape (d*k, p*k)."""
-        return self.block(j, j)
-
-    def block_time_cov(self, j: int) -> np.ndarray:
-        """Sum over the block's time slots of the decoupled per-time covariance.
-
-        Returns the d x d matrix G_j = sum_tau R_tau R_tau^T where R_tau is
-        the tau-th d-row slice of L_{j,j}; v^T G_j v equals
-        tr[L_{j,j}^T blkdiag(v v^T) L_{j,j}].
-        """
-        b = self.diag_block(j)
-        d, k = self.d, self.k
-        r = b.reshape(k, d, b.shape[1])
-        return np.einsum("tiq,tjq->ij", r, r)
-
-    def block_time_covs(self) -> np.ndarray:
-        """Stacked G_j for all blocks, shape (n_blocks, d, d)."""
-        return np.stack([self.block_time_cov(j) for j in range(self.n_blocks)])
-
-    def diag_gram(self, j: int, d_mat) -> np.ndarray:
-        """Q_j = L_{j,j}^T blkdiag(D) L_{j,j} for a d x d weight matrix D."""
-        dm = np.asarray(d_mat, dtype=float)
-        if dm.shape != (self.d, self.d):
-            raise InvalidInput(f"weight matrix must be {self.d} x {self.d}")
-        b = self.diag_block(j)
-        r = b.reshape(self.k, self.d, b.shape[1])
-        weighted = np.einsum("ab,tbq->taq", dm, r).reshape(b.shape)
-        return b.T @ weighted
+    def diag_blocks(self) -> np.ndarray:
+        """The diagonal blocks L_{j,j} as one stack, shape (n_blocks, d*k, p*k):
+        a read-only view into the matrix, each block with the strides of
+        block(j, j)."""
+        n = self.n_blocks
+        grid = self._matrix.reshape(n, self.d * self.k, n, self.p * self.k)
+        return np.moveaxis(np.diagonal(grid, axis1=0, axis2=2), -1, 0)
 
     def identical_diag_blocks(self) -> bool:
         """True when every diagonal block equals block (0, 0)."""
-        first = self.diag_block(0)
-        scale = max(float(np.max(np.abs(first))), 1e-300)
-        return all(
-            np.max(np.abs(self.diag_block(j) - first)) <= DIAG_BLOCK_RTOL * scale
-            for j in range(1, self.n_blocks)
-        )
-
+        stack = self.diag_blocks()
+        scale = max(float(np.max(np.abs(stack[0]))), 1e-300)
+        return bool(np.max(np.abs(stack - stack[0])) <= DIAG_BLOCK_RTOL * scale)

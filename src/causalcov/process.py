@@ -157,13 +157,15 @@ def effective_horizon(T: int, k: int) -> int:
 
 
 def _lower_block_toeplitz(impulses: np.ndarray) -> np.ndarray:
-    """The (T*n) x (T*p) matrix with block (t, s) = impulses[t - s] for s <= t."""
+    """The read-only (T*n) x (T*p) matrix with block (t, s) = impulses[t - s]
+    for s <= t."""
     t_eff, n, p = impulses.shape
     matrix = np.zeros((t_eff * n, t_eff * p))
     steps = matrix.reshape(t_eff, n, t_eff, p)
     times = np.arange(t_eff)
     for lag in range(t_eff):
         steps[times[lag:], :, times[: t_eff - lag], :] = impulses[lag]
+    matrix.flags.writeable = False
     return matrix
 
 
@@ -180,45 +182,6 @@ def var_to_operator(sys: VarSystem, T: int, k: int = 1) -> CausalOperator:
     t_eff = effective_horizon(T, k)
     impulses = var_analysis(sys).impulses(t_eff)
     return CausalOperator(sys.lifted_dim, sys.p, k, _lower_block_toeplitz(impulses))
-
-
-def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
-    """Which levels g make g I - L^T L positive definite, for L the causal
-    operator of x_t = A x_{t-1} + B w_t over horizon steps.
-
-    This is the finite-horizon bounded-real test.  With S_T = I, every
-    reverse-time pivot R_t = g I - B^T S_{t+1} B (t = T-1, ..., 0) must be
-    positive definite, where
-    S_t = I + A^T (S_{t+1} + S_{t+1} B R_t^{-1} B^T S_{t+1}) A.  The pivots
-    are the Schur complements of g I - L^T L taken one time step at a time
-    from the last, so all of them are positive definite exactly when
-    g I - L^T L is.  All levels run in one pass, O(horizon n^3) work in
-    flat memory; a level is dropped at its first non-finite or
-    non-positive pivot, so nothing overflows or warns.
-    """
-    n, p = b.shape
-    levels = np.asarray(levels, dtype=float)
-    passed = np.zeros(levels.size, dtype=bool)
-    live = np.flatnonzero(np.isfinite(levels))
-    g = levels[live, None, None] * np.eye(p)
-    eye = np.eye(n)
-    s = np.broadcast_to(eye, (live.size, n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon - 1, -1, -1):
-            finite = np.isfinite(s).all(axis=(1, 2))
-            if not finite.all():
-                live, g, s = live[finite], g[finite], s[finite]
-            bts = b.T @ s
-            r = g - bts @ b
-            pivot_pd = np.linalg.eigvalsh(r)[:, 0] > 0
-            if not pivot_pd.all():
-                live, g, s, bts, r = (m[pivot_pd] for m in (live, g, s, bts, r))
-            if not live.size:
-                break
-            if t:
-                s = eye + a.T @ (s + np.swapaxes(bts, 1, 2) @ np.linalg.solve(r, bts)) @ a
-    passed[live] = True
-    return passed
 
 
 def _settle(triple, live: np.ndarray):
@@ -250,10 +213,14 @@ def _compose(earlier, later, live: np.ndarray):
 
 
 def _bounded_real_doubling(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
-    """The verdicts of _bounded_real_passes (its step-by-step oracle) in
-    O(log horizon) steps per level.
+    """Which levels g make g I - L^T L positive definite, for L the causal
+    operator of x_t = A x_{t-1} + B w_t over horizon steps: the
+    finite-horizon bounded-real test, in O(log horizon) steps per level.
 
-    At level g, one reverse-time step of that test is the Riccati map
+    The test's reverse-time pivots g I - B^T S B are the Schur complements
+    of g I - L^T L taken one time step at a time from the last (the test
+    suite runs it step by step as this function's oracle).  At level g,
+    one reverse-time step is the Riccati map
     S -> I + A^T S (I - G S)^{-1} A with G = B B^T / g, defined while every
     eigenvalue of G S is below 1, i.e. while the pivot g I - B^T S B is
     positive definite.  A map S -> H + A^T S (I - G S)^{-1} A is held as its
@@ -426,15 +393,11 @@ class VarAnalysis:
 
         return self._once("gamma", k, compute)
 
-    def diagonal_block(self, k: int) -> CausalOperator:
-        """The first k steps of L as a one-block operator: every diagonal
+    def diagonal_block(self, k: int) -> np.ndarray:
+        """The k-step head of L, the read-only (k dL, k p) lower block
+        Toeplitz array of the impulses A^0 B .. A^(k-1) B: every diagonal
         block of a VAR's operator at stride k equals it."""
-        n, p = self.b.shape
-        return self._once(
-            "diagonal_block",
-            k,
-            lambda k: CausalOperator(n, p, k, _lower_block_toeplitz(self.impulses(k))),
-        )
+        return self._once("diagonal_block", k, lambda k: _lower_block_toeplitz(self.impulses(k)))
 
     def _block_operators(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(L_m^T, [A^1 ... A^m]^T) as C-contiguous arrays, formed once per m:
@@ -443,10 +406,7 @@ class VarAnalysis:
         def compute(m):
             n = len(self.a)
             powers = self.powers(m + 1)[1:].reshape(m * n, n)
-            return (
-                _contiguous_read_only(self.diagonal_block(m).dense().T),
-                _contiguous_read_only(powers.T),
-            )
+            return _contiguous_read_only(self.diagonal_block(m).T), _contiguous_read_only(powers.T)
 
         return self._once("block_operators", m, compute)
 

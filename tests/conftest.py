@@ -2,10 +2,11 @@
 
 Every oracle here is deliberately implemented by a different route than
 the library code it checks: quadrature instead of closed forms, explicit
-convolution instead of recursion, dense grids instead of optimizers, and
-a plain Monte-Carlo mean on its own generator (run_mgf_experiment) for the
-MGF closed form.  The SciPy oracles import SciPy when called, so test
-modules that use none of them run without it.
+convolution instead of recursion, dense grids instead of optimizers, the
+step-by-step bounded-real test (_bounded_real_passes) for its doubling
+form, and a plain Monte-Carlo mean on its own generator
+(run_mgf_experiment) for the MGF closed form.  The SciPy oracles import
+SciPy when called, so test modules that use none of them run without it.
 """
 
 from __future__ import annotations
@@ -167,7 +168,11 @@ def psi_grid_oracle(op: CausalOperator, n_grid: int = 10_000) -> float:
     """Dense-grid evaluation of the directional balance over the 2-sphere."""
     if op.d != 2:
         raise ValueError("grid oracle is for d = 2")
-    grams = np.stack([np.asarray(op.block_time_cov(j)) for j in range(op.n_blocks)])
+    grams = []
+    for j in range(op.n_blocks):
+        rows = op.block(j, j).reshape(op.k, op.d, -1)  # one d-row slice per time slot
+        grams.append(sum(rows[t] @ rows[t].T for t in range(op.k)))
+    grams = np.stack(grams)
     theta = np.linspace(0.0, np.pi, n_grid, endpoint=False)
     v = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (n_grid, 2)
     quad = np.einsum("gi,jik,gk->gj", v, grams, v)  # (n_grid, n_blocks)
@@ -224,6 +229,46 @@ def per_time_cov_oracle(sys: VarSystem, T: int) -> np.ndarray:
         covs[t] = acc
         impulse = a @ impulse
     return covs
+
+
+def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:
+    """Which levels g make g I - L^T L positive definite, for L the causal
+    operator of x_t = A x_{t-1} + B w_t over horizon steps.
+
+    This is the finite-horizon bounded-real test.  With S_T = I, every
+    reverse-time pivot R_t = g I - B^T S_{t+1} B (t = T-1, ..., 0) must be
+    positive definite, where
+    S_t = I + A^T (S_{t+1} + S_{t+1} B R_t^{-1} B^T S_{t+1}) A.  The pivots
+    are the Schur complements of g I - L^T L taken one time step at a time
+    from the last, so all of them are positive definite exactly when
+    g I - L^T L is.  All levels run in one pass, O(horizon n^3) work in
+    flat memory; a level is dropped at its first non-finite or
+    non-positive pivot, so nothing overflows or warns.
+    """
+    n, p = b.shape
+    levels = np.asarray(levels, dtype=float)
+    passed = np.zeros(levels.size, dtype=bool)
+    live = np.flatnonzero(np.isfinite(levels))
+    g = levels[live, None, None] * np.eye(p)
+    eye = np.eye(n)
+    s = np.broadcast_to(eye, (live.size, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon - 1, -1, -1):
+            finite = np.isfinite(s).all(axis=(1, 2))
+            if not finite.all():
+                live, g, s = live[finite], g[finite], s[finite]
+            bts = b.T @ s
+            r = g - bts @ b
+            pivot_pd = np.linalg.eigvalsh(r)[:, 0] > 0
+            if not pivot_pd.all():
+                live, g, s, bts, r = (m[pivot_pd] for m in (live, g, s, bts, r))
+            if not live.size:
+                break
+            if t:
+                s = eye + a.T @ (s + np.swapaxes(bts, 1, 2) @ np.linalg.solve(r, bts)) @ a
+    passed[live] = True
+    return passed
+
 
 
 @pytest.fixture

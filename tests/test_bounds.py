@@ -120,7 +120,7 @@ def test_block_trace_sums_weighted(rng):
     s1_expected = 0.0
     s2_expected = 0.0
     for j in range(op.n_blocks):
-        blk = op.diag_block(j)
+        blk = op.block(j, j)
         g = blk.T @ big_d @ blk
         s1_expected += np.trace(g)
         s2_expected += np.trace(g @ g)

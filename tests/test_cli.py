@@ -647,6 +647,16 @@ class TestErrors:
                 "direction must have 2 columns (the state dimension), got 1",
                 id="direction-width-lifted",
             ),
+            pytest.param(
+                {"events": [{"event": "upper-tail-opnorm", "params": {"q": float("inf")}}]},
+                "q must be a finite number > 1, got inf",
+                id="q-infinity",
+            ),
+            pytest.param(
+                {"events": [{"event": "upper-tail-opnorm", "params": {"q": float("nan")}}]},
+                "q must be a finite number > 1, got nan",
+                id="q-nan",
+            ),
         ],
     )
     @pytest.mark.parametrize("subcommand", ["verify", "sweep"])
@@ -660,6 +670,15 @@ class TestErrors:
         cfg = write_config(tmp_path / "c.json", base_config(**overrides))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
+    @pytest.mark.parametrize("q", [float("inf"), float("nan")])
+    def test_bounds_rejects_non_finite_q(self, tmp_path, capsys, q):
+        # JSON's Infinity and NaN parse as floats; neither is a q > 1
+        events = [{"event": "upper-tail-opnorm", "params": {"q": q}}]
+        cfg = write_config(tmp_path / "c.json", base_config(events=events))
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"q must be a finite number > 1, got {q}" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*"))
 
     def test_seed_below_2_to_64(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from causalcov import (
     CausalOperator,
     InvalidInput,
     SymMatrix,
+    block_trace_sums,
     require_psd,
     trace_square,
 )
@@ -120,28 +121,46 @@ class TestCausalOperator:
                     assert np.array_equal(sub, blocks[i][j])
         assert op.dense() is dense
 
-    def test_diag_block_and_time_cov(self, rng):
-        op = random_operator(rng, d=2, p=3, k=2, n_blocks=4)
-        j = 2
-        blk = op.diag_block(j)
-        assert np.array_equal(blk, op.block(j, j))
-        # time-summed Gram of the block's per-time rows
-        rows = blk.reshape(2, 2, 6)
-        expected = sum(rows[t] @ rows[t].T for t in range(2))
-        assert np.allclose(np.asarray(op.block_time_cov(j)), expected)
-        stack = op.block_time_covs()
-        assert stack.shape == (4, 2, 2)
-        assert np.allclose(stack[j], expected)
+    @pytest.mark.parametrize("d, p, k, n_blocks", [(1, 1, 1, 1), (1, 2, 3, 4), (2, 3, 2, 4), (3, 1, 2, 2)])
+    def test_diag_blocks_stack_the_diagonal(self, rng, d, p, k, n_blocks):
+        op = random_operator(rng, d=d, p=p, k=k, n_blocks=n_blocks)
+        stack = op.diag_blocks()
+        expected = np.stack([op.block(j, j) for j in range(n_blocks)])
+        assert stack.shape == (n_blocks, d * k, p * k)
+        assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+        assert not stack.flags.writeable
+        # a view with each block's own strides: products over the stack run
+        # the arithmetic of the same products over block(j, j)
+        assert np.shares_memory(stack, op.dense())
+        assert stack.strides[1:] == op.block(0, 0).strides
 
-    def test_diag_gram_matches_blockdiag_product(self, rng):
+    def test_block_trace_sums_rank_one_weight(self, rng):
+        # D = v v^T: tr(Q_j) is sum_tau (v^T R_tau)(R_tau^T v), R_tau the
+        # tau-th d-row slice of block (j, j)
+        op = random_operator(rng, d=2, p=3, k=2, n_blocks=4)
+        v = rng.standard_normal(2)
+        big_d = np.kron(np.eye(2), np.outer(v, v))  # block-diagonal over the k times
+        grams = [op.block(j, j).T @ big_d @ op.block(j, j) for j in range(4)]
+        s1, s2 = block_trace_sums(op, np.outer(v, v))
+        energy = sum(
+            float(v @ rows[t] @ rows[t].T @ v)
+            for rows in (op.block(j, j).reshape(2, 2, 6) for j in range(4))
+            for t in range(2)
+        )
+        assert s1 == pytest.approx(energy, rel=1e-12)
+        assert s2 == pytest.approx(sum(np.trace(g @ g) for g in grams), rel=1e-12)
+
+    def test_block_trace_sums_match_blockdiag_product(self, rng):
         op = random_operator(rng, d=2, p=2, k=3, n_blocks=3)
         d_mat = rng.standard_normal((2, 2))
         d_mat = d_mat @ d_mat.T
-        j = 1
-        blk = op.diag_block(j)
         big_d = np.kron(np.eye(3), d_mat)  # block-diagonal over the k times
-        expected = blk.T @ big_d @ blk
-        assert np.allclose(np.asarray(op.diag_gram(j, d_mat)), expected, atol=1e-12)
+        grams = [op.block(j, j).T @ big_d @ op.block(j, j) for j in range(3)]
+        s1, s2 = block_trace_sums(op, d_mat)
+        assert s1 == pytest.approx(sum(np.trace(g) for g in grams), rel=1e-12)
+        assert s2 == pytest.approx(sum(np.trace(g @ g) for g in grams), rel=1e-12)
+        with pytest.raises(InvalidInput, match="weight matrix must be 2 x 2"):
+            block_trace_sums(op, np.eye(3))
 
     def test_identical_diag_blocks_detection(self, rng):
         same = np.eye(2)

@@ -107,6 +107,18 @@ def test_operator_matrix_independent_of_k(rng):
     assert np.array_equal(op.dense(), ops[3].dense())
 
 
+@pytest.mark.parametrize("d, n_lags, p, k", [(1, 1, 1, 1), (2, 2, 1, 3), (3, 1, 2, 4), (2, 2, 2, 6)])
+def test_diagonal_block_is_the_k_step_head(rng, d, n_lags, p, k):
+    # every diagonal block of a VAR's operator at stride k is L over k steps
+    sys = random_var_system(rng, d=d, n_lags=n_lags, rho=0.8, p=p)
+    head = process.var_analysis(sys).diagonal_block(k)
+    dense = var_to_operator(sys, k).dense()
+    assert head.shape == (k * sys.lifted_dim, k * p)
+    assert head.tobytes() == dense.tobytes()
+    assert not head.flags.writeable
+    assert process.var_analysis(sys).diagonal_block(k) is head
+
+
 def test_operator_matches_convolution_oracle(rng):
     sys = random_var_system(rng, d=2, n_lags=2, rho=0.8)
     spec = ProcessSpec(source=sys, T=12, k=3)
