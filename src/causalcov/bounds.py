@@ -602,16 +602,19 @@ def armastability_bound(sys: VarSystem, T: int) -> float:
     return T * hh_norm * var_analysis(sys).power_norm_sum(T)
 
 
+def _excitation_floor(sys: VarSystem, k: int) -> float:
+    """lam_min(Gamma_k); InsufficientExcitation where Gamma_k is singular."""
+    lo, hi = gamma_k(sys, k).eig_extremes()
+    if hi <= 0 or lo <= 1e-12 * hi:
+        raise InsufficientExcitation(f"Gamma_{k} is singular; pick k at or above the excitation index")
+    return lo
+
+
 def arma_prefactor(sys: VarSystem, T: int, k: int) -> tuple[int, float]:
     """(T', base) with base = 32 T'^{3/2} ||HH^T|| sum_j ||A^j (A^j)^T||
     / (sqrt(k) lam_min(Gamma_k)); the corollary bound is base^{dL} e^{-T'/(8k)}."""
     t_eff = effective_horizon(T, k)
-    gamma = gamma_k(sys, k)
-    lo, hi = gamma.eig_extremes()
-    if hi <= 0 or lo <= 1e-12 * hi:
-        raise InsufficientExcitation(
-            f"Gamma_{k} is singular; the corollary needs a nonsingular excitation covariance"
-        )
+    lo = _excitation_floor(sys, k)
     hh_norm = float(np.linalg.norm(sys.h, 2) ** 2)
     base = (
         32.0 * t_eff**1.5 * hh_norm * var_analysis(sys).power_norm_sum(t_eff) / (math.sqrt(k) * lo)

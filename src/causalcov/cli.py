@@ -214,12 +214,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _run_events(config: ExperimentConfig, spec: ProcessSpec, cell: int) -> list[dict]:
     """One row per config event, all scored on one sample of the cell's paths."""
-    exps = run_tail_experiments(
-        spec,
-        [(ev.event, dict(ev.params)) for ev in config.events],
-        R=config.replicates,
-        seed=derive_seed(config.seed, cell),
-    )
+    seed = derive_seed(config.seed, cell)
+    exps = run_tail_experiments(spec, config.events, R=config.replicates, seed=seed)
     return [_experiment_row(exp, spec) for exp in exps]
 
 
@@ -382,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CausalCovError, ConfigError) as exc:
+    except CausalCovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

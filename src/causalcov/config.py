@@ -3,7 +3,8 @@
 A config is a single JSON document.  Unknown keys are rejected so that a
 typo never silently changes an experiment.  The schema with its defaults is
 documented once, in README.md ("Configuration"); ExperimentConfig.from_dict
-is its implementation.
+is its implementation, except that each event is checked by the one
+definition of the tail events, montecarlo.check_event.
 
 "k": "auto" resolves to kappa(model), the smallest k <= T/2 with a
 nonsingular Gamma_k (so floor(T/k) >= 2); the resolved value is recorded in
@@ -19,13 +20,14 @@ entry of its covariances, is not a finite float.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientExcitation, InvalidInput
 from .linalg import CausalOperator
+from .montecarlo import EventSpec, check_event
 from .process import ProcessSpec, VarSystem, kappa, var_analysis
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_block_length"]
@@ -48,12 +50,6 @@ _GRID_KEYS = {"T", "k", "delta"}
 #: mix64 reduces a seed mod 2**64, so a larger seed would alias a smaller one
 _SEED_LIMIT = 2**64
 
-_EVENT_PARAMS = {
-    "lower-tail-eigenvalue": set(),
-    "chernoff-direction": {"direction"},
-    "upper-tail-opnorm": {"q"},
-}
-
 
 def _require_int(value, name: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -61,12 +57,6 @@ def _require_int(value, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-def _require_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _require_seed(value, name: str) -> int:
@@ -77,7 +67,9 @@ def _require_seed(value, name: str) -> int:
 
 
 def _require_delta(value, name: str) -> float:
-    delta = _require_float(value, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    delta = float(value)
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {delta}")
     return delta
@@ -93,20 +85,6 @@ def _matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """One certification event with its parameters."""
-
-    event: str
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out: dict = {"event": self.event}
-        if self.params:
-            out["params"] = dict(self.params)
-        return out
-
-
 def _parse_event(raw, state_dim: int) -> EventSpec:
     if isinstance(raw, str):
         name, params = raw, {}
@@ -114,36 +92,15 @@ def _parse_event(raw, state_dim: int) -> EventSpec:
         extra = set(raw) - {"event", "params"}
         if extra:
             raise ConfigError(f"unknown event keys: {sorted(extra)}")
-        name = raw.get("event")
-        params = raw.get("params", {})
+        name, params = raw.get("event"), raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("event params must be an object")
     else:
         raise ConfigError(f"event entries must be strings or objects, got {raw!r}")
-    if name not in _EVENT_PARAMS:
-        raise ConfigError(f"unknown event {name!r}; known: {sorted(_EVENT_PARAMS)}")
-    extra = set(params) - _EVENT_PARAMS[name]
-    if extra:
-        raise ConfigError(f"event {name!r} does not accept parameters {sorted(extra)}")
-    if name == "upper-tail-opnorm":
-        if "q" not in params:
-            raise ConfigError("event 'upper-tail-opnorm' requires a 'q' parameter")
-        q = _require_float(params["q"], "q")
-        if not 1.0 < q < np.inf:
-            raise ConfigError(f"q must be a finite number > 1, got {q}")
-        params = {"q": q}
-    elif name == "chernoff-direction" and "direction" in params:
-        direction = _matrix(params["direction"], "direction")
-        if direction.shape[1] != state_dim:
-            raise ConfigError(
-                f"direction must have {state_dim} columns (the state dimension), "
-                f"got {direction.shape[1]}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(direction.T @ direction)):
-                raise ConfigError("direction is too large: direction^T direction overflows")
-        params = {"direction": direction.tolist()}
-    return EventSpec(name, dict(params))
+    try:
+        return check_event(name, params, state_dim)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_model(raw) -> VarSystem | CausalOperator:

@@ -10,14 +10,14 @@ the two once the horizon clears a burn-in threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import arma_prefactor
-from .errors import BurninUnsatisfied, InsufficientExcitation, InvalidInput, SingularGram
+from .bounds import _excitation_floor, arma_prefactor
+from .errors import BurninUnsatisfied, InvalidInput, SingularGram
 from .linalg import SymMatrix
-from .process import VarSystem, effective_horizon, gamma_k, var_analysis
+from .process import VarSystem, effective_horizon, var_analysis
 
 __all__ = [
     "LsFit",
@@ -43,7 +43,6 @@ class LsFit:
     n_samples: int
     rank_deficient: bool
     op_error: float | None = None
-    self_normalized: float | None = None
 
 
 def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
@@ -52,8 +51,8 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
     gram (..., n, n) holds each fit's sum_t X_t X_t^T and syx (..., d, n)
     its sum_t Y_t X_t^T.  The Gram is symmetrised as (G + G^T)/2 and
     inverted through eigh, keeping the eigenvalues above GRAM_CUTOFF times
-    the largest.  Returns (a_hat, u, inv_w): the fits, the eigenvectors,
-    and the inverted eigenvalues with 0 where cut.  Every step runs one fit
+    the largest.  Returns (a_hat, inv_w): the fits and the inverted
+    eigenvalues, with 0 where cut.  Every step runs one fit
     at a time inside NumPy, so a fit has the same bytes in a stack of any
     size: least_squares is the one-fit case, and the identification
     experiment fits a whole batch of replicates in one call.
@@ -61,7 +60,7 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
     w, u = np.linalg.eigh(0.5 * (gram + np.swapaxes(gram, -1, -2)))
     keep = w > GRAM_CUTOFF * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    return syx @ ((u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)), u, inv_w
+    return syx @ ((u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)), inv_w
 
 
 def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None) -> LsFit:
@@ -70,7 +69,7 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
     x has rows X_t^T (T x n), y has rows Y_t^T (T x d).  The pseudo-inverse
     uses a symmetric eigendecomposition with relative cutoff 1e-12; rank
     deficiency is flagged, not fatal.  When the true matrix is supplied the
-    operator-norm error and the self-normalized statistic are filled in.
+    operator-norm error is filled in.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -78,11 +77,10 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
         raise InvalidInput(f"incompatible sample shapes {x.shape} and {y.shape}")
     gram = x.T @ x
     syx = y.T @ x
-    sym_gram = SymMatrix(gram)
-    a_hat, u, inv_w = _pinv_fits(gram, syx)
+    a_hat, inv_w = _pinv_fits(gram, syx)
     fit = LsFit(
         a_hat=a_hat,
-        gram=sym_gram,
+        gram=SymMatrix(gram),
         syx=syx,
         n_samples=int(x.shape[0]),
         rank_deficient=bool(np.count_nonzero(inv_w) < gram.shape[0]),
@@ -92,9 +90,6 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
         if a_star.shape != a_hat.shape:
             raise InvalidInput(f"truth shape {a_star.shape} != fit shape {a_hat.shape}")
         fit.op_error = float(np.linalg.norm(a_hat - a_star, 2))
-        inv_sqrt = (u * inv_w**0.5) @ u.T
-        svx = syx - a_star @ gram
-        fit.self_normalized = float(np.linalg.norm(svx @ inv_sqrt, 2))
     return fit
 
 
@@ -158,12 +153,7 @@ def ls_bound_details(sys: VarSystem, T: int, k: int, delta: float) -> dict:
     if not 0.0 < delta < 1.0:
         raise InvalidInput(f"delta must lie in (0, 1), got {delta}")
     t_eff = effective_horizon(T, k)
-    gamma = gamma_k(sys, k)
-    g_lo, g_hi = gamma.eig_extremes()
-    if g_hi <= 0 or g_lo <= 1e-12 * g_hi:
-        raise InsufficientExcitation(
-            f"Gamma_{k} is singular; pick k at or above the excitation index"
-        )
+    g_lo = _excitation_floor(sys, k)
     analysis = var_analysis(sys)
     sum_lam_max = float(analysis.per_time_lam_max(t_eff).sum())
     head_lo = k * g_lo  # lam_min(sum_{t<k} P_t)

@@ -16,11 +16,13 @@ A batch goes from paths to one matrix per replicate to one statistic per
 replicate.  Every tail event reads the empirical covariance
 S_r = sum_t X_t X_t^T, formed once per batch and shared by all events of
 the pass (run_tail_experiments): lam_min(S_r / T'), lam_max(S_r) or the
-probed energy tr(D S_r).  The identification experiment fits a batch's
-regressions in one stacked least-squares solve.  One function (_verdict)
-turns every experiment's hit count into its TailExperiment: the bound is
-certified when the upper edge of the 99.9% Wilson interval for the event
-frequency sits at or below it, or trivially when it is vacuous (>= 1).
+probed energy tr(D S_r); check_event defines the events and their
+parameter rules once, for run_tail_experiments and config alike.  The
+identification experiment fits a batch's regressions in one stacked
+least-squares solve.  One function (_verdict) turns every experiment's
+hit count into its TailExperiment: the bound is certified when the upper
+edge of the 99.9% Wilson interval for the event frequency sits at or
+below it, or trivially when it is vacuous (>= 1).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import statistics
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,65 @@ STEPS = 2**15
 
 #: two-sided confidence of the certification interval
 CONFIDENCE = 0.999
+
+#: every tail event and the parameters it accepts
+EVENT_PARAMS = {
+    "lower-tail-eigenvalue": frozenset(),
+    "chernoff-direction": frozenset({"direction"}),
+    "upper-tail-opnorm": frozenset({"q"}),
+}
+
+
+class EventSpec(NamedTuple):
+    """One checked tail event; unpacks as run_tail_experiments' (event, params)."""
+
+    event: str
+    params: dict
+
+    def to_dict(self) -> dict:
+        out: dict = {"event": self.event}
+        if self.params:
+            out["params"] = dict(self.params)
+        return out
+
+
+def check_event(event, params, state_dim: int) -> EventSpec:
+    """The EventSpec of one tail event (params may be None) on a state of
+    dimension state_dim; InvalidInput for an unknown event or a bad parameter."""
+    params = params or {}
+    if not isinstance(event, str) or event not in EVENT_PARAMS:
+        raise InvalidInput(f"unknown event {event!r}; known: {sorted(EVENT_PARAMS)}")
+    extra = set(params) - EVENT_PARAMS[event]
+    if extra:
+        raise InvalidInput(f"event {event!r} does not accept parameters {sorted(extra)}")
+    if event == "upper-tail-opnorm":
+        if "q" not in params:
+            raise InvalidInput("event 'upper-tail-opnorm' requires a 'q' parameter")
+        q = params["q"]
+        if isinstance(q, bool) or not isinstance(q, (int, float, np.integer, np.floating)):
+            raise InvalidInput(f"q must be a number, got {q!r}")
+        q = float(q)
+        if not 1.0 < q < math.inf:
+            raise InvalidInput(f"q must be a finite number > 1, got {q}")
+        return EventSpec(event, {"q": q})
+    if "direction" in params:
+        try:
+            direction = np.asarray(params["direction"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput("direction is not a numeric matrix") from exc
+        if direction.ndim != 2 or not np.all(np.isfinite(direction)):
+            raise InvalidInput("direction must be a finite 2-d matrix")
+        if direction.shape[1] != state_dim:
+            raise InvalidInput(
+                f"direction must have {state_dim} columns (the state dimension), "
+                f"got {direction.shape[1]}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(direction.T @ direction)):
+                raise InvalidInput("direction is too large: direction^T direction overflows")
+        return EventSpec(event, {"direction": direction.tolist()})
+    return EventSpec(event, {})
+
 
 @dataclass
 class TailExperiment:
@@ -160,14 +222,12 @@ class _EventPlan:
 
 def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPlan:
     """The bound, threshold and batch statistic of one event; bad input raises here."""
-    params = dict(params or {})
+    event, params = check_event(event, params, spec.state_dim)
     t_eff, d = spec.effective_horizon, spec.state_dim
     extras: dict = {}
 
     if event == "chernoff-direction":
-        direction = np.asarray(params.pop("direction", np.eye(d)), dtype=float)
-        if direction.ndim != 2 or direction.shape[1] != d:
-            raise InvalidInput(f"direction must be d' x {d}")
+        direction = np.asarray(params.get("direction", np.eye(d)), dtype=float)
         d_mat = require_psd(direction.T @ direction, "direction Gram")
         bound = _finite_bound(event, chernoff_lower_tail(spec, d_mat))
         threshold = chernoff_threshold(spec, d_mat)
@@ -186,10 +246,8 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         def batch_stat(grams):
             return np.linalg.eigvalsh(grams / t_eff)[:, 0]
 
-    elif event == "upper-tail-opnorm":
-        if "q" not in params:
-            raise InvalidInput("upper-tail-opnorm needs a q parameter")
-        q = float(params.pop("q"))
+    else:
+        q = params["q"]
         bound = _finite_bound(event, upper_tail_bound(spec, q))
         threshold = 2.0 * q * _analysis(spec).stats["lam_max_per_time_sum"]
         hit = np.greater_equal
@@ -198,11 +256,6 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         def batch_stat(grams):
             return np.linalg.eigvalsh(grams)[:, -1]
 
-    else:
-        raise InvalidInput(f"unknown trajectory event {event!r}")
-
-    if params:
-        raise InvalidInput(f"unused event parameters: {sorted(params)}")
     return _EventPlan(event, bound, threshold, hit, batch_stat, extras)
 
 
@@ -214,8 +267,8 @@ def run_tail_experiments(
 ) -> list[TailExperiment]:
     """Estimate each event's frequency over the same R sampled paths and certify its bound.
 
-    events is a sequence of (event, params) pairs; the result holds one
-    TailExperiment per pair, in order.  Events:
+    events is a sequence of (event, params) pairs, such as EventSpecs; the
+    result holds one TailExperiment per pair, in order.  Events:
 
     - "lower-tail-eigenvalue": lam_min of the empirical covariance falls to
       or below the protected threshold; bound from anticoncentration_bound.
@@ -225,14 +278,14 @@ def run_tail_experiments(
     - "upper-tail-opnorm": ||sum_t X_t X_t^T|| reaches 2q times its mean
       operator norm; params must carry "q" > 1; bound from upper_tail_bound.
 
-    Every event is validated, and its bound and threshold computed, before
-    any path is drawn.  Then one pass of _path_batches samples replicates
-    0..R-1 of seed; each batch's empirical covariances are formed once,
-    scored by every event in turn and dropped, so an event's row is the
-    one it gets when run alone: it does not depend on which other events
-    share the pass, nor on their order.
-    The events' hit indicators are dependent, since they read the same
-    paths; each one's Wilson interval is valid on its own.
+    Every event is checked (check_event), and its bound and threshold
+    computed, before any path is drawn.  Then one pass of _path_batches
+    samples replicates 0..R-1 of seed; each batch's empirical covariances
+    are formed once, scored by every event in turn and dropped, so an
+    event's row is the one it gets when run alone: it does not depend on
+    which other events share the pass, nor on their order.  The events'
+    hit indicators are dependent, since they read the same paths; each
+    one's Wilson interval is valid on its own.
 
     Bounds and thresholds read the process's analysis, computed once per
     process and shared by every event and report on it: psi_k and the

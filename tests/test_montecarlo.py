@@ -1,16 +1,23 @@
 """Monte-Carlo harness: Wilson intervals, determinism, oracle agreement."""
 
+import json
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from causalcov import (
+    ConfigError,
     InvalidInput,
     ProcessSpec,
     VarSystem,
     chernoff_threshold,
     effective_horizon,
     exact_mgf,
+    load_config,
     noise_block,
     paths_from_noise,
     run_identification_experiment,
@@ -159,14 +166,57 @@ def test_tail_experiment_event_validation(monkeypatch):
 
     # every event is checked before the shared pass draws a path
     monkeypatch.setattr(montecarlo, "noise_block", never)
-    with pytest.raises(InvalidInput, match="unknown trajectory event 'no-such-event'"):
+    with pytest.raises(InvalidInput, match=re.escape("unknown event 'no-such-event'; known: [")):
         run_tail_experiments(spec, [("chernoff-direction", None), ("no-such-event", None)], R=4)
-    with pytest.raises(InvalidInput, match="direction must be d' x 1"):
+    message = "direction must have 1 columns (the state dimension), got 2"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
         run_tail_experiments(
             spec,
             [("lower-tail-eigenvalue", {}), ("chernoff-direction", {"direction": np.eye(2)})],
             R=4,
         )
+
+
+@pytest.mark.parametrize(
+    "event, params",
+    [
+        pytest.param("no-such-event", {}, id="unknown"),
+        pytest.param(["no-such-event"], {}, id="unhashable-name"),
+        pytest.param("lower-tail-eigenvalue", {"q": 2.0}, id="extra-parameter"),
+        pytest.param("upper-tail-opnorm", {}, id="q-missing"),
+        pytest.param("upper-tail-opnorm", {"q": True}, id="q-true"),
+        pytest.param("upper-tail-opnorm", {"q": "2"}, id="q-string"),
+        pytest.param("upper-tail-opnorm", {"q": 1}, id="q-one"),
+        pytest.param("upper-tail-opnorm", {"q": math.inf}, id="q-infinity"),
+        pytest.param("upper-tail-opnorm", {"q": math.nan}, id="q-nan"),
+        pytest.param("chernoff-direction", {"direction": [[1.0], [1.0, 2.0]]}, id="ragged"),
+        pytest.param("chernoff-direction", {"direction": [1.0, 0.0]}, id="one-dimensional"),
+        pytest.param("chernoff-direction", {"direction": [[1.0, 0.0, 0.0]]}, id="wrong-width"),
+        pytest.param("chernoff-direction", {"direction": [[1.0, math.nan]]}, id="non-finite"),
+        pytest.param("chernoff-direction", {"direction": [[1e200, 0.0]]}, id="overflowing"),
+    ],
+)
+def test_api_and_config_reject_an_event_alike(tmp_path, monkeypatch, event, params):
+    # the same event input, as a config entry and as a run_tail_experiments
+    # pair, is rejected with the same message, warning-free and before sampling
+    model = {"type": "var", "a_lags": [[[0.5, 0.1], [0.0, 0.4]]], "h": [[1.0, 0.0], [0.0, 1.0]]}
+    events = [{"event": event, "params": params}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": model, "T": 16, "k": 1, "events": events}))
+
+    def never(*args):
+        raise AssertionError("sampling started before the event was rejected")
+
+    monkeypatch.setattr(montecarlo, "noise_block", never)
+    sys = VarSystem(a_lags=[np.array(model["a_lags"][0])], h=np.eye(2))
+    pairs = [("lower-tail-eigenvalue", None), (event, params)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as at_load:
+            load_config(path)
+        with pytest.raises(InvalidInput) as in_run:
+            run_tail_experiments(ProcessSpec(source=sys, T=16, k=1), pairs, R=4)
+    assert str(in_run.value) == str(at_load.value)
 
 
 def test_upper_tail_event_counts_extreme_gram():

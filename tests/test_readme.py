@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from causalcov import config
+from causalcov import config, montecarlo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +23,12 @@ def test_readme_config_schema_matches_code():
     assert top_keys == config._TOP_KEYS
     grid_line = re.search(r'^  "grid": (\{.*\}),', schema, flags=re.M).group(1)
     assert set(re.findall(r'"(\w+)":', grid_line)) == config._GRID_KEYS
+
+
+def test_readme_event_table_matches_code():
+    # each row: `event` | statistic | its parameters, then any remarks in parentheses
+    section = README.read_text().split("Events and their parameters:", 1)[1]
+    rows = re.findall(r"^\| `([\w-]+)` *\|[^|]*\|([^|]*)\|$", section, flags=re.M)
+    table = {event: set(re.findall(r"`(\w+)`", re.sub(r"\(.*\)", "", cell))) for event, cell in rows}
+    assert len(table) == len(rows)
+    assert table == montecarlo.EVENT_PARAMS
