@@ -28,6 +28,8 @@ import functools
 
 import numpy as np
 
+from .errors import InvalidInput
+
 _MASK = (1 << 64) - 1
 # SplitMix64 constants (Steele, Lea & Flood's mixing finalizer).
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -61,6 +63,15 @@ def mix64(seed: int, counter: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
     return z ^ (z >> 31)
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Return seed, or raise InvalidInput outside [0, 2**64), where mix64 aliases it."""
+    if seed < 0:
+        raise InvalidInput(f"{name} must be >= 0, got {seed}")
+    if seed > _MASK:
+        raise InvalidInput(f"{name} must be < 2**64, got {seed}")
+    return seed
 
 
 def _mix64_counters(seed: int, start: int, count: int) -> np.ndarray:

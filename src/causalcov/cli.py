@@ -304,19 +304,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     d_grid = config.grid.get("delta", [config.delta])
     if (len(t_grid) > 1 or len(k_grid) > 1) and not isinstance(config.model, VarSystem):
         raise ConfigError("sweep grids over T or k require a var model")
-    rows: list[dict] = []
-    cells: list[dict] = []
-    for cell, (T, k) in enumerate(itertools.product(t_grid, k_grid)):
+    # every cell's bounds before any path, so a cell without one fails the run unsampled
+    planned = []
+    for T, k in itertools.product(t_grid, k_grid):
         spec = config.process_spec(T, k)
         op_cell = _operator_bounds(spec)
         del op_cell["intermediates"]
-        heads = [{**op_cell, **_ls_bounds(config, spec, delta)} for delta in d_grid]
+        planned.append((spec, [{**op_cell, **_ls_bounds(config, spec, delta)} for delta in d_grid]))
+    rows: list[dict] = []
+    cells: list[dict] = []
+    for cell, (spec, heads) in enumerate(planned):
         # no tail event depends on delta: every delta reuses the cell's rows
         event_rows = _run_events(config, spec, cell)
         for delta, cell_head in zip(d_grid, heads):
             columns = {col: cell_head[col] for col in SWEEP_COLUMNS[-6:]}
             rows.extend({**r, "delta": delta, **columns} for r in event_rows)
-            cells.append({"T": T, "k": k, "delta": delta, **cell_head})
+            cells.append({"T": spec.T, "k": spec.k, "delta": delta, **cell_head})
     overall = all(r["certified"] for r in rows)
     summary = {
         "config": config.to_dict(),

@@ -10,11 +10,11 @@ definition of the tail events, montecarlo.check_event.
 nonsingular Gamma_k (so floor(T/k) >= 2); the resolved value is recorded in
 every report.
 
-A var model is checked for overflow at load by its own analysis
-(VarAnalysis.check_overflow) over the longest horizon in T and grid.T; this
-module forms no power or product of the companion matrix.  A raw operator
-is rejected at load when its energy 2 * T' * ||L||_F^2, which bounds every
-entry of its covariances, is not a finite float.
+A model's rules live in its constructor (VarSystem,
+CausalOperator.from_blocks); this module checks its JSON shape and prefixes
+the constructor's message with "invalid <type> model: ".  A var model is
+also checked for overflow over the longest horizon in T and grid.T, by its
+own analysis (VarAnalysis.check_overflow).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._rng import check_seed
 from .errors import ConfigError, InsufficientExcitation, InvalidInput
 from .linalg import CausalOperator
 from .montecarlo import EventSpec, check_event
@@ -43,27 +42,23 @@ _TOP_KEYS = {
     "grid",
     "require_burnin",
 }
-_VAR_KEYS = {"type", "a_lags", "h"}
-_OPERATOR_KEYS = {"type", "d", "p", "k", "blocks"}
+_MODEL_KEYS = {"var": {"type", "a_lags", "h"}, "operator": {"type", "d", "p", "k", "blocks"}}
 _GRID_KEYS = {"T", "k", "delta"}
 
-#: mix64 reduces a seed mod 2**64, so a larger seed would alias a smaller one
-_SEED_LIMIT = 2**64
 
-
-def _require_int(value, name: str, minimum: int = 1) -> int:
+def _require_int(value, name: str, minimum: int | None = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
 def _require_seed(value, name: str) -> int:
-    seed = _require_int(value, name, minimum=0)
-    if seed >= _SEED_LIMIT:
-        raise ConfigError(f"{name} must be < 2**64, got {seed}")
-    return seed
+    try:
+        return check_seed(_require_int(value, name, minimum=None), name)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_delta(value, name: str) -> float:
@@ -73,16 +68,6 @@ def _require_delta(value, name: str) -> float:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"{name} must lie in (0, 1), got {delta}")
     return delta
-
-
-def _matrix(value, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} is not a numeric matrix") from exc
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a finite 2-d matrix")
-    return arr
 
 
 def _parse_event(raw, state_dim: int) -> EventSpec:
@@ -107,44 +92,20 @@ def _parse_model(raw) -> VarSystem | CausalOperator:
     if not isinstance(raw, dict):
         raise ConfigError("model must be an object")
     kind = raw.get("type")
-    if kind == "var":
-        extra = set(raw) - _VAR_KEYS
-        if extra:
-            raise ConfigError(f"unknown var-model keys: {sorted(extra)}")
-        if "a_lags" not in raw or "h" not in raw:
-            raise ConfigError("var model requires 'a_lags' and 'h'")
-        lags_raw = raw["a_lags"]
-        if not isinstance(lags_raw, list) or not lags_raw:
-            raise ConfigError("a_lags must be a non-empty list of matrices")
-        a_lags = [_matrix(m, f"a_lags[{i}]") for i, m in enumerate(lags_raw)]
-        h = _matrix(raw["h"], "h")
-        try:
-            return VarSystem(a_lags=a_lags, h=h)
-        except Exception as exc:
-            raise ConfigError(f"invalid var model: {exc}") from exc
-    if kind == "operator":
-        extra = set(raw) - _OPERATOR_KEYS
-        if extra:
-            raise ConfigError(f"unknown operator-model keys: {sorted(extra)}")
-        missing = _OPERATOR_KEYS - set(raw)
-        if missing:
-            raise ConfigError(f"operator model requires keys {sorted(missing)}")
-        d = _require_int(raw["d"], "model.d")
-        p = _require_int(raw["p"], "model.p")
-        k = _require_int(raw["k"], "model.k")
-        rows_raw = raw["blocks"]
-        if not isinstance(rows_raw, list) or not rows_raw:
-            raise ConfigError("blocks must be a non-empty list of rows")
-        blocks = []
-        for i, row in enumerate(rows_raw):
-            if not isinstance(row, list):
-                raise ConfigError(f"blocks[{i}] must be a list of matrices")
-            blocks.append([_matrix(b, f"blocks[{i}][{j}]") for j, b in enumerate(row)])
-        try:
-            return CausalOperator.from_blocks(d, p, k, blocks)
-        except Exception as exc:
-            raise ConfigError(f"invalid operator model: {exc}") from exc
-    raise ConfigError(f"model.type must be 'var' or 'operator', got {kind!r}")
+    if kind not in ("var", "operator"):
+        raise ConfigError(f"model.type must be 'var' or 'operator', got {kind!r}")
+    extra = set(raw) - _MODEL_KEYS[kind]
+    if extra:
+        raise ConfigError(f"unknown {kind}-model keys: {sorted(extra)}")
+    missing = _MODEL_KEYS[kind] - set(raw)
+    if missing:
+        raise ConfigError(f"{kind} model requires keys {sorted(missing)}")
+    try:
+        if kind == "var":
+            return VarSystem(a_lags=raw["a_lags"], h=raw["h"])
+        return CausalOperator.from_blocks(raw["d"], raw["p"], raw["k"], raw["blocks"])
+    except InvalidInput as exc:
+        raise ConfigError(f"invalid {kind} model: {exc}") from exc
 
 
 def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[int, bool]:
@@ -214,14 +175,6 @@ class ExperimentConfig:
                 var_analysis(model).check_overflow(max([T, *grid.get("T", [])]))
             except InvalidInput as exc:
                 raise ConfigError(str(exc)) from exc
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                energy = 2.0 * model.T * float(np.sum(model.dense() ** 2))
-            if not np.isfinite(energy):
-                raise ConfigError(
-                    f"operator model overflows: 2 * T' * ||L||_F^2 (T' = {model.T}) is not "
-                    "a finite float, so the process covariances are not finite"
-                )
         k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else model.k)
         k, k_auto = resolve_block_length(model, T, k_raw)
         if isinstance(model, CausalOperator):

@@ -7,6 +7,9 @@ shape (d*k, p*k) and is zero for j > i, so each X_t depends only on noise
 up to its own block.  CausalOperator stores L itself; a block is a view
 into it, the diagonal blocks come as one stacked view (diag_blocks), and a
 block grid is only an input format (from_blocks).
+
+The constructors hold every rule of an operator model, for the library and
+config load alike; finite_matrix is the matrix rule of VarSystem too.
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ class SymMatrix:
         return self.a
 
 
+def finite_matrix(value, name: str) -> np.ndarray:
+    """value as a float array, raising InvalidInput unless it is a finite 2-d matrix."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} is not a numeric matrix") from exc
+    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{name} must be a finite 2-d matrix")
+    return arr
+
+
 def require_psd(m, name: str = "matrix") -> np.ndarray:
     """Symmetrize and return the matrix, raising InvalidInput if not PSD."""
     sm = m if isinstance(m, SymMatrix) else SymMatrix(m)
@@ -79,6 +93,16 @@ def trace_square(m) -> float:
     return float(np.sum(a * a))
 
 
+def _require_dims(d, p, k) -> None:
+    for name, value in (("d", d), ("p", p), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0)
+
+
 class CausalOperator:
     """Block lower-triangular operator X_{0:T-1} = L W_{0:T-1}, stored as L.
 
@@ -90,26 +114,31 @@ class CausalOperator:
         Block stride (time steps per block).
     matrix : array, shape (d*T, p*T)
         The operator itself; T must be a multiple of k and every entry
-        above the (d*k, p*k) block diagonal must be zero.  The array is
+        above the (d*k, p*k) block diagonal must be zero, and the energy
+        2 * T * ||L||_F^2 must be a finite float.  The array is
         kept as given (converted to float) and is the only copy of L; the
         operator holds it through a read-only view, so L cannot change
         under results computed from it.
     """
 
     def __init__(self, d: int, p: int, k: int, matrix):
-        if d < 1 or p < 1 or k < 1:
-            raise InvalidInput("d, p and k must be positive integers")
+        _require_dims(d, p, k)
         self.d, self.p, self.k = int(d), int(p), int(k)
-        m = np.asarray(matrix, dtype=float)
+        m = finite_matrix(matrix, "operator matrix")
         rb, cb = self.d * self.k, self.p * self.k
-        n = m.shape[0] // rb if m.ndim == 2 else 0
+        n = m.shape[0] // rb
         if n == 0 or m.shape != (n * rb, n * cb):
             raise InvalidInput(f"matrix shape {m.shape} is not a square grid of {(rb, cb)} blocks")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInput("operator matrix has non-finite entries")
         for i in range(n - 1):
             if np.any(m[i * rb : (i + 1) * rb, (i + 1) * cb :]):
                 raise InvalidInput(f"block row {i} has nonzero entries above the diagonal")
+        with np.errstate(over="ignore"):
+            energy = 2.0 * n * self.k * float(np.vdot(m, m))
+        if not np.isfinite(energy):
+            raise InvalidInput(
+                f"operator model overflows: 2 * T' * ||L||_F^2 (T' = {n * self.k}) is not "
+                "a finite float, so the process covariances are not finite"
+            )
         self._matrix = m.view()
         self._matrix.flags.writeable = False
 
@@ -119,22 +148,24 @@ class CausalOperator:
 
         Row i must hold exactly i+1 blocks of shape (d*k, p*k).
         """
-        if d < 1 or p < 1 or k < 1:
-            raise InvalidInput("d, p and k must be positive integers")
-        rows = list(blocks)
-        if not rows:
-            raise InvalidInput("operator needs at least one block row")
+        _require_dims(d, p, k)
+        if not _is_list(blocks) or not len(blocks):
+            raise InvalidInput("blocks must be a non-empty list of rows")
         rb, cb = d * k, p * k
-        out = np.zeros((rb * len(rows), cb * len(rows)))
-        for i, row in enumerate(rows):
-            row = [np.asarray(b, dtype=float) for b in row]
+        rows = []
+        for i, row in enumerate(blocks):
+            if not _is_list(row):
+                raise InvalidInput(f"blocks[{i}] must be a list of matrices")
+            row = [finite_matrix(b, f"blocks[{i}][{j}]") for j, b in enumerate(row)]
             if len(row) != i + 1:
                 raise InvalidInput(f"block row {i} must hold {i + 1} blocks, got {len(row)}")
             for j, b in enumerate(row):
                 if b.shape != (rb, cb):
                     raise InvalidInput(f"block ({i},{j}) has shape {b.shape}, expected {(rb, cb)}")
-                if not np.all(np.isfinite(b)):
-                    raise InvalidInput(f"block ({i},{j}) has non-finite entries")
+            rows.append(row)
+        out = np.zeros((rb * len(rows), cb * len(rows)))
+        for i, row in enumerate(rows):
+            for j, b in enumerate(row):
                 out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = b
         return cls(d, p, k, out)
 

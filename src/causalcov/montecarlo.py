@@ -44,7 +44,7 @@ from .bounds import (
 )
 from .errors import InvalidInput, NonFiniteBound
 from .estimator import _pinv_fits, ls_bound_details
-from .linalg import require_psd
+from .linalg import finite_matrix, require_psd
 from .process import _PATH_ROWS, ProcessSpec, VarSystem, noise_block, paths_from_noise
 
 __all__ = [
@@ -103,12 +103,7 @@ def check_event(event, params, state_dim: int) -> EventSpec:
             raise InvalidInput(f"q must be a finite number > 1, got {q}")
         return EventSpec(event, {"q": q})
     if "direction" in params:
-        try:
-            direction = np.asarray(params["direction"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput("direction is not a numeric matrix") from exc
-        if direction.ndim != 2 or not np.all(np.isfinite(direction)):
-            raise InvalidInput("direction must be a finite 2-d matrix")
+        direction = finite_matrix(params["direction"], "direction")
         if direction.shape[1] != state_dim:
             raise InvalidInput(
                 f"direction must have {state_dim} columns (the state dimension), "

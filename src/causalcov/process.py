@@ -32,9 +32,9 @@ import numpy as np
 # uses it, so it loads with the package, not inside the first run
 import numpy.random  # noqa: F401
 
-from ._rng import mix64, pcg64_word_order, pcg64_word_view, replicate_words
+from ._rng import check_seed, mix64, pcg64_word_order, pcg64_word_view, replicate_words
 from .errors import HorizonTooShort, InvalidInput, NonFiniteBound
-from .linalg import CausalOperator, SymMatrix
+from .linalg import CausalOperator, SymMatrix, finite_matrix
 
 __all__ = [
     "VarSystem",
@@ -82,7 +82,8 @@ def _contiguous_read_only(m: np.ndarray) -> np.ndarray:
 class VarSystem:
     """Autoregression Z_t = sum_l A_l Z_{t-l} + H W_t, zero-initialized.
 
-    a_lags holds (A_1, ..., A_L) (each d x d); h is the d x p noise map.
+    a_lags holds (A_1, ..., A_L) (each d x d); h is the d x p noise map,
+    p >= 1.  Each matrix must be finite and 2-d (linalg.finite_matrix).
     A system is immutable: its fields cannot be rebound, the matrices are
     read-only copies of the inputs, and it hashes by identity, so results
     computed once per system (var_analysis) never go stale.
@@ -92,18 +93,21 @@ class VarSystem:
     h: np.ndarray = None
 
     def __post_init__(self):
-        a_lags = tuple(_read_only(a) for a in self.a_lags)
-        if not a_lags:
-            raise InvalidInput("need at least one lag matrix")
+        lags = tuple(self.a_lags) if np.iterable(self.a_lags) else ()
+        if not lags:
+            raise InvalidInput("a_lags must be a non-empty list of matrices")
+        a_lags = tuple(_read_only(finite_matrix(a, f"a_lags[{i}]")) for i, a in enumerate(lags))
         d = a_lags[0].shape[0]
+        if d == 0:
+            raise InvalidInput("a_lags[0] must have at least one row")
         for i, a in enumerate(a_lags):
             if a.shape != (d, d):
                 raise InvalidInput(f"lag matrix {i + 1} must be {d} x {d}, got {a.shape}")
-        h = _read_only(self.h)
-        if h.ndim != 2 or h.shape[0] != d:
+        h = _read_only(finite_matrix(self.h, "h"))
+        if h.shape[0] != d:
             raise InvalidInput(f"noise map must have {d} rows, got shape {h.shape}")
-        if not all(np.all(np.isfinite(a)) for a in a_lags) or not np.all(np.isfinite(h)):
-            raise InvalidInput("system matrices must be finite")
+        if h.shape[1] == 0:
+            raise InvalidInput(f"noise map h must have at least one column, got shape {h.shape}")
         object.__setattr__(self, "a_lags", a_lags)
         object.__setattr__(self, "h", h)
 
@@ -534,7 +538,9 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     A normal fill never draws 32 bits, so the generator's cached 32-bit
     half stays empty.  Where the layout check fails, each state is set
     through the public PCG64.state setter instead, with the same bytes.
+    A seed outside [0, 2**64) raises InvalidInput (check_seed).
     """
+    check_seed(seed)
     t_eff, p = spec.effective_horizon, spec.noise_dim
     w = np.empty((count, t_eff, p))
     words = replicate_words(seed, start, count)

@@ -715,6 +715,22 @@ class TestErrors:
         assert elapsed < 1.0
         assert not list((tmp_path / "o").glob("*"))
 
+    def test_sweep_bounds_every_cell_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # one noise column: at k = 1 the summed decoupled covariance is singular,
+        # so cell (512, 1) has no bound, and the run fails before it samples (512, 2)
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started before every cell was bounded")
+
+        monkeypatch.setattr(cli, "run_tail_experiments", never)
+        model = {"type": "var", "a_lags": [[[0.5, 0.1], [0, 0.4]]], "h": [[0], [1]]}
+        grid = {"T": [512, 64], "k": [2, 1]}
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=model, T=512, replicates=20000, grid=grid)
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "summed decoupled covariance is singular" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+
     def test_explosive_var_grid_horizon_checked(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", base_config(model=self.EXPLOSIVE, T=60, grid={"T": [60, 900]})

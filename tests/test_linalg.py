@@ -66,7 +66,7 @@ class TestCausalOperator:
             CausalOperator.from_blocks(1, 1, 1, [[np.eye(2)]])  # wrong block size
         with pytest.raises(InvalidInput, match="must hold 2 blocks"):
             CausalOperator.from_blocks(1, 1, 1, [[np.eye(1)], [np.eye(1)]])  # short row
-        with pytest.raises(InvalidInput, match="non-finite"):
+        with pytest.raises(InvalidInput, match=r"blocks\[0\]\[0\] must be a finite 2-d matrix"):
             CausalOperator.from_blocks(1, 1, 1, [[np.array([[np.nan]])]])
         # the matrix constructor: causality, a whole block grid, finiteness
         lower = np.tril(np.ones((6, 6)))
@@ -79,13 +79,16 @@ class TestCausalOperator:
         inside = lower.copy()
         inside[2, 3] = 1.0
         assert CausalOperator(1, 1, 2, inside).block(1, 1)[0, 1] == 1.0
-        for shape in ((6, 4), (5, 5), (0, 0), (6,)):
+        for shape in ((6, 4), (5, 5), (0, 0)):
             with pytest.raises(InvalidInput, match="grid"):
                 CausalOperator(1, 1, 2, np.zeros(shape))
         nan = lower.copy()
         nan[5, 0] = np.nan
-        with pytest.raises(InvalidInput, match="non-finite"):
-            CausalOperator(1, 1, 2, nan)
+        for bad in (np.zeros(6), nan):
+            with pytest.raises(InvalidInput, match="operator matrix must be a finite 2-d matrix"):
+                CausalOperator(1, 1, 2, bad)
+        with pytest.raises(InvalidInput, match="operator matrix is not a numeric matrix"):
+            CausalOperator(1, 1, 1, [["x"]])
         with pytest.raises(InvalidInput, match="positive"):
             CausalOperator(1, 0, 2, lower)
 

@@ -1,0 +1,96 @@
+"""The model constructors own every model rule: the library and config load
+reject a malformed model alike, with one message."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from causalcov import CausalOperator, ConfigError, ExperimentConfig, InvalidInput, VarSystem
+
+VAR = {"a_lags": [[[0.5, 0.1], [0.0, 0.4]]], "h": [[1.0, 0.0], [0.0, 1.0]]}
+OPERATOR = {"d": 1, "p": 1, "k": 1, "blocks": [[[[1.0]]], [[[0.3]], [[1.0]]]]}
+NAN, INF = float("nan"), float("inf")
+
+
+def _var(**overrides):
+    return "var", {**VAR, **overrides}
+
+
+def _operator(**overrides):
+    return "operator", {**OPERATOR, **overrides}
+
+
+CASES = [
+    # var models
+    pytest.param(_var(a_lags=[[["x", 0.1], [0.0, 0.4]]]), "a_lags[0] is not a numeric matrix",
+                 id="lag-non-numeric"),
+    pytest.param(_var(a_lags=[[[0.5, 0.1], [0.0]]]), "a_lags[0] is not a numeric matrix",
+                 id="lag-ragged"),
+    pytest.param(_var(a_lags=[[[10**400]]], h=[[1.0]]), "a_lags[0] is not a numeric matrix",
+                 id="lag-int-beyond-float"),
+    pytest.param(_var(a_lags=[[0.5, 0.1]]), "a_lags[0] must be a finite 2-d matrix", id="lag-1d"),
+    pytest.param(_var(a_lags=[[[[0.5]]]], h=[[1.0]]), "a_lags[0] must be a finite 2-d matrix",
+                 id="lag-3d"),
+    pytest.param(_var(a_lags=[[[NAN, 0.1], [0.0, 0.4]]]), "a_lags[0] must be a finite 2-d matrix",
+                 id="lag-nan"),
+    pytest.param(_var(a_lags=[[[0.5, 0.1, 0.0], [0.0, 0.4, 0.0]]]),
+                 "lag matrix 1 must be 2 x 2, got (2, 3)", id="lag-not-square"),
+    pytest.param(_var(a_lags=[VAR["a_lags"][0], [[0.1]]]), "lag matrix 2 must be 2 x 2, got (1, 1)",
+                 id="lags-of-two-sizes"),
+    pytest.param(_var(a_lags=[]), "a_lags must be a non-empty list of matrices", id="lags-empty"),
+    pytest.param(_var(a_lags=0.5), "a_lags must be a non-empty list of matrices", id="lags-number"),
+    pytest.param(_var(h=[[INF, 0.0], [0.0, 1.0]]), "h must be a finite 2-d matrix", id="h-inf"),
+    pytest.param(_var(h=[1.0, 0.0]), "h must be a finite 2-d matrix", id="h-1d"),
+    pytest.param(_var(h=[[1.0, 0.0]]), "noise map must have 2 rows, got shape (1, 2)",
+                 id="h-wrong-rows"),
+    pytest.param(_var(a_lags=[[[0.5]]], h=[[]]),
+                 "noise map h must have at least one column, got shape (1, 0)", id="h-no-columns"),
+    # operator models
+    pytest.param(_operator(blocks=[[[["x"]]], [[[0.3]], [[1.0]]]]),
+                 "blocks[0][0] is not a numeric matrix", id="block-non-numeric"),
+    pytest.param(_operator(blocks=[[[[1.0]]], [[[0.3]], [[NAN]]]]),
+                 "blocks[1][1] must be a finite 2-d matrix", id="block-nan"),
+    pytest.param(_operator(blocks=[[[[1.0]]], [[[0.3]]]]), "block row 1 must hold 2 blocks, got 1",
+                 id="row-short"),
+    pytest.param(_operator(blocks=[[[[1.0, 0.0]]], [[[0.3]], [[1.0]]]]),
+                 "block (0,0) has shape (1, 2), expected (1, 1)", id="block-shape"),
+    pytest.param(_operator(blocks={"0": [[[1.0]]]}), "blocks must be a non-empty list of rows",
+                 id="grid-not-a-list"),
+    pytest.param(_operator(blocks=[]), "blocks must be a non-empty list of rows", id="grid-empty"),
+    pytest.param(_operator(blocks=[[[[1.0]]], 0.3]), "blocks[1] must be a list of matrices",
+                 id="row-not-a-list"),
+    pytest.param(_operator(d=0), "d must be a positive integer, got 0", id="d-zero"),
+    pytest.param(_operator(d=1.5), "d must be a positive integer, got 1.5", id="d-float"),
+    pytest.param(_operator(d=True), "d must be a positive integer, got True", id="d-bool"),
+    pytest.param(_operator(k=-1), "k must be a positive integer, got -1", id="k-negative"),
+    pytest.param(_operator(blocks=[[[[1e200]]], [[[0.0]], [[1e200]]]]),
+                 "operator model overflows: 2 * T' * ||L||_F^2 (T' = 2) is not a finite float, "
+                 "so the process covariances are not finite", id="operator-overflows"),
+]
+
+
+@pytest.mark.parametrize("model, message", CASES)
+def test_api_and_config_reject_a_model_alike(model, message):
+    kind, fields = model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as in_api:
+            if kind == "var":
+                VarSystem(a_lags=fields["a_lags"], h=fields["h"])
+            else:
+                CausalOperator.from_blocks(fields["d"], fields["p"], fields["k"], fields["blocks"])
+        with pytest.raises(ConfigError) as at_load:
+            ExperimentConfig.from_dict({"model": {"type": kind, **fields}, "T": 2})
+    assert str(in_api.value) == message
+    assert str(at_load.value) == f"invalid {kind} model: {message}"
+
+
+def test_constructors_keep_their_array_inputs():
+    lags = np.stack([0.3 * np.eye(2), 0.1 * np.eye(2)])
+    for a_lags in (lags, tuple(lags), list(lags)):
+        sys = VarSystem(a_lags=a_lags, h=np.eye(2))
+        assert sys.n_lags == 2 and np.array_equal(sys.a_lags[1], 0.1 * np.eye(2))
+    rows = [np.ones((1, 1, 1)), np.ones((2, 1, 1))]
+    op = CausalOperator.from_blocks(np.int64(1), 1, 1, rows)
+    assert np.array_equal(op.dense(), [[1.0, 0.0], [1.0, 1.0]])

@@ -25,7 +25,7 @@ from causalcov import (
     run_tail_experiments,
     wilson_interval,
 )
-from causalcov import montecarlo
+from causalcov import montecarlo, process
 from causalcov._rng import mix64
 from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
@@ -217,6 +217,29 @@ def test_api_and_config_reject_an_event_alike(tmp_path, monkeypatch, event, para
         with pytest.raises(InvalidInput) as in_run:
             run_tail_experiments(ProcessSpec(source=sys, T=16, k=1), pairs, R=4)
     assert str(in_run.value) == str(at_load.value)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, -1])
+def test_library_rejects_seeds_outside_64_bits(monkeypatch, seed):
+    # mix64 reduces a seed mod 2**64, so 2**64 + 5 would replay seed 5's paths
+    def never(*args):
+        raise AssertionError("noise was drawn for an out-of-range seed")
+
+    monkeypatch.setattr(process, "replicate_words", never)
+    message = "seed must be >= 0, got -1" if seed < 0 else f"seed must be < 2**64, got {seed}"
+    sys = VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1))
+    runs = {
+        "noise_block": lambda: noise_block(iid_spec(8), seed, 0, 4),
+        "run_tail_experiments": lambda: run_tail_experiments(
+            iid_spec(8), [("lower-tail-eigenvalue", None)], R=4, seed=seed
+        ),
+        "run_identification_experiment": lambda: run_identification_experiment(
+            sys, T=64, k=1, delta=0.1, R=4, seed=seed
+        ),
+    }
+    for run in runs.values():
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            run()
 
 
 def test_upper_tail_event_counts_extreme_gram():

@@ -52,6 +52,8 @@ class TestVarSystem:
             VarSystem(a_lags=[np.eye(2)], h=np.eye(3))  # h row dim mismatch
         with pytest.raises(InvalidInput):
             VarSystem(a_lags=[np.ones((2, 3))], h=np.eye(2))
+        with pytest.raises(InvalidInput, match="at least one row"):
+            VarSystem(a_lags=[np.zeros((0, 0))], h=np.zeros((0, 1)))  # d = 0
 
     def test_lifted_shapes(self):
         sys = VarSystem(a_lags=[0.3 * np.eye(2), 0.1 * np.eye(2)], h=np.eye(2))
