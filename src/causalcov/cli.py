@@ -342,7 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = config.process_spec()
     columns = ("replicate", "t") + tuple(f"x{i}" for i in range(spec.state_dim))
     batches = _path_batches(spec, config.seed, config.replicates)
-    paths = (path for x in batches for path in x.tolist())
+    paths = (path.tolist() for x in batches for path in x)
     rows = ((r, t, *state) for r, path in enumerate(paths) for t, state in enumerate(path))
     csv_path = out_dir / "simulate.csv"
     _write_csv(csv_path, columns, rows)

@@ -14,7 +14,8 @@ A model's rules live in its constructor (VarSystem,
 CausalOperator.from_blocks); this module checks its JSON shape and prefixes
 the constructor's message with "invalid <type> model: ".  A var model is
 also checked for overflow over the longest horizon in T and grid.T, by its
-own analysis (VarAnalysis.check_overflow).
+own analysis (VarAnalysis.check_overflow).  An operator model's T and k
+must equal its horizon and block length, by ProcessSpec's rule.
 """
 
 from __future__ import annotations
@@ -178,10 +179,10 @@ class ExperimentConfig:
         k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else model.k)
         k, k_auto = resolve_block_length(model, T, k_raw)
         if isinstance(model, CausalOperator):
-            if k != model.k:
-                raise ConfigError(f"k={k} conflicts with operator block length {model.k}")
-            if T != model.T:
-                raise ConfigError(f"T={T} conflicts with operator horizon {model.T}")
+            try:
+                ProcessSpec(source=model, T=T, k=k)
+            except InvalidInput as exc:
+                raise ConfigError(str(exc)) from exc
         for t_cell in grid.get("T", [T]):
             for k_cell in grid.get("k", [k]):
                 if k_cell > t_cell:

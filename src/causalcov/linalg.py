@@ -69,11 +69,15 @@ class SymMatrix:
 
 
 def finite_matrix(value, name: str) -> np.ndarray:
-    """value as a float array, raising InvalidInput unless it is a finite 2-d matrix."""
+    """value as a float array, raising InvalidInput unless it is a finite 2-d
+    matrix of integers or floats: strings and booleans are not numbers."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} is not a numeric matrix") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} is not a numeric matrix")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} must be a finite 2-d matrix")
     return arr

@@ -56,8 +56,14 @@ __all__ = [
 ]
 
 #: simulated time steps per batch, which bounds the memory of its noise and
-#: paths, except that a batch holds at least _PATH_ROWS replicates
+#: paths, except that a batch holds at least _PATH_ROWS replicates, and a
+#: long horizon's batch up to WIDE_ROWS replicates within 4 * STEPS steps
 STEPS = 2**15
+
+#: replicates per batch below which a long path's block products are mostly
+#: per-call overhead: a horizon above STEPS // WIDE_ROWS steps gets this many
+#: as long as they fit in 4 * STEPS steps
+WIDE_ROWS = 32
 
 #: two-sided confidence of the certification interval
 CONFIDENCE = 0.999
@@ -186,11 +192,16 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int):
     """Paths of replicates 0..R-1 of spec, in order, one batch at a time.
 
     A batch holds the largest multiple of _PATH_ROWS replicates at or below
-    STEPS // T', and at least _PATH_ROWS, so only the last batch can be
-    short and padded.  Batches are drawn by noise_block and simulated by
+    STEPS // T', and at least _PATH_ROWS; a horizon above STEPS // WIDE_ROWS
+    steps gets at least the largest multiple of _PATH_ROWS at or below both
+    WIDE_ROWS and 4 * STEPS // T'.  So a batch above the _PATH_ROWS floor
+    never exceeds 4 * STEPS steps, and only the last batch can be short and
+    padded.  Batches are drawn by noise_block and simulated by
     paths_from_noise; every sampled path of the package comes from here.
     """
-    size = max(_PATH_ROWS, STEPS // spec.effective_horizon // _PATH_ROWS * _PATH_ROWS)
+    t_eff = spec.effective_horizon
+    wide = min(WIDE_ROWS, 4 * STEPS // t_eff)
+    size = max(_PATH_ROWS, STEPS // t_eff, wide) // _PATH_ROWS * _PATH_ROWS
     for start in range(0, R, size):
         yield paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
 

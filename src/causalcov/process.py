@@ -256,6 +256,19 @@ def _bounded_real_doubling(a: np.ndarray, b: np.ndarray, horizon: int, levels) -
             step, live = _compose(step, step, live)
 
 
+def _spectral_norms(blocks: np.ndarray) -> np.ndarray:
+    """||M||_2 of each block M of a stack, by one batched SVD up to the last
+    block that is not exactly zero; the norm of every later block is 0.0,
+    the value its SVD gives.  A stable VAR's powers and impulses underflow
+    to exact zeros at long lags, so at long horizons most blocks are zero."""
+    live = np.flatnonzero(blocks.any(axis=(1, 2)))
+    stop = int(live[-1]) + 1 if live.size else 0
+    norms = np.zeros(len(blocks))
+    if stop:
+        norms[:stop] = np.linalg.norm(blocks[:stop], 2, axis=(1, 2))
+    return norms
+
+
 def _lag_overflow(lag: int, what: str, horizon: int) -> InvalidInput:
     return InvalidInput(
         f"var model overflows at lag {lag}: {what} exceeds "
@@ -272,9 +285,11 @@ class VarAnalysis:
     off them: the impulse responses A^j B, the covariances
     P_t = E X_t X_t^T = sum_{j<=t} A^j B (A^j B)^T of the lifted state
     (added in order of j), the per-time lam_max(P_t) and the squared power
-    norms ||A^j||_2^2.  A series is computed for the longest horizon asked
-    so far and handed out as a prefix; as each term's arithmetic depends on
-    its index alone, a prefix has the same bytes whatever was asked before.
+    norms ||A^j||_2^2; those two are solved only up to the last lag where
+    they change (per_time_lam_max, _spectral_norms).  A series is computed
+    for the longest horizon asked so far and handed out as a prefix; as
+    each term's arithmetic depends on its index alone, a prefix has the
+    same bytes whatever was asked before.
     Gamma_k, the k-step diagonal block of L and lam_max(L^T L) are held per
     argument.  Every array handed out is read-only.  Built by var_analysis;
     it holds no reference to its system.  A config runs check_overflow for
@@ -332,17 +347,29 @@ class VarAnalysis:
         return self._derived("covariances", n, compute)
 
     def per_time_lam_max(self, n: int) -> np.ndarray:
-        """lam_max(P_t) for t = 0..n-1."""
-        return self._derived(
-            "per_time_lam_max", n, lambda m: np.linalg.eigvalsh(self.covariances(m))[:, -1]
-        )
+        """lam_max(P_t) for t = 0..n-1.
+
+        Once its terms fall below its rounding, P_t stops changing: the
+        eigensolve runs up to the last t at which P_t differs bit-wise from
+        P_(t-1), and every later t copies that value, the bytes eigvalsh
+        gives for the same matrix.
+        """
+
+        def compute(m):
+            covs = self.covariances(m)
+            changed = np.flatnonzero(np.any(covs[1:] != covs[:-1], axis=(1, 2)))
+            stop = int(changed[-1]) + 2 if changed.size else 1
+            lam = np.empty(m)
+            lam[:stop] = np.linalg.eigvalsh(covs[:stop])[:, -1]
+            lam[stop:] = lam[stop - 1 : stop]
+            return lam
+
+        return self._derived("per_time_lam_max", n, compute)
 
     def _squared_power_norms(self, n: int) -> np.ndarray:
-        """||A^j||_2^2 for j = 0..n-1 (one batched norm over the stacked powers)."""
+        """||A^j||_2^2 for j = 0..n-1 (one batched norm up to the last nonzero power)."""
         return self._derived(
-            "squared_power_norms",
-            n,
-            lambda m: np.linalg.norm(self.powers(m), 2, axis=(1, 2)) ** 2,
+            "squared_power_norms", n, lambda m: _spectral_norms(self.powers(m)) ** 2
         )
 
     def power_norm_sum(self, n: int) -> float:
@@ -438,7 +465,7 @@ class VarAnalysis:
         rtol = 1e-10
         corner = np.einsum("jnp,jnq->pq", impulses, impulses)
         low = float(np.linalg.eigvalsh(corner)[-1])
-        high = float(np.sum(np.linalg.norm(impulses, 2, axis=(1, 2)))) ** 2 * (1.0 + rtol)
+        high = float(np.sum(_spectral_norms(impulses))) ** 2 * (1.0 + rtol)
         levels = np.linspace(low, high, _GRAM_LEVELS + 1)[1:]
         certified = None
         while True:
@@ -475,7 +502,10 @@ class ProcessSpec:
 
     source is either a VarSystem (lifted-state process) or a raw
     CausalOperator; T is the requested horizon, truncated internally to
-    T' = k*floor(T/k); k is the block length of the causal partition.
+    T' = k*floor(T/k); k is the block length of the causal partition.  An
+    operator's blocks fix its stride and horizon, so for a raw operator k
+    and T must equal them: this is the one rule, for the library and
+    config load alike.
     """
 
     source: object
@@ -485,18 +515,16 @@ class ProcessSpec:
     def __post_init__(self):
         self.T = int(self.T)
         self.k = int(self.k)
-        t_eff = effective_horizon(self.T, self.k)  # validates
         if isinstance(self.source, CausalOperator):
-            if self.source.k != self.k:
+            if self.k != self.source.k:
                 raise InvalidInput(
-                    f"operator stride {self.source.k} != requested block length {self.k}"
+                    f"k={self.k} conflicts with operator block length {self.source.k}"
                 )
-            if self.source.T != t_eff:
-                raise InvalidInput(
-                    f"operator horizon {self.source.T} != effective horizon {t_eff}"
-                )
+            if self.T != self.source.T:
+                raise InvalidInput(f"T={self.T} conflicts with operator horizon {self.source.T}")
         elif not isinstance(self.source, VarSystem):
             raise InvalidInput("source must be a VarSystem or CausalOperator")
+        effective_horizon(self.T, self.k)  # validates
 
     @classmethod
     def from_operator(cls, op: CausalOperator) -> "ProcessSpec":

@@ -7,6 +7,7 @@ match.
 """
 
 import dataclasses
+import re
 import warnings
 from unittest import mock
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from causalcov import (
     CausalOperator,
     ExperimentConfig,
+    InvalidInput,
     ProcessSpec,
     VarSystem,
     anticoncentration_bound,
@@ -273,6 +275,69 @@ def test_series_do_not_depend_on_the_order_of_requests(n1, n2):
         read[order] = [np.asarray(getattr(analysis, name)(n)).tobytes()
                        for name in series for n in (n1, n2)]
     assert read[(n1, n2)] == read[(n2, n1)]
+
+
+IDENTIFY_VAR = VarSystem(
+    a_lags=[np.array([[0.4, 0.1], [0.0, 0.4]]), np.array([[0.15, 0.0], [0.05, 0.15]])],
+    h=np.eye(2),
+)
+
+
+@pytest.mark.parametrize(
+    "sys, t_eff, settles",
+    [
+        pytest.param(random_var_system(np.random.default_rng(1), 2, 2, rho=0.3), 3000, True,
+                     id="rho-0.3"),
+        pytest.param(random_var_system(np.random.default_rng(2), 3, 1, rho=0.6, p=2), 2500, True,
+                     id="rho-0.6"),
+        pytest.param(random_var_system(np.random.default_rng(3), 2, 1, rho=0.9), 1500, True,
+                     id="rho-0.9"),
+        pytest.param(IDENTIFY_VAR, 4097, True, id="identify-model"),
+        pytest.param(random_var_system(np.random.default_rng(4), 2, 2, rho=0.9999), 600, False,
+                     id="near-unit-root"),
+    ],
+)
+def test_truncated_series_equal_the_full_solves(sys, t_eff, settles):
+    # lam_max(P_t) is solved only up to the last t at which P_t changes, and
+    # the spectral norms up to the last nonzero block; both have the bytes
+    # of one eigensolve or SVD over the whole stack.  At rho 0.3 and 0.6 and on the
+    # identify benchmark's model the powers underflow to exact zeros within
+    # the horizon; the near-unit-root model's P_t changes at every t of the
+    # horizon, so nothing is copied there.
+    analysis = process.VarAnalysis(sys)
+    covs = analysis.covariances(t_eff)
+    assert bool(np.array_equal(covs[-1], covs[-2])) == settles
+    full_lam = np.linalg.eigvalsh(covs)[:, -1]
+    assert analysis.per_time_lam_max(t_eff).tobytes() == full_lam.tobytes()
+    for blocks in (analysis.powers(t_eff), analysis.impulses(t_eff)):
+        full_norms = np.linalg.norm(blocks, 2, axis=(1, 2))
+        assert process._spectral_norms(blocks).tobytes() == full_norms.tobytes()
+    full_squares = np.linalg.norm(analysis.powers(t_eff), 2, axis=(1, 2)) ** 2
+    assert analysis._squared_power_norms(t_eff).tobytes() == full_squares.tobytes()
+
+
+def test_all_zero_stack_has_zero_norms():
+    assert process._spectral_norms(np.zeros((3, 2, 2))).tolist() == [0.0, 0.0, 0.0]
+    assert process._spectral_norms(np.zeros((0, 2, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "a, h, horizon, message",
+    [
+        # 1.5^876 is the first power above sqrt(float max)
+        pytest.param([[1.5, 0.0], [0.0, 0.5]], np.eye(2), 2000,
+                     "overflows at lag 876: an entry of A^876 exceeds", id="entry"),
+        # every entry of A^876 is below sqrt(float max), but ||A^876||_2^2 is not
+        pytest.param([[0.75, 0.75], [0.75, 0.75]], 1e-10 * np.eye(2), 877,
+                     "overflows at lag 876: ||A^876||_2 exceeds", id="spectral-norm"),
+    ],
+)
+def test_overflow_check_names_the_first_lag(a, h, horizon, message):
+    analysis = process.VarAnalysis(VarSystem(a_lags=[np.array(a)], h=h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            analysis.check_overflow(horizon)
 
 
 def test_var_system_is_immutable():

@@ -567,8 +567,9 @@ class TestSimulate:
         assert (out / "simulate.csv").read_bytes() == (again / "simulate.csv").read_bytes()
 
     def test_one_batch_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # T' = 6 and STEPS = 48: batches of 8, 8 and 1 replicates, the last
-        # padded to eight rows; the CSV holds the paths of one block of 17
+        # T' = 6 and STEPS = 12 (so 4 * STEPS // T' = 8): batches of 8, 8 and
+        # 1 replicates, the last padded to eight rows; the CSV holds the paths
+        # of one block of 17
         cfg = write_config(tmp_path / "c.json", base_config(replicates=17, T=6))
         draws = []
         real_noise_block = montecarlo.noise_block
@@ -578,7 +579,7 @@ class TestSimulate:
             return real_noise_block(spec, seed, start, count)
 
         monkeypatch.setattr(montecarlo, "noise_block", spy)
-        monkeypatch.setattr(montecarlo, "STEPS", 8 * 6)
+        monkeypatch.setattr(montecarlo, "STEPS", 2 * 6)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert "(17 paths, horizon 6)" in capsys.readouterr().out
@@ -646,6 +647,21 @@ class TestErrors:
                 },
                 "direction must have 2 columns (the state dimension), got 1",
                 id="direction-width-lifted",
+            ),
+            pytest.param(
+                {"model": {"type": "var", "a_lags": [[["0.5"]]], "h": [[1.0]]}},
+                "invalid var model: a_lags[0] is not a numeric matrix",
+                id="lag-string",
+            ),
+            pytest.param(
+                {"model": {"type": "var", "a_lags": [[[0.5]]], "h": [[True]]}},
+                "invalid var model: h is not a numeric matrix",
+                id="h-boolean",
+            ),
+            pytest.param(
+                {"events": [_chernoff([["1.0"]])]},
+                "direction is not a numeric matrix",
+                id="direction-string",
             ),
             pytest.param(
                 {"events": [{"event": "upper-tail-opnorm", "params": {"q": float("inf")}}]},

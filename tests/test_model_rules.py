@@ -6,7 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from causalcov import CausalOperator, ConfigError, ExperimentConfig, InvalidInput, VarSystem
+from causalcov import (
+    CausalOperator,
+    ConfigError,
+    ExperimentConfig,
+    InvalidInput,
+    ProcessSpec,
+    VarSystem,
+)
+from causalcov.montecarlo import check_event
 
 VAR = {"a_lags": [[[0.5, 0.1], [0.0, 0.4]]], "h": [[1.0, 0.0], [0.0, 1.0]]}
 OPERATOR = {"d": 1, "p": 1, "k": 1, "blocks": [[[[1.0]]], [[[0.3]], [[1.0]]]]}
@@ -29,6 +37,9 @@ CASES = [
                  id="lag-ragged"),
     pytest.param(_var(a_lags=[[[10**400]]], h=[[1.0]]), "a_lags[0] is not a numeric matrix",
                  id="lag-int-beyond-float"),
+    pytest.param(_var(a_lags=[[["0.5"]]], h=[[1.0]]), "a_lags[0] is not a numeric matrix",
+                 id="lag-string"),
+    pytest.param(_var(a_lags=[[[0.5]]], h=[[True]]), "h is not a numeric matrix", id="h-boolean"),
     pytest.param(_var(a_lags=[[0.5, 0.1]]), "a_lags[0] must be a finite 2-d matrix", id="lag-1d"),
     pytest.param(_var(a_lags=[[[[0.5]]]], h=[[1.0]]), "a_lags[0] must be a finite 2-d matrix",
                  id="lag-3d"),
@@ -94,3 +105,26 @@ def test_constructors_keep_their_array_inputs():
     rows = [np.ones((1, 1, 1)), np.ones((2, 1, 1))]
     op = CausalOperator.from_blocks(np.int64(1), 1, 1, rows)
     assert np.array_equal(op.dense(), [[1.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("direction", [[["1.0", "0.0"]], [[True, False]]], ids=["string", "bool"])
+def test_api_and_config_reject_a_non_numeric_direction_alike(direction):
+    event = {"event": "chernoff-direction", "params": {"direction": direction}}
+    with pytest.raises(InvalidInput, match="^direction is not a numeric matrix$"):
+        check_event(event["event"], event["params"], 2)
+    with pytest.raises(ConfigError, match="^direction is not a numeric matrix$"):
+        ExperimentConfig.from_dict({"model": {"type": "var", **VAR}, "T": 8, "events": [event]})
+
+
+def test_api_and_config_reject_an_operator_horizon_alike():
+    # T' = 6 at k = 2: T = 7 truncates to 6, but an operator's blocks fix T'
+    blocks = [[[[1.0, 0.0], [0.3, 1.0]]] * (i + 1) for i in range(3)]
+    op = CausalOperator.from_blocks(1, 1, 2, blocks)
+    message = "T=7 conflicts with operator horizon 6"
+    with pytest.raises(InvalidInput) as in_api:
+        ProcessSpec(source=op, T=7, k=2)
+    with pytest.raises(ConfigError) as at_load:
+        ExperimentConfig.from_dict(
+            {"model": {"type": "operator", "d": 1, "p": 1, "k": 2, "blocks": blocks}, "T": 7}
+        )
+    assert str(in_api.value) == str(at_load.value) == message

@@ -142,14 +142,36 @@ def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
             assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
 
 
-@pytest.mark.parametrize("t_eff, size", [(16, 2048), (48, 680), (4097, 8), (65536, 8)])
-def test_batches_hold_a_multiple_of_eight_replicates(monkeypatch, t_eff, size):
-    # only the last batch is short, so only the last one is padded
+def _batch_sizes(monkeypatch, t_eff: int, R: int):
+    """The sizes of the batches _path_batches draws for R replicates, lazily."""
     monkeypatch.setattr(montecarlo, "noise_block", lambda spec, seed, start, count: np.empty(count))
     monkeypatch.setattr(montecarlo, "paths_from_noise", lambda spec, w: w)
     spec = ProcessSpec(source=VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1)), T=t_eff)
-    batches = [len(x) for x in montecarlo._path_batches(spec, 0, 2 * size + 3)]
-    assert batches == [size, size, 3]
+    return (len(x) for x in montecarlo._path_batches(spec, 0, R))
+
+
+@pytest.mark.parametrize(
+    "t_eff, size",
+    [(16, 2048), (48, 680), (2048, 32), (4097, 24), (16385, 8), (65536, 8)],
+)
+def test_batches_hold_a_multiple_of_eight_replicates(monkeypatch, t_eff, size):
+    # only the last batch is short, so only the last one is padded
+    assert list(_batch_sizes(monkeypatch, t_eff, 2 * size + 3)) == [size, size, 3]
+
+
+def test_long_horizons_get_wide_batches_within_four_times_steps(monkeypatch):
+    # up to 1024 steps a batch is the largest multiple of eight within STEPS
+    # steps, and at least eight; a longer horizon gets up to 32 replicates,
+    # and no batch above the floor of eight exceeds 4 * STEPS steps
+    horizons = [*range(1, 1025), *range(1025, 5 * montecarlo.STEPS, 97), 4 * montecarlo.STEPS]
+    for t_eff in horizons:
+        size = next(_batch_sizes(monkeypatch, t_eff, 10**6))
+        assert size % 8 == 0 and size >= 8, t_eff
+        if t_eff <= 1024:
+            assert size == max(8, montecarlo.STEPS // t_eff // 8 * 8), t_eff
+        else:
+            assert size <= 32, t_eff
+        assert size == 8 or size * t_eff <= 4 * montecarlo.STEPS, t_eff
 
 
 def test_tail_experiment_event_validation(monkeypatch):

@@ -1,12 +1,18 @@
-"""Time the `bounds` subcommand over a ladder of horizons.
+"""Time the `bounds` or `identify` subcommand over a ladder of horizons.
 
-usage: python3 tools/bounds_ladder.py [--src DIR] T [T ...]
+usage: python3 tools/bounds_ladder.py [--src DIR] [--subcommand bounds|identify] T [T ...]
 
-Each horizon runs in a fresh interpreter with BLAS on one thread, on the
-model of perfbench/configs/bounds-T512.json with only T changed.  The
-package is imported from --src (default: this checkout's src/), so the
-same script times another checkout.  One JSON object per horizon is
-printed: T, the exit code, import_s (the child's time to import
+Each horizon runs in a fresh interpreter with BLAS on one thread.
+`bounds` (the default) runs on the model of
+perfbench/configs/bounds-T512.json with only T changed.  `identify` runs
+on the model of perfbench/configs/identify-T4096.json, with the replicate
+count R scaled so that R * T stays at 100 * 4096 (and R >= 1), so every
+rung simulates about as many time steps.  From T = 16384 on, R is below
+44, the fewest replicates whose Wilson interval at zero hits fits
+identify's budget 2 delta = 0.2, so identify exits 1 there.  The package
+is imported from --src (default: this checkout's src/), so the same
+script times another checkout.  One JSON object per horizon is printed:
+T, R for identify, the exit code, import_s (the child's time to import
 causalcov.cli, NumPy included), wall_s (entry to return of
 causalcov.cli.main) and peak_rss_mb (the child's ru_maxrss).
 """
@@ -22,7 +28,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODEL = ROOT / "perfbench" / "configs" / "bounds-T512.json"
+MODELS = {
+    "bounds": ROOT / "perfbench" / "configs" / "bounds-T512.json",
+    "identify": ROOT / "perfbench" / "configs" / "identify-T4096.json",
+}
+
+#: replicates times horizon of every identify rung
+IDENTIFY_STEPS = 100 * 4096
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD = """
@@ -30,7 +42,7 @@ import json, resource, sys, time
 t0 = time.perf_counter()
 from causalcov.cli import main
 t1 = time.perf_counter()
-code = main(["bounds", "--config", sys.argv[1], "--out", sys.argv[2]])
+code = main([sys.argv[3], "--config", sys.argv[1], "--out", sys.argv[2]])
 wall = time.perf_counter() - t1
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"exit": code, "import_s": round(t1 - t0, 4), "wall_s": round(wall, 4),
@@ -38,30 +50,34 @@ print(json.dumps({"exit": code, "import_s": round(t1 - t0, 4), "wall_s": round(w
 """
 
 
-def run(src: Path, T: int, work: Path) -> dict:
-    config = json.loads(MODEL.read_text())
+def run(src: Path, subcommand: str, T: int, work: Path) -> dict:
+    config = json.loads(MODELS[subcommand].read_text())
     config["T"] = T
-    path = work / f"T{T}.json"
+    rung = {"T": T}
+    if subcommand == "identify":
+        config["replicates"] = rung["R"] = max(1, IDENTIFY_STEPS // T)
+    path = work / f"{subcommand}-T{T}.json"
     path.write_text(json.dumps(config))
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(path), str(work / f"out{T}")],
+        [sys.executable, "-c", CHILD, str(path), str(work / f"out-{subcommand}-{T}"), subcommand],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return {"T": T, **json.loads(out.stdout.strip().splitlines()[-1])}
+    return {**rung, **json.loads(out.stdout.strip().splitlines()[-1])}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("horizons", nargs="+", type=int)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--subcommand", choices=sorted(MODELS), default="bounds")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         for T in args.horizons:
-            print(json.dumps(run(args.src.resolve(), T, Path(tmp))), flush=True)
+            print(json.dumps(run(args.src.resolve(), args.subcommand, T, Path(tmp))), flush=True)
     return 0
 
 
