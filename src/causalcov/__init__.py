@@ -53,6 +53,7 @@ from .montecarlo import (
     run_identification_experiment,
     run_tail_experiment,
     run_tail_experiments,
+    run_tail_sweep,
     wilson_interval,
 )
 from .process import (
@@ -116,6 +117,7 @@ __all__ = [
     "run_identification_experiment",
     "run_tail_experiment",
     "run_tail_experiments",
+    "run_tail_sweep",
     "wilson_interval",
     # config / errors
     "ExperimentConfig",

@@ -20,10 +20,13 @@ orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
 and the config schema for users.  Every CSV report goes through _write_csv,
 row by row: simulate writes each batch of montecarlo's sampling loop as it
 is drawn, so it holds one batch in memory.  At seed s it writes the paths
-run_tail_experiment(seed=s) samples.  verify and sweep sample each (T, k)
-cell once, at the sub-seed derive_seed(s, c), c the cell's index in grid
-order (T outer, k inner; verify's one cell is 0), and score every event
-of the cell, at every delta, on those paths.
+run_tail_experiment(seed=s) samples.  verify and sweep draw one sample, at
+the sub-seed derive_seed(s, 0), at the longest T' of their cells (verify
+has one); each (T, k) cell scores every event, at every delta, on the
+prefix of those paths up to its own T' (montecarlo.run_tail_sweep).  The
+hits of different cells are dependent, each interval valid on its own,
+and a prefix whose T' is not a multiple of 16 may differ in the last
+digit from a sample at that T' alone.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .montecarlo import (
     _path_batches,
     run_identification_experiment,
     run_tail_experiments,
+    run_tail_sweep,
 )
 from .process import ProcessSpec, VarSystem, derive_seed, gamma_k, kappa
 
@@ -212,17 +216,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_events(config: ExperimentConfig, spec: ProcessSpec, cell: int) -> list[dict]:
-    """One row per config event, all scored on one sample of the cell's paths."""
-    seed = derive_seed(config.seed, cell)
-    exps = run_tail_experiments(spec, config.events, R=config.replicates, seed=seed)
-    return [_experiment_row(exp, spec) for exp in exps]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     config, out_dir = _load(args)
     spec = config.process_spec()
-    rows = _run_events(config, spec, cell=0)
+    exps = run_tail_experiments(
+        spec, config.events, R=config.replicates, seed=derive_seed(config.seed, 0)
+    )
+    rows = [_experiment_row(exp, spec) for exp in exps]
     overall = all(r["certified"] for r in rows)
     summary: dict = {
         "config": config.to_dict(),
@@ -311,11 +311,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         op_cell = _operator_bounds(spec)
         del op_cell["intermediates"]
         planned.append((spec, [{**op_cell, **_ls_bounds(config, spec, delta)} for delta in d_grid]))
+    sampled = run_tail_sweep(
+        [(spec, config.events) for spec, _ in planned],
+        R=config.replicates,
+        seed=derive_seed(config.seed, 0),
+    )
     rows: list[dict] = []
     cells: list[dict] = []
-    for cell, (spec, heads) in enumerate(planned):
+    for (spec, heads), exps in zip(planned, sampled):
         # no tail event depends on delta: every delta reuses the cell's rows
-        event_rows = _run_events(config, spec, cell)
+        event_rows = [_experiment_row(exp, spec) for exp in exps]
         for delta, cell_head in zip(d_grid, heads):
             columns = {col: cell_head[col] for col in SWEEP_COLUMNS[-6:]}
             rows.extend({**r, "delta": delta, **columns} for r in event_rows)

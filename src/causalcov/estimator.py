@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _excitation_floor, arma_prefactor
+from .bounds import arma_prefactor
 from .errors import BurninUnsatisfied, InvalidInput, SingularGram
 from .linalg import SymMatrix
 from .process import VarSystem, effective_horizon, var_analysis
@@ -153,8 +153,8 @@ def ls_bound_details(sys: VarSystem, T: int, k: int, delta: float) -> dict:
     if not 0.0 < delta < 1.0:
         raise InvalidInput(f"delta must lie in (0, 1), got {delta}")
     t_eff = effective_horizon(T, k)
-    g_lo = _excitation_floor(sys, k)
     analysis = var_analysis(sys)
+    g_lo = analysis.excitation_floor(k)
     sum_lam_max = float(analysis.per_time_lam_max(t_eff).sum())
     head_lo = k * g_lo  # lam_min(sum_{t<k} P_t)
     try:

@@ -15,9 +15,16 @@ size.
 A batch goes from paths to one matrix per replicate to one statistic per
 replicate.  Every tail event reads the empirical covariance
 S_r = sum_t X_t X_t^T, formed once per batch and shared by all events of
-the pass (run_tail_experiments): lam_min(S_r / T'), lam_max(S_r) or the
-probed energy tr(D S_r); check_event defines the events and their
-parameter rules once, for run_tail_experiments and config alike.  The
+the pass: lam_min(S_r / T'), lam_max(S_r) or the probed energy tr(D S_r);
+check_event defines the events and their parameter rules once, for
+run_tail_experiments and config alike.  A sweep (run_tail_sweep) samples
+its cells in one pass at the longest horizon T' of its grid: a causal
+process's X_t reads only W_s for s <= t, so each cell scores the prefix of
+those paths at its own T', through one S_r per distinct T' and batch.
+The hits of different cells are then dependent; each interval is still
+valid on its own.  Where that T' is not a multiple of the simulator's
+time block, the prefix may differ from a pass at T' alone in the last
+digit.  run_tail_experiments is the sweep of one cell.  The
 identification experiment fits a batch's regressions in one stacked
 least-squares solve.  One function (_verdict) turns every experiment's
 hit count into its TailExperiment: the bound is certified when the upper
@@ -52,6 +59,7 @@ __all__ = [
     "wilson_interval",
     "run_tail_experiment",
     "run_tail_experiments",
+    "run_tail_sweep",
     "run_identification_experiment",
 ]
 
@@ -265,6 +273,56 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
     return _EventPlan(event, bound, threshold, hit, batch_stat, extras)
 
 
+def run_tail_sweep(
+    cells: Sequence[tuple[ProcessSpec, Sequence[tuple[str, dict | None]]]],
+    R: int = 10_000,
+    seed: int = 0,
+) -> list[list[TailExperiment]]:
+    """run_tail_experiments for each (spec, events) cell, all on one sample.
+
+    The cells must share one source (InvalidInput otherwise).  Every
+    cell's events are checked, and their bounds and thresholds computed,
+    before any path is drawn.  Then one pass of _path_batches samples
+    replicates 0..R-1 of seed at the longest effective horizon of the
+    cells.  Per batch, S_r = sum_{t<T'} X_t X_t^T is formed once for each
+    distinct T' of the cells, from the prefix of the paths up to T', and
+    every event of a cell at that T' is scored on it.  A VAR's X_t reads
+    only W_s for s <= t, and a replicate's noise at a shorter T' is the
+    prefix of its noise at the longest one, so a cell's prefix has the law
+    of its paths, and the same bytes when its T' is a multiple of
+    _PATH_BLOCK; otherwise its last, shorter simulator block may round
+    differently in the last digit.  Cells read the same paths, so their
+    hits are dependent; each Wilson interval is valid on its own.  Returns
+    one list of TailExperiments per cell, in order.
+    """
+    if R < 1:
+        raise InvalidInput("replicate count must be >= 1")
+    cells = list(cells)
+    if not cells:
+        raise InvalidInput("a sweep needs at least one cell")
+    source = cells[0][0].source
+    if any(spec.source is not source for spec, _ in cells):
+        raise InvalidInput("the cells of a sweep must share one source")
+    horizons = [spec.effective_horizon for spec, _ in cells]
+    plans = [
+        [_event_plan(spec, event, params) for event, params in events] for spec, events in cells
+    ]
+    hits = [[0] * len(cell_plans) for cell_plans in plans]
+    longest = cells[int(np.argmax(horizons))][0]
+    for x in _path_batches(longest, seed, R):
+        grams = {t: np.swapaxes(x[:, :t], 1, 2) @ x[:, :t] for t in set(horizons)}
+        for t_eff, cell_plans, cell_hits in zip(horizons, plans, hits):
+            for i, plan in enumerate(cell_plans):
+                cell_hits[i] += plan.hits(grams[t_eff])
+    return [
+        [
+            _verdict(p.event, h, R, p.bound, seed, {**p.extras, "threshold": p.threshold})
+            for p, h in zip(cell_plans, cell_hits)
+        ]
+        for cell_plans, cell_hits in zip(plans, hits)
+    ]
+
+
 def run_tail_experiments(
     spec: ProcessSpec,
     events: Sequence[tuple[str, dict | None]],
@@ -291,25 +349,18 @@ def run_tail_experiments(
     event's row is the one it gets when run alone: it does not depend on
     which other events share the pass, nor on their order.  The events'
     hit indicators are dependent, since they read the same paths; each
-    one's Wilson interval is valid on its own.
+    one's Wilson interval is valid on its own.  This is run_tail_sweep's
+    one-cell case; a sweep over several (T, k) cells scores each cell on
+    the prefix of one pass at its grid's longest horizon, so a cell's row
+    there equals this function's at the same seed where the cell's T' is
+    a multiple of _PATH_BLOCK, and may differ in the last digit elsewhere.
 
     Bounds and thresholds read the process's analysis, computed once per
     process and shared by every event and report on it: psi_k and the
     dense statistics for a raw operator, the VarAnalysis
     for a VAR, whose operator L is never formed.
     """
-    if R < 1:
-        raise InvalidInput("replicate count must be >= 1")
-    plans = [_event_plan(spec, event, params) for event, params in events]
-    hits = [0] * len(plans)
-    for x in _path_batches(spec, seed, R):
-        grams = np.swapaxes(x, 1, 2) @ x
-        for i, plan in enumerate(plans):
-            hits[i] += plan.hits(grams)
-    return [
-        _verdict(p.event, h, R, p.bound, seed, {**p.extras, "threshold": p.threshold})
-        for p, h in zip(plans, hits)
-    ]
+    return run_tail_sweep([(spec, events)], R, seed)[0]
 
 
 def run_tail_experiment(
@@ -321,6 +372,19 @@ def run_tail_experiment(
 ) -> TailExperiment:
     """One event of run_tail_experiments, on its own pass over R paths."""
     return run_tail_experiments(spec, [(event, params)], R, seed)[0]
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-d array, bit for bit, by one sort: the
+    middle value, or the mean of the two middle values (a + b) / 2; NaN if
+    any value is NaN.  np.median imports numpy.ma on its first call."""
+    s = np.sort(values)
+    n = len(s)
+    if np.isnan(s[-1]):
+        return math.nan
+    if n % 2:
+        return float(s[n // 2])
+    return float((s[(n - 1) // 2] + s[n // 2]) / 2)
 
 
 def run_identification_experiment(
@@ -360,7 +424,7 @@ def run_identification_experiment(
     extras = {
         "ls_bound": bound,
         "burnin_satisfied": details["burnin_satisfied"],
-        "median_op_error": float(np.median(op_errors)),
+        "median_op_error": _median(op_errors),
         "op_errors": op_errors,
         "delta": float(delta),
         "c_sys": details["c_sys"],

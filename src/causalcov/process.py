@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._rng import check_seed, mix64, pcg64_word_order, pcg64_word_view, replicate_words
-from .errors import HorizonTooShort, InvalidInput, NonFiniteBound
+from .errors import HorizonTooShort, InsufficientExcitation, InvalidInput, NonFiniteBound
 from .linalg import CausalOperator, SymMatrix, finite_matrix
 
 __all__ = [
@@ -290,11 +290,12 @@ class VarAnalysis:
     for the longest horizon asked so far and handed out as a prefix; as
     each term's arithmetic depends on its index alone, a prefix has the
     same bytes whatever was asked before.
-    Gamma_k, the k-step diagonal block of L and lam_max(L^T L) are held per
-    argument.  Every array handed out is read-only.  Built by var_analysis;
-    it holds no reference to its system.  A config runs check_overflow for
-    its longest horizon at load, so the powers and impulses are formed
-    there, once, and checked exactly as the bounds later read them.
+    Gamma_k, lam_min(Gamma_k), the k-step diagonal block of L and
+    lam_max(L^T L) are held per argument.  Every array handed out is
+    read-only.  Built by var_analysis; it holds no reference to its system.
+    A config runs check_overflow for its longest horizon at load, so the
+    powers and impulses are formed there, once, and checked exactly as the
+    bounds later read them.
     """
 
     def __init__(self, sys: VarSystem):
@@ -423,6 +424,20 @@ class VarAnalysis:
             return gamma
 
         return self._once("gamma", k, compute)
+
+    def excitation_floor(self, k: int) -> float:
+        """lam_min(Gamma_k), solved once per k; InsufficientExcitation where
+        Gamma_k is singular (lam_min <= 1e-12 lam_max), on every call."""
+
+        def compute(k):
+            lo, hi = self.gamma(k).eig_extremes()
+            if hi <= 0 or lo <= 1e-12 * hi:
+                raise InsufficientExcitation(
+                    f"Gamma_{k} is singular; pick k at or above the excitation index"
+                )
+            return lo
+
+        return self._once("excitation_floor", k, compute)
 
     def diagonal_block(self, k: int) -> np.ndarray:
         """The k-step head of L, the read-only (k dL, k p) lower block

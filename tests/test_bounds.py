@@ -332,6 +332,38 @@ def test_arma_insufficient_excitation():
         arma_prefactor(sys, 16, 1)
 
 
+def test_excitation_floor_solved_once_per_system_and_k(monkeypatch):
+    # ls_bound_details and its burn-in check (through arma_prefactor) read
+    # one lam_min(Gamma_k) per (system, k), at any horizon
+    from causalcov import ls_bound_details
+    from causalcov.linalg import SymMatrix
+    from causalcov.process import var_analysis
+
+    solves = []
+    eig_extremes = SymMatrix.eig_extremes
+
+    def counted(self):
+        solves.append(1)
+        return eig_extremes(self)
+
+    monkeypatch.setattr(SymMatrix, "eig_extremes", counted)
+    sys = VarSystem(a_lags=[np.array([[0.5, 0.1], [0.0, 0.4]])], h=np.eye(2))
+    details = ls_bound_details(sys, 64, 2, 0.1)
+    ls_bound_details(sys, 128, 2, 0.05)
+    arma_prefactor(sys, 32, 2)
+    assert len(solves) == 1
+    gamma = np.asarray(var_analysis(sys).gamma(2))
+    assert details["lam_min_gamma"] == var_analysis(sys).excitation_floor(2)
+    assert details["lam_min_gamma"] == float(np.linalg.eigvalsh(gamma)[0])
+    arma_prefactor(sys, 32, 1)
+    assert len(solves) == 2
+    # a singular Gamma_k raises on every call, not just the first
+    singular = VarSystem(a_lags=[np.zeros((2, 2))], h=np.array([[1.0], [0.0]]))
+    for _ in range(2):
+        with pytest.raises(InsufficientExcitation, match="Gamma_1 is singular"):
+            ls_bound_details(singular, 16, 1, 0.1)
+
+
 def test_anticoncentration_threshold_matches_gamma_for_var():
     # for a VAR at block length k, the decoupled covariance sum is T' Gamma_k
     from causalcov import gamma_k

@@ -74,13 +74,16 @@ def spy_draws(monkeypatch) -> list:
     return draws
 
 
-def assert_rows_match_single_runs(cfg, rows, cell_of) -> None:
-    """Each report row is run_tail_experiment alone at its cell's sub-seed."""
+def assert_rows_match_single_runs(cfg, rows) -> None:
+    """Each report row is run_tail_experiment alone on its own cell at the
+    sub-seed derive_seed(s, 0).  A sweep row reads the prefix of one sample
+    at the grid's longest T', so this holds bit for bit where each cell's
+    T' is a multiple of the simulator's 16-step block."""
     config = load_config(cfg)
     params = {ev.event: ev.params for ev in config.events}
+    seed = process.derive_seed(config.seed, 0)
     for row in rows:
         spec = config.process_spec(row["T"], row["k"])
-        seed = process.derive_seed(config.seed, cell_of(row))
         exp = montecarlo.run_tail_experiment(
             spec, row["event"], dict(params[row["event"]]), R=config.replicates, seed=seed
         )
@@ -284,17 +287,23 @@ class TestVerify:
     def test_step_budget_determinism(self, tmp_path, monkeypatch):
         # T=24: batches of 1360 replicates by default, of 8 (the floor) at
         # STEPS=24 and of 1000 at 24007; 2100 replicates leave a last batch of
-        # 740, 4 and 100
+        # 740, 4 and 100.  The sweep's cells have T' = 24, 30 and 32, one a
+        # multiple of the 16-step block; its one pass at T' = 32 runs batches
+        # of 1024, 8 and 744 replicates
         cfg = write_config(tmp_path / "c.json", base_config(replicates=2100))
-        outs = []
+        grid = {"T": [24, 32], "k": [1, 3]}
+        sweep_cfg = write_config(tmp_path / "sw.json", base_config(replicates=2100, grid=grid))
+        outs, sweep_codes = [], []
         for steps in (montecarlo.STEPS, 24, 24 * 1000 + 7):
             monkeypatch.setattr(montecarlo, "STEPS", steps)
             out = tmp_path / f"s{steps}"
             assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            sweep_codes.append(main(["sweep", "--config", sweep_cfg, "--out", str(out)]))
             outs.append(out)
+        assert sweep_codes[1:] == sweep_codes[:-1]
         for out in outs[1:]:
-            for name in ("verify.csv", "verify.json", "simulate.csv"):
+            for name in ("verify.csv", "verify.json", "simulate.csv", "sweep.csv", "sweep.json"):
                 assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_events_share_one_sample(self, tmp_path, monkeypatch):
@@ -309,7 +318,7 @@ class TestVerify:
         assert [r["event"] for r in rows] == [
             "lower-tail-eigenvalue", "chernoff-direction", "upper-tail-opnorm"
         ]
-        assert_rows_match_single_runs(cfg, rows, cell_of=lambda row: 0)
+        assert_rows_match_single_runs(cfg, rows)
 
     def test_seed_and_replicates_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())
@@ -419,23 +428,22 @@ class TestSweep:
 
     def test_each_cell_sampled_once(self, tmp_path, monkeypatch):
         draws = spy_draws(monkeypatch)
-        grid = {"T": [12, 24], "k": [1, 2], "delta": [0.05, 0.2]}
+        grid = {"T": [16, 48], "k": [1, 2], "delta": [0.05, 0.2]}
         cfg = write_config(
             tmp_path / "c.json", base_config(events=THREE_EVENTS, replicates=64, grid=grid)
         )
         out = tmp_path / "out"
         main(["sweep", "--config", cfg, "--out", str(out)])
-        # R draws per (T, k) cell, at derive_seed(s, c) for c in grid order
-        cells = [(12, 1), (12, 2), (24, 1), (24, 2)]
-        per_seed: dict = {}
-        for t_eff, seed, count in draws:
-            per_seed[(t_eff, seed)] = per_seed.get((t_eff, seed), 0) + count
-        assert per_seed == {(T, process.derive_seed(13, c)): 64 for c, (T, _) in enumerate(cells)}
+        # one sample of R replicates for the whole grid, at the longest T' and
+        # at derive_seed(s, 0): R * T'_max * p normals, with p = 1
+        assert {(t_eff, seed) for t_eff, seed, _ in draws} == {(48, process.derive_seed(13, 0))}
+        assert sum(count for _, _, count in draws) == 64
+        assert sum(t_eff * count for t_eff, _, count in draws) == 64 * 48
         rows = json.loads((out / "sweep.json").read_text())["results"]
-        assert len(rows) == len(cells) * 2 * len(THREE_EVENTS)
-        assert_rows_match_single_runs(
-            cfg, rows, cell_of=lambda row: cells.index((row["T"], row["k"]))
-        )
+        assert len(rows) == 4 * 2 * len(THREE_EVENTS)
+        # every cell's T' is a multiple of 16, so each prefix has the bytes of
+        # the cell's own sample
+        assert_rows_match_single_runs(cfg, rows)
         # the two deltas of a cell share its event rows
         keep = ("event", "hits", "ci_low", "ci_high", "bound", "seed")
         by_delta = [
@@ -683,6 +691,7 @@ class TestErrors:
             raise AssertionError("sampling started before the config was rejected")
 
         monkeypatch.setattr(cli, "run_tail_experiments", never)
+        monkeypatch.setattr(cli, "run_tail_sweep", never)
         cfg = write_config(tmp_path / "c.json", base_config(**overrides))
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
@@ -737,7 +746,7 @@ class TestErrors:
         def never(*args, **kwargs):
             raise AssertionError("sampling started before every cell was bounded")
 
-        monkeypatch.setattr(cli, "run_tail_experiments", never)
+        monkeypatch.setattr(cli, "run_tail_sweep", never)
         model = {"type": "var", "a_lags": [[[0.5, 0.1], [0, 0.4]]], "h": [[0], [1]]}
         grid = {"T": [512, 64], "k": [2, 1]}
         cfg = write_config(

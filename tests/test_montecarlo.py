@@ -23,6 +23,7 @@ from causalcov import (
     run_identification_experiment,
     run_tail_experiment,
     run_tail_experiments,
+    run_tail_sweep,
     wilson_interval,
 )
 from causalcov import montecarlo, process
@@ -199,6 +200,61 @@ def test_tail_experiment_event_validation(monkeypatch):
         )
 
 
+SWEEP_EVENTS = [
+    ("lower-tail-eigenvalue", None),
+    ("chernoff-direction", {"direction": [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.0]]}),
+    ("upper-tail-opnorm", {"q": 2.0}),
+]
+
+
+def two_lag_var() -> VarSystem:
+    a1 = np.array([[0.4, 0.1], [0.0, 0.4]])
+    a2 = np.array([[0.15, 0.0], [0.05, 0.15]])
+    return VarSystem(a_lags=[a1, a2], h=np.array([[1.0, 0.0], [0.3, 0.8]]))
+
+
+def test_sweep_cells_read_prefixes_of_one_pass(monkeypatch):
+    # T' = 16, 32, 48 and 64: multiples of the 16-step simulator block, so
+    # each cell's prefix of the one pass has the bytes of its own pass
+    sys = two_lag_var()
+    cells = [(ProcessSpec(source=sys, T=T, k=k), SWEEP_EVENTS) for T, k in
+             [(16, 2), (64, 2), (33, 2), (49, 3), (64, 4)]]
+    R, seed = 2 * (montecarlo.STEPS // 64) + 5, 11
+    draws = []
+    real_noise_block = montecarlo.noise_block
+
+    def spy(spec, seed, start, count):
+        draws.append((spec.effective_horizon, seed, count))
+        return real_noise_block(spec, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "noise_block", spy)
+    swept = run_tail_sweep(cells, R=R, seed=seed)
+    # one pass: R replicates, all at the longest T' and at the sweep's seed
+    assert {(t_eff, s) for t_eff, s, _ in draws} == {(64, seed)}
+    assert sum(count for _, _, count in draws) == R
+    monkeypatch.setattr(montecarlo, "noise_block", real_noise_block)
+    assert len(swept) == len(cells)
+    for (spec, events), exps in zip(cells, swept):
+        assert exps == run_tail_experiments(spec, events, R=R, seed=seed)
+
+
+def test_sweep_cells_share_one_source(monkeypatch):
+    def never(*args):
+        raise AssertionError("sampling started before every cell was checked")
+
+    monkeypatch.setattr(montecarlo, "noise_block", never)
+    sys, twin = two_lag_var(), two_lag_var()
+    events = [("lower-tail-eigenvalue", None)]
+    with pytest.raises(InvalidInput, match="the cells of a sweep must share one source"):
+        run_tail_sweep([(ProcessSpec(sys, 16, 2), events), (ProcessSpec(twin, 32, 2), events)], R=4)
+    with pytest.raises(InvalidInput, match="a sweep needs at least one cell"):
+        run_tail_sweep([], R=4)
+    # every cell's events are checked before the pass draws a path
+    bad = [("upper-tail-opnorm", {"q": 0.5})]
+    with pytest.raises(InvalidInput, match="q must be a finite number > 1"):
+        run_tail_sweep([(ProcessSpec(sys, 16, 2), events), (ProcessSpec(sys, 32, 2), bad)], R=4)
+
+
 @pytest.mark.parametrize(
     "event, params",
     [
@@ -302,6 +358,23 @@ class TestMgfExperiment:
         a = run_mgf_experiment(q, np.empty(0), 0.3, R=5000, seed=1)
         b = run_mgf_experiment(q, np.empty(0), 0.3, R=5000, seed=1)
         assert a.frequency == b.frequency and a.ci == b.ci
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 100, 101])
+def test_median_equals_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for values in (
+        rng.standard_normal(n),
+        rng.exponential(size=n) * 1e-3,
+        rng.integers(0, 3, n) * 0.1,
+        np.full(n, 0.1),
+    ):
+        got = montecarlo._median(values)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.median(values).tobytes()
+        # any NaN makes the median NaN, as np.median does
+        values[rng.integers(n)] = math.nan
+        assert math.isnan(montecarlo._median(values)) and math.isnan(np.median(values))
 
 
 class TestIdentificationExperiment:
