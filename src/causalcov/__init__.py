@@ -9,23 +9,9 @@ against exact oracles.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundReport,
-    anticoncentration_bound,
-    arma_corollary_bound,
-    arma_prefactor,
-    armastability_bound,
-    block_trace_sums,
-    causal_exp_inequality,
-    chernoff_lower_tail,
-    chernoff_threshold,
-    exact_mgf,
-    mgf_subexp_lemma,
-    mgf_upper_bound,
-    psi_k,
-    upper_tail_bound,
-)
-from .config import ExperimentConfig, load_config, resolve_block_length
+from . import bounds, config, estimator, linalg, montecarlo, process
+from .bounds import *  # noqa: F403
+from .config import *  # noqa: F403
 from .errors import (
     BurninUnsatisfied,
     CausalCovError,
@@ -38,91 +24,21 @@ from .errors import (
     SingularDecoupledCovariance,
     SingularGram,
 )
-from .estimator import (
-    LsFit,
-    burnin_check,
-    error_decomposition,
-    least_squares,
-    ls_bound_details,
-    ls_error_bound,
-    self_normalized_bound,
-)
-from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
-from .montecarlo import (
-    TailExperiment,
-    run_identification_experiment,
-    run_tail_experiment,
-    run_tail_experiments,
-    run_tail_sweep,
-    wilson_interval,
-)
-from .process import (
-    ProcessSpec,
-    VarSystem,
-    companion,
-    derive_seed,
-    effective_horizon,
-    gamma_k,
-    kappa,
-    noise_block,
-    paths_from_noise,
-    var_time_covariances,
-    var_to_operator,
-)
+from .estimator import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .process import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # linalg
-    "CausalOperator",
-    "SymMatrix",
-    "require_psd",
-    "trace_square",
-    # process
-    "ProcessSpec",
-    "VarSystem",
-    "companion",
-    "derive_seed",
-    "effective_horizon",
-    "gamma_k",
-    "kappa",
-    "noise_block",
-    "paths_from_noise",
-    "var_time_covariances",
-    "var_to_operator",
-    # bounds
-    "BoundReport",
-    "anticoncentration_bound",
-    "arma_corollary_bound",
-    "arma_prefactor",
-    "armastability_bound",
-    "block_trace_sums",
-    "causal_exp_inequality",
-    "chernoff_lower_tail",
-    "chernoff_threshold",
-    "exact_mgf",
-    "mgf_subexp_lemma",
-    "mgf_upper_bound",
-    "psi_k",
-    "upper_tail_bound",
-    # estimator
-    "LsFit",
-    "burnin_check",
-    "error_decomposition",
-    "least_squares",
-    "ls_bound_details",
-    "ls_error_bound",
-    "self_normalized_bound",
-    # monte-carlo
-    "TailExperiment",
-    "run_identification_experiment",
-    "run_tail_experiment",
-    "run_tail_experiments",
-    "run_tail_sweep",
-    "wilson_interval",
-    # config / errors
-    "ExperimentConfig",
-    "load_config",
-    "resolve_block_length",
+# the public names: each module's __all__ is the one list of its own, and
+# errors, which has none, is exported as a whole
+__all__ = ["__version__"]
+__all__ += linalg.__all__
+__all__ += process.__all__
+__all__ += bounds.__all__
+__all__ += estimator.__all__
+__all__ += montecarlo.__all__
+__all__ += config.__all__
+__all__ += [
     "CausalCovError",
     "ConfigError",
     "InvalidInput",

@@ -29,6 +29,7 @@ import functools
 import numpy as np
 
 from .errors import InvalidInput
+from .linalg import check_int
 
 _MASK = (1 << 64) - 1
 # SplitMix64 constants (Steele, Lea & Flood's mixing finalizer).
@@ -66,7 +67,8 @@ def mix64(seed: int, counter: int) -> int:
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """Return seed, or raise InvalidInput outside [0, 2**64), where mix64 aliases it."""
+    """seed as an int; InvalidInput unless an integer in [0, 2**64), where mix64 aliases none."""
+    seed = check_int(seed, name, minimum=None)
     if seed < 0:
         raise InvalidInput(f"{name} must be >= 0, got {seed}")
     if seed > _MASK:

@@ -35,7 +35,15 @@ from .errors import (
     NonFiniteBound,
     SingularDecoupledCovariance,
 )
-from .linalg import CausalOperator, SymMatrix, require_psd, trace_square
+from .linalg import (
+    CausalOperator,
+    SymMatrix,
+    check_int,
+    check_number,
+    nonsingular,
+    require_psd,
+    trace_square,
+)
 from .process import (
     ProcessSpec,
     VarAnalysis,
@@ -268,8 +276,8 @@ def _psi_descend(g_stack, t_eff, v0):
 
 def _require_nonsingular_decoupled(lo: float, hi: float) -> None:
     """SingularDecoupledCovariance unless the summed decoupled covariance,
-    with extreme eigenvalues lo and hi, is nonsingular."""
-    if hi <= 0 or lo <= 1e-12 * hi:
+    with extreme eigenvalues lo and hi, is nonsingular (linalg.nonsingular)."""
+    if not nonsingular(lo, hi):
         raise SingularDecoupledCovariance(
             "summed decoupled covariance is singular; every direction with "
             "zero energy makes the index undefined"
@@ -475,12 +483,19 @@ def _analysis(process) -> _Analysis:
     return per_source[key]
 
 
+def check_q(q) -> float:
+    """q as a float; InvalidInput unless it is a finite number > 1.  The one q
+    rule, of upper_tail_bound and the tail event (montecarlo.check_event)."""
+    q = check_number(q, "q")
+    if not 1.0 < q < math.inf:
+        raise InvalidInput(f"q must be a finite number > 1, got {q}")
+    return q
+
+
 def upper_tail_bound(process, q: float) -> float:
-    """Bound on P(||sum_t X_t X_t^T|| >= 2 q ||sum_t E X_t X_t^T||) for q > 1:
-    5^d exp(-(q-1) lam_min(sum_t E X_t X_t^T) / (8 lam_max(L^T L)))."""
-    q = float(q)
-    if not q > 1.0:
-        raise InvalidInput(f"q must exceed 1, got {q}")
+    """Bound on P(||sum_t X_t X_t^T|| >= 2 q ||sum_t E X_t X_t^T||) for q > 1
+    (check_q): 5^d exp(-(q-1) lam_min(sum_t E X_t X_t^T) / (8 lam_max(L^T L)))."""
+    q = check_q(q)
     analysis = _analysis(process)
     return _upper_tail_from_stats(analysis.d, q, analysis.stats)
 
@@ -594,8 +609,7 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float, exact: bool = False) -> 
 
 def armastability_bound(sys: VarSystem, T: int) -> float:
     """Upper bound T ||H H^T|| sum_{j<T} ||A^j (A^j)^T|| on ||sum_t E X_t X_t^T||."""
-    if T < 1:
-        raise InvalidInput("horizon must be >= 1")
+    T = check_int(T, "T")
     hh_norm = float(np.linalg.norm(sys.h, 2) ** 2)
     return T * hh_norm * var_analysis(sys).power_norm_sum(T)
 

@@ -42,15 +42,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._rng import check_seed
 from .bounds import (
     anticoncentration_bound,
     arma_corollary_bound,
     arma_prefactor,
     armastability_bound,
 )
-from .config import ExperimentConfig, _require_int, _require_seed, load_config
+from .config import ExperimentConfig, load_config
 from .errors import CausalCovError, ConfigError
 from .estimator import ls_bound_details, ls_error_bound
+from .linalg import check_int
 from .montecarlo import (
     _finite_bound,
     _path_batches,
@@ -130,11 +132,12 @@ def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
 
 
 def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
+    """The config, --seed and --replicates checked by the library's rules, and --out."""
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = _require_seed(args.seed, "--seed")
+        config.seed = check_seed(args.seed, "--seed")
     if args.replicates is not None:
-        config.replicates = _require_int(args.replicates, "--replicates")
+        config.replicates = check_int(args.replicates, "--replicates")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return config, out_dir

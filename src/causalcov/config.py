@@ -7,15 +7,16 @@ is its implementation, except that each event is checked by the one
 definition of the tail events, montecarlo.check_event.
 
 "k": "auto" resolves to kappa(model), the smallest k <= T/2 with a
-nonsingular Gamma_k (so floor(T/k) >= 2); the resolved value is recorded in
-every report.
+nonsingular Gamma_k (so floor(T/k) >= 2), by the test an explicit k meets;
+the resolved value is recorded in every report.
 
-A model's rules live in its constructor (VarSystem,
-CausalOperator.from_blocks); this module checks its JSON shape and prefixes
-the constructor's message with "invalid <type> model: ".  A var model is
-also checked for overflow over the longest horizon in T and grid.T, by its
-own analysis (VarAnalysis.check_overflow).  An operator model's T and k
-must equal its horizon and block length, by ProcessSpec's rule.
+Every value rule is the library's, and a library InvalidInput becomes a
+ConfigError with the same message; this module checks the JSON shape.  A
+model's rules live in its constructor (VarSystem, CausalOperator.from_blocks),
+whose message gets the prefix "invalid <type> model: ".  T, k and the grid's
+T[] and k[] follow effective_horizon, delta check_delta, replicates
+check_int and seed check_seed.  A var model is also checked for overflow
+over the longest horizon in T and grid.T (VarAnalysis.check_overflow).
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from pathlib import Path
 
 from ._rng import check_seed
 from .errors import ConfigError, InsufficientExcitation, InvalidInput
-from .linalg import CausalOperator
+from .estimator import check_delta
+from .linalg import CausalOperator, check_int
 from .montecarlo import EventSpec, check_event
-from .process import ProcessSpec, VarSystem, kappa, var_analysis
+from .process import ProcessSpec, VarSystem, effective_horizon, kappa, var_analysis
 
 __all__ = ["ExperimentConfig", "load_config", "resolve_block_length"]
 
@@ -47,30 +49,6 @@ _MODEL_KEYS = {"var": {"type", "a_lags", "h"}, "operator": {"type", "d", "p", "k
 _GRID_KEYS = {"T", "k", "delta"}
 
 
-def _require_int(value, name: str, minimum: int | None = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_seed(value, name: str) -> int:
-    try:
-        return check_seed(_require_int(value, name, minimum=None), name)
-    except InvalidInput as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _require_delta(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    delta = float(value)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1), got {delta}")
-    return delta
-
-
 def _parse_event(raw, state_dim: int) -> EventSpec:
     if isinstance(raw, str):
         name, params = raw, {}
@@ -83,10 +61,7 @@ def _parse_event(raw, state_dim: int) -> EventSpec:
             raise ConfigError("event params must be an object")
     else:
         raise ConfigError(f"event entries must be strings or objects, got {raw!r}")
-    try:
-        return check_event(name, params, state_dim)
-    except InvalidInput as exc:
-        raise ConfigError(str(exc)) from exc
+    return check_event(name, params, state_dim)
 
 
 def _parse_model(raw) -> VarSystem | CausalOperator:
@@ -113,10 +88,11 @@ def resolve_block_length(model: VarSystem | CausalOperator, T: int, k) -> tuple[
     """Return (k, was_auto); resolve "auto" to the smallest admissible k.
 
     Auto resolution picks kappa, the smallest k <= T/2 with a nonsingular
-    Gamma_k; any k <= T/2 keeps at least two blocks.
+    Gamma_k; any k <= T/2 keeps at least two blocks.  Any other k must be
+    an integer >= 1 (InvalidInput otherwise).
     """
     if k != "auto":
-        return _require_int(k, "k"), False
+        return check_int(k, "k"), False
     if isinstance(model, CausalOperator):
         return model.k, False
     k_cap = T // 2
@@ -147,6 +123,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The validated config of a parsed JSON document, or ConfigError."""
+        try:
+            return cls._from_dict(raw)
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def _from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         extra = set(raw) - _TOP_KEYS
@@ -157,7 +141,7 @@ class ExperimentConfig:
         if "T" not in raw:
             raise ConfigError("config requires a horizon 'T'")
         model = _parse_model(raw["model"])
-        T = _require_int(raw["T"], "T")
+        T = check_int(raw["T"], "T")
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid must be an object")
@@ -165,31 +149,24 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown grid keys: {sorted(extra)}")
         grid: dict = {}
-        for key, parse in (("T", _require_int), ("k", _require_int), ("delta", _require_delta)):
+        for key, parse in (("T", check_int), ("k", check_int), ("delta", check_delta)):
             if key in grid_raw:
                 vals = grid_raw[key]
                 if not isinstance(vals, list) or not vals:
                     raise ConfigError(f"grid.{key} must be a non-empty list")
                 grid[key] = [parse(v, f"grid.{key}[]") for v in vals]
         if isinstance(model, VarSystem):
-            try:
-                var_analysis(model).check_overflow(max([T, *grid.get("T", [])]))
-            except InvalidInput as exc:
-                raise ConfigError(str(exc)) from exc
+            var_analysis(model).check_overflow(max([T, *grid.get("T", [])]))
         k_raw = raw.get("k", "auto" if isinstance(model, VarSystem) else model.k)
         k, k_auto = resolve_block_length(model, T, k_raw)
         if isinstance(model, CausalOperator):
-            try:
-                ProcessSpec(source=model, T=T, k=k)
-            except InvalidInput as exc:
-                raise ConfigError(str(exc)) from exc
+            ProcessSpec(source=model, T=T, k=k)
         for t_cell in grid.get("T", [T]):
             for k_cell in grid.get("k", [k]):
-                if k_cell > t_cell:
-                    raise ConfigError(f"block length k={k_cell} exceeds horizon T={t_cell}")
-        delta = _require_delta(raw.get("delta", 0.1), "delta")
-        replicates = _require_int(raw.get("replicates", 10_000), "replicates")
-        seed = _require_seed(raw.get("seed", 0), "seed")
+                effective_horizon(t_cell, k_cell)
+        delta = check_delta(raw.get("delta", 0.1))
+        replicates = check_int(raw.get("replicates", 10_000), "replicates")
+        seed = check_seed(raw.get("seed", 0))
         events_raw = raw.get("events", ["lower-tail-eigenvalue"])
         if not isinstance(events_raw, list) or not events_raw:
             raise ConfigError("events must be a non-empty list")

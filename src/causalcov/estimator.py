@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import arma_prefactor
 from .errors import BurninUnsatisfied, InvalidInput, SingularGram
-from .linalg import SymMatrix
+from .linalg import SINGULAR_RTOL, SymMatrix, check_number, nonsingular
 from .process import VarSystem, effective_horizon, var_analysis
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
     "ls_error_bound",
     "ls_bound_details",
 ]
-
-#: relative eigenvalue cutoff of the Gram pseudo-inverse
-GRAM_CUTOFF = 1e-12
-
 
 @dataclass
 class LsFit:
@@ -50,7 +46,7 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
 
     gram (..., n, n) holds each fit's sum_t X_t X_t^T and syx (..., d, n)
     its sum_t Y_t X_t^T.  The Gram is symmetrised as (G + G^T)/2 and
-    inverted through eigh, keeping the eigenvalues above GRAM_CUTOFF times
+    inverted through eigh, keeping the eigenvalues above SINGULAR_RTOL times
     the largest.  Returns (a_hat, inv_w): the fits and the inverted
     eigenvalues, with 0 where cut.  Every step runs one fit
     at a time inside NumPy, so a fit has the same bytes in a stack of any
@@ -58,7 +54,7 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
     experiment fits a whole batch of replicates in one call.
     """
     w, u = np.linalg.eigh(0.5 * (gram + np.swapaxes(gram, -1, -2)))
-    keep = w > GRAM_CUTOFF * np.maximum(w[..., -1:], 0.0)
+    keep = w > SINGULAR_RTOL * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return syx @ ((u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)), inv_w
 
@@ -110,7 +106,7 @@ def error_decomposition(
     if reg.shape != gram.shape:
         raise InvalidInput(f"regularizer shape {reg.shape} != gram shape {gram.shape}")
     w, u = SymMatrix(gram + reg).eigh()
-    if w[-1] <= 0 or w[0] <= GRAM_CUTOFF * w[-1]:
+    if not nonsingular(w[0], w[-1]):
         raise SingularGram("regularized Gram matrix has no inverse square root")
     inv_sqrt = (u * w**-0.5) @ u.T
     svx = fit.syx - a_star @ gram
@@ -119,14 +115,22 @@ def error_decomposition(
     return self_norm_term, min_eig_term
 
 
+def check_delta(delta, name: str = "delta") -> float:
+    """delta as a float; InvalidInput unless it is a number in (0, 1).  The
+    one delta rule, of the certificates here and config load alike."""
+    delta = check_number(delta, name)
+    if not 0.0 < delta < 1.0:
+        raise InvalidInput(f"{name} must lie in (0, 1), got {delta}")
+    return delta
+
+
 def self_normalized_bound(det_argument, sigma: float, d: int, delta: float) -> float:
     """Martingale certificate sqrt(4 s^2 logdet(I + M) + 8 d s^2 log 5
     + 8 s^2 log(1/delta)) with s the noise operator norm."""
     sigma = float(sigma)
     if sigma < 0:
         raise InvalidInput("sigma must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise InvalidInput(f"delta must lie in (0, 1), got {delta}")
+    delta = check_delta(delta)
     m = np.asarray(det_argument, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput("det argument must be square")
@@ -140,8 +144,7 @@ def self_normalized_bound(det_argument, sigma: float, d: int, delta: float) -> f
 def burnin_check(sys: VarSystem, T: int, k: int, delta: float) -> bool:
     """True once T'/(8k) >= dL log(corollary prefactor) + log(1/delta),
     i.e. once the anticoncentration corollary certifies at level delta."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidInput(f"delta must lie in (0, 1), got {delta}")
+    delta = check_delta(delta)
     t_eff, base = arma_prefactor(sys, T, k)
     lhs = t_eff / (8.0 * k)
     rhs = sys.lifted_dim * math.log(base) + math.log(1.0 / delta)
@@ -150,8 +153,7 @@ def burnin_check(sys: VarSystem, T: int, k: int, delta: float) -> bool:
 
 def ls_bound_details(sys: VarSystem, T: int, k: int, delta: float) -> dict:
     """Error bound of the least-squares identifier plus its ingredients."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidInput(f"delta must lie in (0, 1), got {delta}")
+    delta = check_delta(delta)
     t_eff = effective_horizon(T, k)
     analysis = var_analysis(sys)
     g_lo = analysis.excitation_floor(k)

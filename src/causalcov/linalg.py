@@ -9,7 +9,8 @@ into it, the diagonal blocks come as one stacked view (diag_blocks), and a
 block grid is only an input format (from_blocks).
 
 The constructors hold every rule of an operator model, for the library and
-config load alike; finite_matrix is the matrix rule of VarSystem too.
+config load alike; finite_matrix is the matrix rule of VarSystem too, and
+check_int and check_number the value rules of the run parameters.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ PSD_RTOL = 1e-10
 
 #: relative tolerance under which two diagonal blocks count as identical
 DIAG_BLOCK_RTOL = 1e-12
+
+#: relative eigenvalue tolerance under which a covariance counts as singular
+SINGULAR_RTOL = 1e-12
 
 
 class SymMatrix:
@@ -81,6 +85,29 @@ def finite_matrix(value, name: str) -> np.ndarray:
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} must be a finite 2-d matrix")
     return arr
+
+
+def nonsingular(lo: float, hi: float) -> bool:
+    """Whether a covariance with extreme eigenvalues lo and hi is
+    nonsingular: hi > 0 and lo > SINGULAR_RTOL * hi."""
+    return bool(hi > 0 and lo > SINGULAR_RTOL * hi)
+
+
+def check_int(value, name: str, minimum: int | None = 1) -> int:
+    """value as an int; InvalidInput unless it is an integer (NumPy's too, not
+    a boolean or a float) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_number(value, name: str) -> float:
+    """value as a float; InvalidInput unless it is an int or a float (NumPy's too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def require_psd(m, name: str = "matrix") -> np.ndarray:

@@ -42,16 +42,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._rng import check_seed
 from .bounds import (
     _analysis,
     anticoncentration_bound,
+    check_q,
     chernoff_lower_tail,
     chernoff_threshold,
     upper_tail_bound,
 )
 from .errors import InvalidInput, NonFiniteBound
 from .estimator import _pinv_fits, ls_bound_details
-from .linalg import finite_matrix, require_psd
+from .linalg import check_int, finite_matrix, require_psd
 from .process import _PATH_ROWS, ProcessSpec, VarSystem, noise_block, paths_from_noise
 
 __all__ = [
@@ -109,13 +111,7 @@ def check_event(event, params, state_dim: int) -> EventSpec:
     if event == "upper-tail-opnorm":
         if "q" not in params:
             raise InvalidInput("event 'upper-tail-opnorm' requires a 'q' parameter")
-        q = params["q"]
-        if isinstance(q, bool) or not isinstance(q, (int, float, np.integer, np.floating)):
-            raise InvalidInput(f"q must be a number, got {q!r}")
-        q = float(q)
-        if not 1.0 < q < math.inf:
-            raise InvalidInput(f"q must be a finite number > 1, got {q}")
-        return EventSpec(event, {"q": q})
+        return EventSpec(event, {"q": check_q(params["q"])})
     if "direction" in params:
         direction = finite_matrix(params["direction"], "direction")
         if direction.shape[1] != state_dim:
@@ -205,13 +201,18 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int):
     WIDE_ROWS and 4 * STEPS // T'.  So a batch above the _PATH_ROWS floor
     never exceeds 4 * STEPS steps, and only the last batch can be short and
     padded.  Batches are drawn by noise_block and simulated by
-    paths_from_noise; every sampled path of the package comes from here.
+    paths_from_noise; every sampled path of the package comes from here,
+    so here is the one replicate rule: R must be an integer >= 1.  R and
+    seed (check_seed) are checked at the call, before the first batch.
     """
+    R, seed = check_int(R, "replicates"), check_seed(seed)
     t_eff = spec.effective_horizon
     wide = min(WIDE_ROWS, 4 * STEPS // t_eff)
     size = max(_PATH_ROWS, STEPS // t_eff, wide) // _PATH_ROWS * _PATH_ROWS
-    for start in range(0, R, size):
-        yield paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
+    return (
+        paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
+        for start in range(0, R, size)
+    )
 
 
 @dataclass(frozen=True)
@@ -280,9 +281,9 @@ def run_tail_sweep(
 ) -> list[list[TailExperiment]]:
     """run_tail_experiments for each (spec, events) cell, all on one sample.
 
-    The cells must share one source (InvalidInput otherwise).  Every
-    cell's events are checked, and their bounds and thresholds computed,
-    before any path is drawn.  Then one pass of _path_batches samples
+    The cells must share one source (InvalidInput otherwise).  R and seed
+    are checked (_path_batches), and every cell's events, bounds and
+    thresholds, before any path is drawn.  Then one pass samples
     replicates 0..R-1 of seed at the longest effective horizon of the
     cells.  Per batch, S_r = sum_{t<T'} X_t X_t^T is formed once for each
     distinct T' of the cells, from the prefix of the paths up to T', and
@@ -295,8 +296,6 @@ def run_tail_sweep(
     hits are dependent; each Wilson interval is valid on its own.  Returns
     one list of TailExperiments per cell, in order.
     """
-    if R < 1:
-        raise InvalidInput("replicate count must be >= 1")
     cells = list(cells)
     if not cells:
         raise InvalidInput("a sweep needs at least one cell")
@@ -304,12 +303,12 @@ def run_tail_sweep(
     if any(spec.source is not source for spec, _ in cells):
         raise InvalidInput("the cells of a sweep must share one source")
     horizons = [spec.effective_horizon for spec, _ in cells]
+    batches = _path_batches(cells[int(np.argmax(horizons))][0], seed, R)
     plans = [
         [_event_plan(spec, event, params) for event, params in events] for spec, events in cells
     ]
     hits = [[0] * len(cell_plans) for cell_plans in plans]
-    longest = cells[int(np.argmax(horizons))][0]
-    for x in _path_batches(longest, seed, R):
+    for x in batches:
         grams = {t: np.swapaxes(x[:, :t], 1, 2) @ x[:, :t] for t in set(horizons)}
         for t_eff, cell_plans, cell_hits in zip(horizons, plans, hits):
             for i, plan in enumerate(cell_plans):
@@ -403,13 +402,12 @@ def run_identification_experiment(
     fitted in one stacked solve (estimator._pinv_fits), each with the bytes
     least_squares gives it alone.  The certified budget is 2*delta (bound
     failure plus burn-in failure); an unsatisfied burn-in is flagged in
-    extras but the experiment proceeds.
+    extras but the experiment proceeds.  T, k, R and seed are checked first.
     """
-    if R < 1:
-        raise InvalidInput("replicate count must be >= 1")
+    t_eff = ProcessSpec(source=sys, T=T, k=k).effective_horizon
+    batches = _path_batches(ProcessSpec(source=sys, T=t_eff + 1), seed, R)
     details = ls_bound_details(sys, T, k, delta)
     bound = _finite_bound("ls-error-exceeds-bound", details["bound"])
-    t_eff = details["effective_horizon"]
     a_star = sys.regression_matrix()
 
     def batch_stat(x):
@@ -418,8 +416,7 @@ def run_identification_experiment(
         a_hat = _pinv_fits(gram, syx)[0]
         return np.linalg.norm(a_hat - a_star, 2, axis=(1, 2))
 
-    spec = ProcessSpec(source=sys, T=t_eff + 1)
-    op_errors = np.concatenate([batch_stat(x) for x in _path_batches(spec, seed, R)])
+    op_errors = np.concatenate([batch_stat(x) for x in batches])
     hits = int(np.count_nonzero(op_errors > bound))
     extras = {
         "ls_bound": bound,

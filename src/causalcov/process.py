@@ -34,7 +34,7 @@ import numpy.random  # noqa: F401
 
 from ._rng import check_seed, mix64, pcg64_word_order, pcg64_word_view, replicate_words
 from .errors import HorizonTooShort, InsufficientExcitation, InvalidInput, NonFiniteBound
-from .linalg import CausalOperator, SymMatrix, finite_matrix
+from .linalg import CausalOperator, SymMatrix, check_int, finite_matrix, nonsingular
 
 __all__ = [
     "VarSystem",
@@ -49,9 +49,6 @@ __all__ = [
     "kappa",
     "derive_seed",
 ]
-
-#: relative eigenvalue tolerance for the excitation-index rank test
-KAPPA_RTOL = 1e-9
 
 #: levels the bounded-real test tries in each bisection pass of lam_max_gram
 _GRAM_LEVELS = 64
@@ -152,11 +149,11 @@ def companion(sys: VarSystem) -> np.ndarray:
 
 
 def effective_horizon(T: int, k: int) -> int:
-    """T' = k * floor(T/k); raises HorizonTooShort if no block fits."""
-    if k < 1:
-        raise InvalidInput(f"block length must be >= 1, got {k}")
-    if T < k:
-        raise HorizonTooShort(f"horizon {T} holds no complete block of length {k}")
+    """T' = k * floor(T/k), under the one rule of T and k: each an integer
+    >= 1 (check_int), and HorizonTooShort where k > T, so no block fits."""
+    T, k = check_int(T, "T"), check_int(k, "k")
+    if k > T:
+        raise HorizonTooShort(f"block length k={k} exceeds horizon T={T}")
     return k * (T // k)
 
 
@@ -427,17 +424,30 @@ class VarAnalysis:
 
     def excitation_floor(self, k: int) -> float:
         """lam_min(Gamma_k), solved once per k; InsufficientExcitation where
-        Gamma_k is singular (lam_min <= 1e-12 lam_max), on every call."""
+        Gamma_k is singular (linalg.nonsingular), on every call."""
 
         def compute(k):
             lo, hi = self.gamma(k).eig_extremes()
-            if hi <= 0 or lo <= 1e-12 * hi:
+            if not nonsingular(lo, hi):
                 raise InsufficientExcitation(
                     f"Gamma_{k} is singular; pick k at or above the excitation index"
                 )
             return lo
 
         return self._once("excitation_floor", k, compute)
+
+    def excitation_index(self, k_max: int) -> int | None:
+        """The smallest k <= k_max whose Gamma_k passes excitation_floor's
+        test, or None; the sum of P_t runs on from k to k, in order of t as in
+        gamma (NumPy adds along the first axis in order where dL > 1, and where
+        dL = 1 the test reads only the sign of a sum of nonnegative terms)."""
+        covs = self.covariances(k_max)
+        running = np.zeros_like(covs[0])
+        for k in range(1, k_max + 1):
+            running = running + covs[k - 1]
+            if nonsingular(*SymMatrix(running / k).eig_extremes()):
+                return k
+        return None
 
     def diagonal_block(self, k: int) -> np.ndarray:
         """The k-step head of L, the read-only (k dL, k p) lower block
@@ -511,16 +521,16 @@ def var_analysis(sys: VarSystem) -> VarAnalysis:
     return _ANALYSES[sys]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessSpec:
     """A process to experiment on: a source model plus horizon and stride.
 
     source is either a VarSystem (lifted-state process) or a raw
     CausalOperator; T is the requested horizon, truncated internally to
-    T' = k*floor(T/k); k is the block length of the causal partition.  An
-    operator's blocks fix its stride and horizon, so for a raw operator k
-    and T must equal them: this is the one rule, for the library and
-    config load alike.
+    T' = k*floor(T/k); k is the block length of the causal partition.  T
+    and k follow effective_horizon's rule and are kept as ints, and an
+    operator's blocks fix both; these rules, for the library and config
+    load alike, hold for good, as a spec is immutable.
     """
 
     source: object
@@ -528,18 +538,17 @@ class ProcessSpec:
     k: int = 1
 
     def __post_init__(self):
-        self.T = int(self.T)
-        self.k = int(self.k)
+        T, k = check_int(self.T, "T"), check_int(self.k, "k")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "k", k)
         if isinstance(self.source, CausalOperator):
-            if self.k != self.source.k:
-                raise InvalidInput(
-                    f"k={self.k} conflicts with operator block length {self.source.k}"
-                )
-            if self.T != self.source.T:
-                raise InvalidInput(f"T={self.T} conflicts with operator horizon {self.source.T}")
+            if k != self.source.k:
+                raise InvalidInput(f"k={k} conflicts with operator block length {self.source.k}")
+            if T != self.source.T:
+                raise InvalidInput(f"T={T} conflicts with operator horizon {self.source.T}")
         elif not isinstance(self.source, VarSystem):
             raise InvalidInput("source must be a VarSystem or CausalOperator")
-        effective_horizon(self.T, self.k)  # validates
+        effective_horizon(T, k)  # k <= T
 
     @classmethod
     def from_operator(cls, op: CausalOperator) -> "ProcessSpec":
@@ -664,34 +673,21 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
     """E[X_t X_t^T] of the lifted state for t = 0..T-1, the running sums
     P_t = sum_{j<=t} A^j B (A^j B)^T; shape (T, dL, dL), read-only."""
-    if T < 1:
-        raise InvalidInput("horizon must be >= 1")
-    return var_analysis(sys).covariances(T)
+    return var_analysis(sys).covariances(check_int(T, "T"))
 
 
 def gamma_k(sys: VarSystem, k: int) -> SymMatrix:
     """Gamma_k = (1/k) sum_{t=0}^{k-1} E[X_t X_t^T] of the lifted state."""
-    if k < 1:
-        raise InvalidInput(f"excitation length must be >= 1, got {k}")
-    return var_analysis(sys).gamma(k)
+    return var_analysis(sys).gamma(check_int(k, "k"))
 
 
 def kappa(sys: VarSystem, k_max: int) -> int | None:
-    """Smallest k <= k_max with Gamma_k nonsingular, or None if unreachable.
-
-    Nonsingularity is an eigenvalue test (lam_min > KAPPA_RTOL * lam_max); no
-    determinant is formed.  With full-rank H H^T this equals the lag order.
+    """Smallest k <= k_max with Gamma_k nonsingular, or None if unreachable
+    (VarAnalysis.excitation_index).  Nonsingularity is the eigenvalue test
+    lam_max > 0 and lam_min > 1e-12 lam_max that an explicit k meets too
+    (linalg.nonsingular).  With full-rank H H^T this equals the lag order.
     """
-    if k_max < 1:
-        raise InvalidInput("k_max must be >= 1")
-    covs = var_analysis(sys).covariances(k_max)
-    running = np.zeros_like(covs[0])
-    for k in range(1, k_max + 1):
-        running = running + covs[k - 1]
-        lo, hi = SymMatrix(running / k).eig_extremes()
-        if hi > 0 and lo > KAPPA_RTOL * hi:
-            return k
-    return None
+    return var_analysis(sys).excitation_index(check_int(k_max, "k_max"))
 
 
 def derive_seed(seed: int, label: int) -> int:

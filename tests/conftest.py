@@ -4,9 +4,11 @@ Every oracle here is deliberately implemented by a different route than
 the library code it checks: quadrature instead of closed forms, explicit
 convolution instead of recursion, dense grids instead of optimizers, the
 step-by-step bounded-real test (_bounded_real_passes) for its doubling
-form, and a plain Monte-Carlo mean on its own generator
-(run_mgf_experiment) for the MGF closed form.  The SciPy oracles import
-SciPy when called, so test modules that use none of them run without it.
+form, a plain Monte-Carlo mean on its own generator (run_mgf_experiment)
+for the MGF closed form, and the explicit-k test at each block length in
+turn (kappa_oracle) for the running-sum excitation index.  The SciPy
+oracles import SciPy when called, so test modules that use none of them run
+without it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from causalcov import (
     CausalOperator,
+    InsufficientExcitation,
     InvalidInput,
     VarSystem,
     exact_mgf,
@@ -26,6 +29,7 @@ from causalcov import (
 )
 from causalcov._rng import mix64
 from causalcov.montecarlo import TailExperiment, certify
+from causalcov.process import var_analysis
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -229,6 +233,20 @@ def per_time_cov_oracle(sys: VarSystem, T: int) -> np.ndarray:
         covs[t] = acc
         impulse = a @ impulse
     return covs
+
+
+def kappa_oracle(sys: VarSystem, k_max: int) -> int | None:
+    """The excitation index by the explicit-k route: the smallest k <= k_max
+    at which VarAnalysis.excitation_floor, with Gamma_k formed afresh by
+    gamma for each k, accepts; None if there is none."""
+    analysis = var_analysis(sys)
+    for k in range(1, k_max + 1):
+        try:
+            analysis.excitation_floor(k)
+        except InsufficientExcitation:
+            continue
+        return k
+    return None
 
 
 def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> np.ndarray:

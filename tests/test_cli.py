@@ -166,6 +166,21 @@ class TestConfig:
 
 
 class TestBounds:
+    def test_auto_k_meets_the_explicit_k_test(self, tmp_path):
+        # Gamma_1 is singular and Gamma_2's eigenvalue ratio is 3.95e-11:
+        # "auto" resolves to the k = 2 that an explicit k already passes,
+        # and the report's kappa is that k
+        model = {"type": "var", "a_lags": [[[0.5, 0.0], [1e-5, 0.5]]], "h": [[1.0], [0.0]]}
+        reports = {}
+        for k in ("auto", 2):
+            cfg = write_config(tmp_path / f"{k}.json", base_config(model=model, T=4096, k=k))
+            out = tmp_path / f"out-{k}"
+            assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+            reports[k] = json.loads((out / "bounds.json").read_text())
+        assert reports["auto"]["k"] == reports["auto"]["kappa"] == reports[2]["kappa"] == 2
+        assert reports["auto"].pop("k_auto") is True and reports[2].pop("k_auto") is False
+        assert reports["auto"] == reports[2]
+
     def test_report_contents(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=10, k=3))
         out = tmp_path / "out"

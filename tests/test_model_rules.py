@@ -1,5 +1,6 @@
-"""The model constructors own every model rule: the library and config load
-reject a malformed model alike, with one message."""
+"""The library owns every model rule and every run-parameter rule: the
+library and config load reject a malformed model or a bad T, k, delta,
+replicates, seed or q alike, with one message."""
 
 import warnings
 
@@ -10,9 +11,14 @@ from causalcov import (
     CausalOperator,
     ConfigError,
     ExperimentConfig,
+    HorizonTooShort,
     InvalidInput,
     ProcessSpec,
     VarSystem,
+    ls_error_bound,
+    run_identification_experiment,
+    run_tail_experiment,
+    upper_tail_bound,
 )
 from causalcov.montecarlo import check_event
 
@@ -128,3 +134,96 @@ def test_api_and_config_reject_an_operator_horizon_alike():
             {"model": {"type": "operator", "d": 1, "p": 1, "k": 2, "blocks": blocks}, "T": 7}
         )
     assert str(in_api.value) == str(at_load.value) == message
+
+
+def _spec(T=64, k=1):
+    return ProcessSpec(source=VarSystem(**VAR), T=T, k=k)
+
+
+def _tail_run(**kwargs):
+    return run_tail_experiment(_spec(), "lower-tail-eigenvalue", **{"R": 4, **kwargs})
+
+
+def _identify(**kwargs):
+    return run_identification_experiment(VarSystem(**VAR), 64, 1, 0.1, **{"R": 4, **kwargs})
+
+
+def _q_event(q):
+    return {"events": [{"event": "upper-tail-opnorm", "params": {"q": q}}]}
+
+
+# (config overrides, library calls, message); k > T raises HorizonTooShort
+RUN_PARAMETERS = (
+    [
+        pytest.param({"T": T}, [lambda T=T: _spec(T=T)], message, id=f"T-{label}")
+        for T, label, message in (
+            (64.7, "float", "T must be an integer, got 64.7"),
+            ("64", "string", "T must be an integer, got '64'"),
+            (True, "bool", "T must be an integer, got True"),
+            (0, "zero", "T must be >= 1, got 0"),
+        )
+    ]
+    + [
+        pytest.param({"k": k}, [lambda k=k: _spec(k=k)], message, id=f"k-{label}")
+        for k, label, message in (
+            (0, "zero", "k must be >= 1, got 0"),
+            (1.5, "float", "k must be an integer, got 1.5"),
+            (True, "bool", "k must be an integer, got True"),
+        )
+    ]
+    + [
+        pytest.param({"T": 8, "k": 16}, [lambda: _spec(T=8, k=16)],
+                     "block length k=16 exceeds horizon T=8", id="k-above-T"),
+    ]
+    + [
+        pytest.param({"delta": delta}, [lambda delta=delta: ls_error_bound(VarSystem(**VAR), 64, 1, delta)],
+                     message, id=f"delta-{label}")
+        for delta, label, message in (
+            ("0.1", "string", "delta must be a number, got '0.1'"),
+            (True, "bool", "delta must be a number, got True"),
+            (0, "zero", "delta must lie in (0, 1), got 0.0"),
+            (1, "one", "delta must lie in (0, 1), got 1.0"),
+            (NAN, "nan", "delta must lie in (0, 1), got nan"),
+        )
+    ]
+    + [
+        pytest.param({"replicates": R}, [lambda R=R: _tail_run(R=R), lambda R=R: _identify(R=R)],
+                     message, id=f"replicates-{label}")
+        for R, label, message in (
+            (2.5, "float", "replicates must be an integer, got 2.5"),
+            (True, "bool", "replicates must be an integer, got True"),
+            (0, "zero", "replicates must be >= 1, got 0"),
+        )
+    ]
+    + [
+        pytest.param({"seed": seed}, [lambda s=seed: _tail_run(seed=s), lambda s=seed: _identify(seed=s)],
+                     message, id=f"seed-{label}")
+        for seed, label, message in (
+            (2.5, "float", "seed must be an integer, got 2.5"),
+            (True, "bool", "seed must be an integer, got True"),
+        )
+    ]
+    + [
+        pytest.param(_q_event(q), [lambda q=q: upper_tail_bound(_spec(), q)], message, id=f"q-{label}")
+        for q, label, message in (
+            ("2", "string", "q must be a number, got '2'"),
+            (INF, "inf", "q must be a finite number > 1, got inf"),
+            (True, "bool", "q must be a number, got True"),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("overrides, calls, message", RUN_PARAMETERS)
+def test_api_and_config_reject_a_run_parameter_alike(overrides, calls, message):
+    raw = {"model": {"type": "var", **VAR}, "T": 64, "k": 1, **overrides}
+    expected = HorizonTooShort if "exceeds horizon" in message else InvalidInput
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(expected) as in_api:
+                call()
+            assert str(in_api.value) == message
+        with pytest.raises(ConfigError) as at_load:
+            ExperimentConfig.from_dict(raw)
+    assert str(at_load.value) == message

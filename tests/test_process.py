@@ -26,6 +26,8 @@ from causalcov import (
 from causalcov import process
 from conftest import (
     convolution_paths,
+    kappa_oracle,
+    make_rng,
     per_time_cov_oracle,
     random_operator,
     random_var_system,
@@ -247,6 +249,40 @@ class TestGammaKappa:
         )  # noise never reaches coordinate 2
         assert kappa(sys, k_max=16) is None
 
+    def test_kappa_shares_the_explicit_k_test(self):
+        # Gamma_2's eigenvalue ratio is 3.95e-11: nonsingular for an
+        # explicit k = 2 (excitation_floor), so the index is 2 as well
+        sys = VarSystem(a_lags=[[[0.5, 0.0], [1e-5, 0.5]]], h=[[1.0], [0.0]])
+        assert kappa(sys, k_max=1) is None
+        assert kappa(sys, k_max=262144) == 2
+        assert process.var_analysis(sys).excitation_floor(2) > 0
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 2)]),
+    log_coupling=st.floats(-7.0, -3.0),
+)
+@example(seed=0, shape=(2, 1, 1), log_coupling=-6.0)
+def test_excitation_index_meets_the_explicit_k_test(seed, shape, log_coupling):
+    # stable VARs, with a scalar lifted state or a noise map of fewer columns
+    # than rows, and a chain coupled by 10**log_coupling, whose Gamma_k
+    # eigenvalue ratios run from 4e-15 to 2e-6 and so cross the 1e-12
+    # tolerance at k = 2 to 9 or never: the index, a running sum, takes the
+    # same decision at every k as excitation_floor, which sums Gamma_k afresh
+    d, n_lags, p = shape
+    models = [
+        random_var_system(make_rng(seed), d, n_lags, rho=0.7, p=p),
+        VarSystem(a_lags=[[[0.5, 0.0], [10.0**log_coupling, 0.5]]], h=[[1.0], [0.0]]),
+    ]
+    k_top = 24
+    for sys in models:
+        index = kappa_oracle(sys, k_top)
+        for k_max in range(1, k_top + 1):
+            expected = index if index is not None and index <= k_max else None
+            assert kappa(sys, k_max) == expected
+
 
 def test_derive_seed_distinct():
     seeds = {derive_seed(7, i) for i in range(100)}
@@ -262,7 +298,11 @@ def test_process_spec_validation():
         ProcessSpec(source=op, T=10, k=2)  # horizon mismatch
     with pytest.raises(InvalidInput):
         ProcessSpec(source="not a model", T=8)
-    spec = ProcessSpec(source=scalar_system(), T=10, k=4)
+    spec = ProcessSpec(source=scalar_system(), T=np.int64(10), k=np.int32(4))
+    assert type(spec.T) is int and type(spec.k) is int
     assert spec.effective_horizon == 8
+    for field in ("source", "T", "k"):
+        with pytest.raises(AttributeError):  # frozen: no field is rebound past the rules
+            setattr(spec, field, 64.7)
     assert spec.truncation_notice == "horizon truncated from T=10 to T'=8 (k=4 does not divide T)"
     assert ProcessSpec(source=scalar_system(), T=12, k=4).truncation_notice is None
