@@ -40,6 +40,7 @@ from .linalg import (
     SymMatrix,
     check_int,
     check_number,
+    finite_matrix,
     nonsingular,
     require_psd,
     trace_square,
@@ -100,7 +101,7 @@ def _exp_bound(exponent: float) -> float:
 
 
 def _require_lam(lam: float) -> float:
-    lam = float(lam)
+    lam = check_number(lam, "lambda")
     if not math.isfinite(lam) or lam < 0:
         raise InvalidInput(f"lambda must be finite and >= 0, got {lam}")
     return lam
@@ -111,7 +112,8 @@ def mgf_upper_bound(q22, lam: float) -> float:
 
     Dominates E exp(-lam W^T Q22 W) for W ~ N(0, I) and any PSD Q22,
     via log(1+x) >= x - x^2/2 applied to each eigenvalue of 2*lam*Q22.
-    Past float range the bound is +inf: vacuous, not an error.
+    Past float range the bound is +inf: vacuous, not an error.  Q22 is a
+    finite PSD matrix (require_psd) and lam a finite number >= 0.
     """
     lam = _require_lam(lam)
     q22 = require_psd(q22, "Q22")
@@ -130,11 +132,12 @@ def exact_mgf(q, x, lam: float) -> float:
 
     whose exponent matrix is a Schur complement of a PSD matrix, so the
     value is maximal at x = 0.  Validated against numerical quadrature in
-    the test suite.
+    the test suite.  Q is a finite PSD matrix (require_psd), x a finite
+    vector (finite_matrix, as one row) and lam a finite number >= 0.
     """
     lam = _require_lam(lam)
     qa = require_psd(q, "Q")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = finite_matrix([x], "x")[0]
     n = xv.shape[0]
     m = qa.shape[0] - n
     if m < 0:
@@ -168,8 +171,9 @@ def _per_block(values: np.ndarray, copies: int) -> np.ndarray:
 def block_trace_sums(process, d_mat) -> tuple[float, float]:
     """(S1, S2) with S1 = sum_j tr(Q_j), S2 = sum_j tr(Q_j^2),
     Q_j = L_jj^T blkdiag(D) L_jj; for a VAR, (T'/k) tr(Q_0) and
-    (T'/k) tr(Q_0^2) from its k-step diagonal block.  NonFiniteBound where
-    either sum overflows."""
+    (T'/k) tr(Q_0^2) from its k-step diagonal block.  D is a finite PSD
+    d x d matrix (require_psd), as in every bound that takes one;
+    NonFiniteBound where either sum overflows."""
     analysis = _analysis(process)
     stack, copies = analysis.diagonal_blocks()
     dm = require_psd(d_mat, "weight matrix")
@@ -194,7 +198,7 @@ def causal_exp_inequality(process, d_mat, lam: float) -> float:
 
     D = Delta^T Delta weights the process coordinates; only the diagonal
     blocks of the operator enter, via S1 = sum_j tr(Q_j) and
-    S2 = sum_j tr(Q_j^2).
+    S2 = sum_j tr(Q_j^2).  lam is a finite number >= 0 (check_number).
     """
     lam = _require_lam(lam)
     s1, s2 = block_trace_sums(process, d_mat)
@@ -570,30 +574,22 @@ def _bound_report(analysis: _Analysis) -> BoundReport:
     )
 
 
-def mgf_subexp_lemma(op: CausalOperator, v, lam: float, exact: bool = False) -> float:
+def mgf_subexp_lemma(op: CausalOperator, v, lam: float) -> float:
     """Sub-exponential MGF control of sum_t (v^T X_t)^2 along a direction v.
 
     With L_v = (I_T kron v^T) L: the bound exp(4 lam sum_t v^T E[X_t X_t^T] v)
-    holds for 0 <= lam <= 1/(4 lam_max(L^T L)); exact=True instead returns
-    det(I - 2 lam L_v^T L_v)^(-1/2), finite while 2 lam lam_max(L_v^T L_v) < 1.
+    holds for 0 <= lam <= 1/(4 lam_max(L^T L)); v is a finite nonzero
+    d-vector (finite_matrix, as one row), normalised here.
     """
     lam = _require_lam(lam)
-    vv = np.asarray(v, dtype=float).ravel()
+    vv = finite_matrix([v], "direction")[0]
     if vv.shape[0] != op.d:
         raise InvalidInput(f"direction must have length {op.d}")
     norm = np.linalg.norm(vv)
     if norm == 0:
         raise InvalidInput("direction must be nonzero")
     vv = vv / norm
-    dense = op.dense()
-    rows = dense.reshape(op.T, op.d, dense.shape[1])
-    lv = np.einsum("i,tiq->tq", vv, rows)
-    if exact:
-        gram = lv @ lv.T
-        w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        if 2.0 * lam * float(w[-1]) >= 1.0:
-            raise InvalidInput("lambda outside the finite-MGF domain for this direction")
-        return float(np.exp(-0.5 * np.sum(np.log1p(-2.0 * lam * np.clip(w, 0.0, None)))))
+    lv = np.einsum("i,tiq->tq", vv, op.dense().reshape(op.T, op.d, -1))
     lam_max = _analysis(op).stats["lam_max_gram"]
     if lam > 1.0 / (4.0 * lam_max):
         raise InvalidInput(

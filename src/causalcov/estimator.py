@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import arma_prefactor
 from .errors import BurninUnsatisfied, InvalidInput, SingularGram
-from .linalg import SINGULAR_RTOL, SymMatrix, check_number, nonsingular
+from .linalg import SINGULAR_RTOL, SymMatrix, check_int, check_number, finite_matrix, nonsingular
 from .process import VarSystem, effective_horizon, var_analysis
 
 __all__ = [
@@ -62,14 +62,13 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
 def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None) -> LsFit:
     """Fit A_hat = (sum_t Y_t X_t^T)(sum_t X_t X_t^T)^+.
 
-    x has rows X_t^T (T x n), y has rows Y_t^T (T x d).  The pseudo-inverse
-    uses a symmetric eigendecomposition with relative cutoff 1e-12; rank
-    deficiency is flagged, not fatal.  When the true matrix is supplied the
-    operator-norm error is filled in.
+    x has rows X_t^T (T x n) and y rows Y_t^T (T x d), finite matrices
+    (finite_matrix).  The pseudo-inverse uses a symmetric eigendecomposition
+    with relative cutoff 1e-12; rank deficiency is flagged, not fatal.  When
+    the true matrix is supplied the operator-norm error is filled in.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+    x, y = finite_matrix(x, "x"), finite_matrix(y, "y")
+    if x.shape[0] != y.shape[0]:
         raise InvalidInput(f"incompatible sample shapes {x.shape} and {y.shape}")
     gram = x.T @ x
     syx = y.T @ x
@@ -82,7 +81,7 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
         rank_deficient=bool(np.count_nonzero(inv_w) < gram.shape[0]),
     )
     if a_star is not None:
-        a_star = np.asarray(a_star, dtype=float)
+        a_star = finite_matrix(a_star, "a_star")
         if a_star.shape != a_hat.shape:
             raise InvalidInput(f"truth shape {a_star.shape} != fit shape {a_hat.shape}")
         fit.op_error = float(np.linalg.norm(a_hat - a_star, 2))
@@ -98,11 +97,11 @@ def error_decomposition(
     ||(sum_t V_t X_t^T)(reg + sum_t X_t X_t^T)^(-1/2)|| and min_eig_term =
     1/sqrt(lam_min(reg + sum_t X_t X_t^T)); their product bounds
     ||A_hat - A_star|| and with zero regularizer the two matrix factors
-    compose back to A_hat - A_star exactly.
+    compose back to A_hat - A_star exactly.  Both matrices are finite (finite_matrix).
     """
-    a_star = np.asarray(a_star, dtype=float)
+    a_star = finite_matrix(a_star, "a_star")
     gram = fit.gram.a
-    reg = np.zeros_like(gram) if regularizer is None else np.asarray(regularizer, float)
+    reg = np.zeros_like(gram) if regularizer is None else finite_matrix(regularizer, "regularizer")
     if reg.shape != gram.shape:
         raise InvalidInput(f"regularizer shape {reg.shape} != gram shape {gram.shape}")
     w, u = SymMatrix(gram + reg).eigh()
@@ -126,14 +125,16 @@ def check_delta(delta, name: str = "delta") -> float:
 
 def self_normalized_bound(det_argument, sigma: float, d: int, delta: float) -> float:
     """Martingale certificate sqrt(4 s^2 logdet(I + M) + 8 d s^2 log 5
-    + 8 s^2 log(1/delta)) with s the noise operator norm."""
-    sigma = float(sigma)
-    if sigma < 0:
-        raise InvalidInput("sigma must be nonnegative")
+    + 8 s^2 log(1/delta)) with s the noise operator norm: sigma, a finite
+    number >= 0; d an integer >= 1; M a finite square matrix (the shared rules)."""
+    sigma = check_number(sigma, "sigma")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidInput(f"sigma must be finite and >= 0, got {sigma}")
+    d = check_int(d, "d")
     delta = check_delta(delta)
-    m = np.asarray(det_argument, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput("det argument must be square")
+    m = finite_matrix(det_argument, "det argument")
+    if m.shape[0] != m.shape[1]:
+        raise InvalidInput(f"det argument must be square, got shape {m.shape}")
     sign, logdet = np.linalg.slogdet(np.eye(m.shape[0]) + m)
     if sign <= 0:
         raise InvalidInput("I + det argument must have positive determinant")

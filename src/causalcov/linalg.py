@@ -9,8 +9,8 @@ into it, the diagonal blocks come as one stacked view (diag_blocks), and a
 block grid is only an input format (from_blocks).
 
 The constructors hold every rule of an operator model, for the library and
-config load alike; finite_matrix is the matrix rule of VarSystem too, and
-check_int and check_number the value rules of the run parameters.
+config load alike; every public function reads integers, numbers and
+matrices through check_int, check_number and finite_matrix (a vector as one row).
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ SINGULAR_RTOL = 1e-12
 
 
 class SymMatrix:
-    """Symmetric matrix wrapper; symmetrizes as (M + M^T)/2 on construction."""
+    """Symmetric matrix wrapper of a finite square matrix m (finite_matrix; name
+    labels its errors); symmetrizes as (M + M^T)/2 on construction."""
 
     __slots__ = ("a",)
 
-    def __init__(self, m):
-        a = np.asarray(m, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInput(f"SymMatrix input must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("SymMatrix input contains non-finite entries")
+    def __init__(self, m, name: str = "SymMatrix input"):
+        a = finite_matrix(m, name)
+        if a.shape[0] != a.shape[1]:
+            raise InvalidInput(f"{name} must be square, got shape {a.shape}")
         self.a = 0.5 * (a + a.T)
 
     def eigvals(self) -> np.ndarray:
@@ -111,23 +110,17 @@ def check_number(value, name: str) -> float:
 
 
 def require_psd(m, name: str = "matrix") -> np.ndarray:
-    """Symmetrize and return the matrix, raising InvalidInput if not PSD."""
-    sm = m if isinstance(m, SymMatrix) else SymMatrix(m)
+    """Symmetrize and return the matrix (SymMatrix), raising InvalidInput if not PSD."""
+    sm = m if isinstance(m, SymMatrix) else SymMatrix(m, name)
     if not sm.is_psd():
         raise InvalidInput(f"{name} is not positive semidefinite within tolerance")
     return sm.a
 
 
 def trace_square(m) -> float:
-    """tr(M^2) for symmetric M, computed as the squared Frobenius norm."""
-    a = m.a if isinstance(m, SymMatrix) else 0.5 * (np.asarray(m, float) + np.asarray(m, float).T)
+    """tr(M^2) for M symmetrized by SymMatrix, as the squared Frobenius norm."""
+    a = (m if isinstance(m, SymMatrix) else SymMatrix(m)).a
     return float(np.sum(a * a))
-
-
-def _require_dims(d, p, k) -> None:
-    for name, value in (("d", d), ("p", p), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
 
 
 def _is_list(value) -> bool:
@@ -142,7 +135,7 @@ class CausalOperator:
     d, p : int
         Process and noise dimension per time step.
     k : int
-        Block stride (time steps per block).
+        Block stride (time steps per block); d, p and k are integers >= 1.
     matrix : array, shape (d*T, p*T)
         The operator itself; T must be a multiple of k and every entry
         above the (d*k, p*k) block diagonal must be zero, and the energy
@@ -153,8 +146,7 @@ class CausalOperator:
     """
 
     def __init__(self, d: int, p: int, k: int, matrix):
-        _require_dims(d, p, k)
-        self.d, self.p, self.k = int(d), int(p), int(k)
+        self.d, self.p, self.k = check_int(d, "d"), check_int(p, "p"), check_int(k, "k")
         m = finite_matrix(matrix, "operator matrix")
         rb, cb = self.d * self.k, self.p * self.k
         n = m.shape[0] // rb
@@ -179,7 +171,7 @@ class CausalOperator:
 
         Row i must hold exactly i+1 blocks of shape (d*k, p*k).
         """
-        _require_dims(d, p, k)
+        d, p, k = check_int(d, "d"), check_int(p, "p"), check_int(k, "k")
         if not _is_list(blocks) or not len(blocks):
             raise InvalidInput("blocks must be a non-empty list of rows")
         rb, cb = d * k, p * k
@@ -211,7 +203,8 @@ class CausalOperator:
 
     @classmethod
     def identity(cls, d: int, T: int, k: int = 1) -> "CausalOperator":
-        """Operator of the iid process X_t = W_t (requires k | T)."""
+        """Operator of the iid process X_t = W_t (integers d, T, k >= 1, k | T)."""
+        d, T, k = check_int(d, "d"), check_int(T, "T"), check_int(k, "k")
         if T % k != 0:
             raise InvalidInput("identity operator needs k to divide T")
         return cls(d, d, k, np.eye(d * T))
@@ -221,7 +214,11 @@ class CausalOperator:
         return self._matrix
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block (i, j), shape (d*k, p*k), as a view into the matrix."""
+        """Block (i, j), 0 <= i, j < n_blocks, as a (d*k, p*k) view into the matrix."""
+        n = self.n_blocks
+        for name, index in (("i", i), ("j", j)):
+            if check_int(index, name, minimum=0) >= n:
+                raise InvalidInput(f"{name} must be < {n} (the block count), got {index}")
         rb, cb = self.d * self.k, self.p * self.k
         return self._matrix[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb]
 

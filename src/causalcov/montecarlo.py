@@ -20,11 +20,11 @@ check_event defines the events and their parameter rules once, for
 run_tail_experiments and config alike.  A sweep (run_tail_sweep) samples
 its cells in one pass at the longest horizon T' of its grid: a causal
 process's X_t reads only W_s for s <= t, so each cell scores the prefix of
-those paths at its own T', through one S_r per distinct T' and batch.
-The hits of different cells are then dependent; each interval is still
-valid on its own.  Where that T' is not a multiple of the simulator's
-time block, the prefix may differ from a pass at T' alone in the last
-digit.  run_tail_experiments is the sweep of one cell.  The
+those paths at its own T', through one S_r and one of each statistic per
+distinct T' and batch.  The hits of different cells are then dependent;
+each interval is still valid on its own.  Where that T' is not a multiple
+of the simulator's time block, the prefix may differ from a pass at T'
+alone in the last digit.  run_tail_experiments is the sweep of one cell.  The
 identification experiment fits a batch's regressions in one stacked
 least-squares solve.  One function (_verdict) turns every experiment's
 hit count into its TailExperiment: the bound is certified when the upper
@@ -52,7 +52,7 @@ from .bounds import (
     upper_tail_bound,
 )
 from .errors import InvalidInput, NonFiniteBound
-from .estimator import _pinv_fits, ls_bound_details
+from .estimator import _pinv_fits, check_delta, ls_bound_details
 from .linalg import check_int, finite_matrix, require_psd
 from .process import _PATH_ROWS, ProcessSpec, VarSystem, noise_block, paths_from_noise
 
@@ -148,11 +148,10 @@ class TailExperiment:
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
-    """Wilson score interval at CONFIDENCE for a binomial proportion."""
-    if n < 1:
-        raise InvalidInput("need at least one trial")
-    if not 0 <= hits <= n:
-        raise InvalidInput(f"hits {hits} outside [0, {n}]")
+    """Wilson score interval at CONFIDENCE for hits out of n trials (check_int, hits <= n)."""
+    n, hits = check_int(n, "n"), check_int(hits, "hits", minimum=0)
+    if hits > n:
+        raise InvalidInput(f"hits must be <= n = {n}, got {hits}")
     z = statistics.NormalDist().inv_cdf(1.0 - (1.0 - CONFIDENCE) / 2.0)
     p = hits / n
     denom = 1.0 + z * z / n
@@ -221,7 +220,8 @@ class _EventPlan:
 
     batch_stat maps the batch's (count, d, d) stack of empirical
     covariances S_r = sum_t X_t X_t^T to one statistic per replicate; a
-    replicate hits when hit(statistic, threshold) holds.
+    replicate hits when hit(statistic, threshold) holds.  Plans with equal
+    stat_key = (event, T', direction) compute the same statistic.
     """
 
     event: str
@@ -229,10 +229,8 @@ class _EventPlan:
     threshold: float
     hit: Callable[[np.ndarray, float], np.ndarray]
     batch_stat: Callable[[np.ndarray], np.ndarray]
+    stat_key: tuple
     extras: dict
-
-    def hits(self, grams: np.ndarray) -> int:
-        return int(np.count_nonzero(self.hit(self.batch_stat(grams), self.threshold)))
 
 
 def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPlan:
@@ -242,7 +240,7 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
     extras: dict = {}
 
     if event == "chernoff-direction":
-        direction = np.asarray(params.get("direction", np.eye(d)), dtype=float)
+        direction = finite_matrix(params.get("direction", np.eye(d)), "direction")
         d_mat = require_psd(direction.T @ direction, "direction Gram")
         bound = _finite_bound(event, chernoff_lower_tail(spec, d_mat))
         threshold = chernoff_threshold(spec, d_mat)
@@ -271,7 +269,8 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
         def batch_stat(grams):
             return np.linalg.eigvalsh(grams)[:, -1]
 
-    return _EventPlan(event, bound, threshold, hit, batch_stat, extras)
+    stat_key = (event, t_eff, repr(params.get("direction")))
+    return _EventPlan(event, bound, threshold, hit, batch_stat, stat_key, extras)
 
 
 def run_tail_sweep(
@@ -287,14 +286,16 @@ def run_tail_sweep(
     replicates 0..R-1 of seed at the longest effective horizon of the
     cells.  Per batch, S_r = sum_{t<T'} X_t X_t^T is formed once for each
     distinct T' of the cells, from the prefix of the paths up to T', and
-    every event of a cell at that T' is scored on it.  A VAR's X_t reads
-    only W_s for s <= t, and a replicate's noise at a shorter T' is the
-    prefix of its noise at the longest one, so a cell's prefix has the law
-    of its paths, and the same bytes when its T' is a multiple of
-    _PATH_BLOCK; otherwise its last, shorter simulator block may round
-    differently in the last digit.  Cells read the same paths, so their
-    hits are dependent; each Wilson interval is valid on its own.  Returns
-    one list of TailExperiments per cell, in order.
+    every event of a cell at that T' is scored on it; each distinct
+    statistic of it (_EventPlan.stat_key) is computed once, so cells that
+    differ only in k share theirs.  A VAR's X_t reads only W_s for s <= t,
+    and a replicate's noise at a shorter T' is the prefix of its noise at
+    the longest one, so a cell's prefix has the law of its paths, and the
+    same bytes when its T' is a multiple of _PATH_BLOCK; otherwise its
+    last, shorter simulator block may round differently in the last
+    digit.  Cells read the same paths, so their hits are dependent; each
+    Wilson interval is valid on its own.  Returns one list of
+    TailExperiments per cell, in order.
     """
     cells = list(cells)
     if not cells:
@@ -308,11 +309,13 @@ def run_tail_sweep(
         [_event_plan(spec, event, params) for event, params in events] for spec, events in cells
     ]
     hits = [[0] * len(cell_plans) for cell_plans in plans]
+    distinct = {plan.stat_key: plan for cell_plans in plans for plan in cell_plans}
     for x in batches:
         grams = {t: np.swapaxes(x[:, :t], 1, 2) @ x[:, :t] for t in set(horizons)}
-        for t_eff, cell_plans, cell_hits in zip(horizons, plans, hits):
-            for i, plan in enumerate(cell_plans):
-                cell_hits[i] += plan.hits(grams[t_eff])
+        stats = {key: plan.batch_stat(grams[key[1]]) for key, plan in distinct.items()}
+        for cell_plans, cell_hits in zip(plans, hits):
+            for i, p in enumerate(cell_plans):
+                cell_hits[i] += int(np.count_nonzero(p.hit(stats[p.stat_key], p.threshold)))
     return [
         [
             _verdict(p.event, h, R, p.bound, seed, {**p.extras, "threshold": p.threshold})
@@ -402,10 +405,12 @@ def run_identification_experiment(
     fitted in one stacked solve (estimator._pinv_fits), each with the bytes
     least_squares gives it alone.  The certified budget is 2*delta (bound
     failure plus burn-in failure); an unsatisfied burn-in is flagged in
-    extras but the experiment proceeds.  T, k, R and seed are checked first.
+    extras but the experiment proceeds.  T, k, R, seed and then delta
+    (check_delta) are checked first.
     """
     t_eff = ProcessSpec(source=sys, T=T, k=k).effective_horizon
     batches = _path_batches(ProcessSpec(source=sys, T=t_eff + 1), seed, R)
+    delta = check_delta(delta)
     details = ls_bound_details(sys, T, k, delta)
     bound = _finite_bound("ls-error-exceeds-bound", details["bound"])
     a_star = sys.regression_matrix()
@@ -423,7 +428,7 @@ def run_identification_experiment(
         "burnin_satisfied": details["burnin_satisfied"],
         "median_op_error": _median(op_errors),
         "op_errors": op_errors,
-        "delta": float(delta),
+        "delta": delta,
         "c_sys": details["c_sys"],
     }
     return _verdict("ls-error-exceeds-bound", hits, R, 2.0 * delta, seed, extras)

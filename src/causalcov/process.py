@@ -63,14 +63,9 @@ _PATH_ROWS = 8
 _SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-def _read_only(m) -> np.ndarray:
-    out = np.array(m, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _contiguous_read_only(m: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(m)
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous copy of m."""
+    out = np.array(m, order="C")
     out.flags.writeable = False
     return out
 
@@ -462,7 +457,7 @@ class VarAnalysis:
         def compute(m):
             n = len(self.a)
             powers = self.powers(m + 1)[1:].reshape(m * n, n)
-            return _contiguous_read_only(self.diagonal_block(m).T), _contiguous_read_only(powers.T)
+            return _read_only(self.diagonal_block(m).T), _read_only(powers.T)
 
         return self._once("block_operators", m, compute)
 
@@ -590,9 +585,10 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     A normal fill never draws 32 bits, so the generator's cached 32-bit
     half stays empty.  Where the layout check fails, each state is set
     through the public PCG64.state setter instead, with the same bytes.
-    A seed outside [0, 2**64) raises InvalidInput (check_seed).
+    InvalidInput unless seed is in [0, 2**64) and start and count are integers >= 0.
     """
     check_seed(seed)
+    start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
     t_eff, p = spec.effective_horizon, spec.noise_dim
     w = np.empty((count, t_eff, p))
     words = replicate_words(seed, start, count)
@@ -622,7 +618,7 @@ _TRANSPOSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _operator_transpose(op: CausalOperator) -> np.ndarray:
     """L^T of a raw operator as a C-contiguous copy, formed once per operator."""
     if op not in _TRANSPOSES:
-        _TRANSPOSES[op] = _contiguous_read_only(op.dense().T)
+        _TRANSPOSES[op] = _read_only(op.dense().T)
     return _TRANSPOSES[op]
 
 
@@ -646,11 +642,15 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     row count.  A one-row product would take the matrix-vector route, a few
     rows round differently from many in blocked products, and an operand
     without unit inner stride (padding by np.broadcast_to) would take
-    NumPy's own loop.  The padding is sliced off.
+    NumPy's own loop.  The padding is sliced off.  w must have shape
+    (count, T', p) (InvalidInput otherwise).
     """
-    count, t_eff, p = w.shape
-    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
     w = np.ascontiguousarray(w)
+    t_eff, p = spec.effective_horizon, spec.noise_dim
+    if w.shape[1:] != (t_eff, p):
+        raise InvalidInput(f"noise must have shape (count, {t_eff}, {p}), got {w.shape}")
+    count = len(w)
+    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
     if rows > count:
         w = np.concatenate([w, np.repeat(w[:1], rows - count, axis=0)])
     if isinstance(spec.source, CausalOperator):
@@ -691,5 +691,5 @@ def kappa(sys: VarSystem, k_max: int) -> int | None:
 
 
 def derive_seed(seed: int, label: int) -> int:
-    """Decorrelated sub-seed for a labeled sub-experiment."""
-    return mix64(seed, label)
+    """Decorrelated sub-seed mix64(seed, label) of a labeled sub-experiment (label >= 0)."""
+    return mix64(check_seed(seed), check_int(label, "label", minimum=0))

@@ -5,10 +5,11 @@ the library code it checks: quadrature instead of closed forms, explicit
 convolution instead of recursion, dense grids instead of optimizers, the
 step-by-step bounded-real test (_bounded_real_passes) for its doubling
 form, a plain Monte-Carlo mean on its own generator (run_mgf_experiment)
-for the MGF closed form, and the explicit-k test at each block length in
-turn (kappa_oracle) for the running-sum excitation index.  The SciPy
-oracles import SciPy when called, so test modules that use none of them run
-without it.
+for the MGF closed form, the exact directional MGF (subexp_mgf_oracle)
+for the sub-exponential lemma's bound, and the explicit-k test at each
+block length in turn (kappa_oracle) for the running-sum excitation index.
+The SciPy oracles import SciPy when called, so test modules that use none
+of them run without it.
 """
 
 from __future__ import annotations
@@ -166,6 +167,20 @@ def run_mgf_experiment(q, x, lam: float, R: int = 10_000, seed: int = 0) -> Tail
         seed=int(seed),
         extras={"exact": exact_mgf(qa, xv, lam), "se": se, "lam": float(lam)},
     )
+
+
+def subexp_mgf_oracle(op: CausalOperator, v, lam: float) -> float:
+    """E exp(lam sum_t (v^T X_t)^2) in closed form, det(I - 2 lam L_v L_v^T)^(-1/2)
+    with L_v = (I_T kron v^T) L for the normalised v: the exact value that
+    bounds.mgf_subexp_lemma bounds.  InvalidInput outside the finite-MGF
+    domain 2 lam lam_max(L_v L_v^T) < 1."""
+    vv = np.asarray(v, dtype=float).ravel()
+    lv = np.einsum("i,tiq->tq", vv / np.linalg.norm(vv), op.dense().reshape(op.T, op.d, -1))
+    gram = lv @ lv.T
+    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    if 2.0 * lam * float(w[-1]) >= 1.0:
+        raise InvalidInput("lambda outside the finite-MGF domain for this direction")
+    return float(np.exp(-0.5 * np.sum(np.log1p(-2.0 * lam * np.clip(w, 0.0, None)))))
 
 
 def psi_grid_oracle(op: CausalOperator, n_grid: int = 10_000) -> float:

@@ -89,7 +89,7 @@ class TestCausalOperator:
                 CausalOperator(1, 1, 2, bad)
         with pytest.raises(InvalidInput, match="operator matrix is not a numeric matrix"):
             CausalOperator(1, 1, 1, [["x"]])
-        with pytest.raises(InvalidInput, match="positive"):
+        with pytest.raises(InvalidInput, match=r"^p must be >= 1, got 0$"):
             CausalOperator(1, 0, 2, lower)
 
     def test_stored_matrix_is_read_only(self, rng):

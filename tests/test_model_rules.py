@@ -1,6 +1,9 @@
 """The library owns every model rule and every run-parameter rule: the
 library and config load reject a malformed model or a bad T, k, delta,
-replicates, seed or q alike, with one message."""
+replicates, seed or q alike, with one message.  Every public function
+reads its integers, numbers and matrices through the same three rules
+(linalg.check_int, check_number and finite_matrix), so a bad value gets
+the same InvalidInput text wherever it is passed."""
 
 import warnings
 
@@ -15,10 +18,22 @@ from causalcov import (
     InvalidInput,
     ProcessSpec,
     VarSystem,
+    chernoff_lower_tail,
+    derive_seed,
+    error_decomposition,
+    exact_mgf,
+    least_squares,
     ls_error_bound,
+    mgf_subexp_lemma,
+    mgf_upper_bound,
+    noise_block,
+    paths_from_noise,
     run_identification_experiment,
     run_tail_experiment,
+    self_normalized_bound,
+    trace_square,
     upper_tail_bound,
+    wilson_interval,
 )
 from causalcov.montecarlo import check_event
 
@@ -77,10 +92,10 @@ CASES = [
     pytest.param(_operator(blocks=[]), "blocks must be a non-empty list of rows", id="grid-empty"),
     pytest.param(_operator(blocks=[[[[1.0]]], 0.3]), "blocks[1] must be a list of matrices",
                  id="row-not-a-list"),
-    pytest.param(_operator(d=0), "d must be a positive integer, got 0", id="d-zero"),
-    pytest.param(_operator(d=1.5), "d must be a positive integer, got 1.5", id="d-float"),
-    pytest.param(_operator(d=True), "d must be a positive integer, got True", id="d-bool"),
-    pytest.param(_operator(k=-1), "k must be a positive integer, got -1", id="k-negative"),
+    pytest.param(_operator(d=0), "d must be >= 1, got 0", id="d-zero"),
+    pytest.param(_operator(d=1.5), "d must be an integer, got 1.5", id="d-float"),
+    pytest.param(_operator(d=True), "d must be an integer, got True", id="d-bool"),
+    pytest.param(_operator(k=-1), "k must be >= 1, got -1", id="k-negative"),
     pytest.param(_operator(blocks=[[[[1e200]]], [[[0.0]], [[1e200]]]]),
                  "operator model overflows: 2 * T' * ||L||_F^2 (T' = 2) is not a finite float, "
                  "so the process covariances are not finite", id="operator-overflows"),
@@ -227,3 +242,78 @@ def test_api_and_config_reject_a_run_parameter_alike(overrides, calls, message):
         with pytest.raises(ConfigError) as at_load:
             ExperimentConfig.from_dict(raw)
     assert str(at_load.value) == message
+
+
+def _two_blocks():
+    return CausalOperator.from_blocks(**OPERATOR)
+
+
+def _fit():
+    return least_squares(np.eye(2), np.eye(2))
+
+
+# (library call, message): each public function reads a bad integer, number
+# or matrix through the shared rule and raises its text
+VALUE_RULES = [
+    pytest.param(lambda: mgf_upper_bound(np.eye(1), "0.5"), "lambda must be a number, got '0.5'",
+                 id="mgf-lambda-string"),
+    pytest.param(lambda: mgf_upper_bound(np.eye(1), True), "lambda must be a number, got True",
+                 id="mgf-lambda-bool"),
+    pytest.param(lambda: exact_mgf(np.eye(2), [NAN], 0.5), "x must be a finite 2-d matrix",
+                 id="exact-mgf-x-nan"),
+    pytest.param(lambda: exact_mgf(np.eye(2), ["1"], 0.5), "x is not a numeric matrix",
+                 id="exact-mgf-x-string"),
+    pytest.param(lambda: mgf_subexp_lemma(CausalOperator.identity(2, 4), [NAN, 1], 0.1),
+                 "direction must be a finite 2-d matrix", id="subexp-direction-nan"),
+    pytest.param(lambda: chernoff_lower_tail(_spec(), [["1", "0"], ["0", "1"]]),
+                 "weight matrix is not a numeric matrix", id="chernoff-weight-strings"),
+    pytest.param(lambda: trace_square([["1", "0"], ["0", "2"]]),
+                 "SymMatrix input is not a numeric matrix", id="trace-square-strings"),
+    pytest.param(lambda: self_normalized_bound(np.zeros((1, 1)), sigma="2", d=1.5, delta=0.1),
+                 "sigma must be a number, got '2'", id="sigma-string"),
+    pytest.param(lambda: self_normalized_bound(np.zeros((1, 1)), sigma=NAN, d=1, delta=0.1),
+                 "sigma must be finite and >= 0, got nan", id="sigma-nan"),
+    pytest.param(lambda: self_normalized_bound(np.zeros((1, 1)), sigma=INF, d=1, delta=0.1),
+                 "sigma must be finite and >= 0, got inf", id="sigma-inf"),
+    pytest.param(lambda: self_normalized_bound(np.zeros((1, 1)), sigma=2.0, d=1.5, delta=0.1),
+                 "d must be an integer, got 1.5", id="self-normalized-d-float"),
+    pytest.param(lambda: self_normalized_bound([["0"]], sigma=2.0, d=1, delta=0.1),
+                 "det argument is not a numeric matrix", id="det-argument-string"),
+    pytest.param(lambda: least_squares([["1"]], [[1.0]]), "x is not a numeric matrix",
+                 id="least-squares-x-string"),
+    pytest.param(lambda: least_squares(np.eye(2), np.eye(2), a_star=[[NAN, 0.0], [0.0, 1.0]]),
+                 "a_star must be a finite 2-d matrix", id="least-squares-truth-nan"),
+    pytest.param(lambda: error_decomposition(_fit(), np.eye(2), regularizer=[[True, False]] * 2),
+                 "regularizer is not a numeric matrix", id="regularizer-bool"),
+    pytest.param(lambda: wilson_interval(2.5, 10), "hits must be an integer, got 2.5",
+                 id="wilson-hits-float"),
+    pytest.param(lambda: wilson_interval(True, 10), "hits must be an integer, got True",
+                 id="wilson-hits-bool"),
+    pytest.param(lambda: wilson_interval(1, 0), "n must be >= 1, got 0", id="wilson-n-zero"),
+    pytest.param(lambda: noise_block(_spec(), 0, 0.5, 2), "start must be an integer, got 0.5",
+                 id="noise-start-float"),
+    pytest.param(lambda: noise_block(_spec(), 0, 0, -1), "count must be >= 0, got -1",
+                 id="noise-count-negative"),
+    pytest.param(lambda: derive_seed("3", 0), "seed must be an integer, got '3'",
+                 id="derive-seed-string"),
+    pytest.param(lambda: derive_seed(3, -1), "label must be >= 0, got -1",
+                 id="derive-seed-label-negative"),
+    pytest.param(lambda: _two_blocks().block(-1, 0), "i must be >= 0, got -1", id="block-negative"),
+    pytest.param(lambda: _two_blocks().block(2, 0), "i must be < 2 (the block count), got 2",
+                 id="block-past-the-end"),
+    pytest.param(lambda: CausalOperator(0, 1, 1, np.eye(2)), "d must be >= 1, got 0",
+                 id="operator-d-zero"),
+    pytest.param(lambda: CausalOperator.identity(2, 4.0), "T must be an integer, got 4.0",
+                 id="identity-T-float"),
+    pytest.param(lambda: paths_from_noise(_spec(T=8), np.zeros((1, 5, 2))),
+                 "noise must have shape (count, 8, 2), got (1, 5, 2)", id="noise-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", VALUE_RULES)
+def test_public_functions_read_values_through_the_shared_rules(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as raised:
+            call()
+    assert str(raised.value) == message
