@@ -302,6 +302,8 @@ def psi_k(op: CausalOperator) -> tuple[float, np.ndarray]:
     Probes are rank-one: the index scans single unit directions, not
     higher-dimensional subspaces.
     """
+    if not isinstance(op, CausalOperator):
+        raise InvalidInput(f"psi_k takes a CausalOperator, got {type(op).__name__}")
     g_stack = _block_covariances(_analysis(op))
     total = SymMatrix(g_stack.sum(axis=0))
     _require_nonsingular_decoupled(*total.eig_extremes())

@@ -359,36 +359,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: each subcommand's handler and help text
+SUBCOMMANDS = {
+    "bounds": (cmd_bounds, "evaluate every theoretical bound for a config"),
+    "verify": (cmd_verify, "Monte-Carlo certify tail bounds"),
+    "identify": (cmd_identify, "run the least-squares identification experiment"),
+    "sweep": (cmd_sweep, "verify over a (T, k, delta) grid"),
+    "simulate": (cmd_simulate, "sample trajectories to CSV"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every subcommand: they all take the same four options."""
     parser = argparse.ArgumentParser(
         prog="causalcov",
         description="Certify covariance tail bounds for causal Gaussian processes.",
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name:<10}{text}" for name, (_, text) in SUBCOMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"causalcov {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    handlers = {
-        "bounds": (cmd_bounds, "evaluate every theoretical bound for a config"),
-        "verify": (cmd_verify, "Monte-Carlo certify tail bounds"),
-        "identify": (cmd_identify, "run the least-squares identification experiment"),
-        "sweep": (cmd_sweep, "verify over a (T, k, delta) grid"),
-        "simulate": (cmd_simulate, "sample trajectories to CSV"),
-    }
-    for name, (func, help_text) in handlers.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--replicates", type=int, default=None, help="override the replicate count"
-        )
-        p.set_defaults(func=func)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, help="what to run (see below)")
+    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
+    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--replicates", type=int, default=None, help="override the replicate count")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return SUBCOMMANDS[args.subcommand][0](args)
     except CausalCovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

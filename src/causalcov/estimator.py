@@ -59,6 +59,14 @@ def _pinv_fits(gram: np.ndarray, syx: np.ndarray):
     return syx @ ((u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)), inv_w
 
 
+def _check_truth(a_star, shape: tuple) -> np.ndarray:
+    """a_star as a finite matrix (finite_matrix) of a fit's shape; InvalidInput otherwise."""
+    a_star = finite_matrix(a_star, "a_star")
+    if a_star.shape != shape:
+        raise InvalidInput(f"truth shape {a_star.shape} != fit shape {shape}")
+    return a_star
+
+
 def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None) -> LsFit:
     """Fit A_hat = (sum_t Y_t X_t^T)(sum_t X_t X_t^T)^+.
 
@@ -81,9 +89,7 @@ def least_squares(x: np.ndarray, y: np.ndarray, a_star: np.ndarray | None = None
         rank_deficient=bool(np.count_nonzero(inv_w) < gram.shape[0]),
     )
     if a_star is not None:
-        a_star = finite_matrix(a_star, "a_star")
-        if a_star.shape != a_hat.shape:
-            raise InvalidInput(f"truth shape {a_star.shape} != fit shape {a_hat.shape}")
+        a_star = _check_truth(a_star, a_hat.shape)
         fit.op_error = float(np.linalg.norm(a_hat - a_star, 2))
     return fit
 
@@ -97,9 +103,10 @@ def error_decomposition(
     ||(sum_t V_t X_t^T)(reg + sum_t X_t X_t^T)^(-1/2)|| and min_eig_term =
     1/sqrt(lam_min(reg + sum_t X_t X_t^T)); their product bounds
     ||A_hat - A_star|| and with zero regularizer the two matrix factors
-    compose back to A_hat - A_star exactly.  Both matrices are finite (finite_matrix).
+    compose back to A_hat - A_star exactly.  Both matrices are finite
+    (finite_matrix), and a_star has the fit's shape.
     """
-    a_star = finite_matrix(a_star, "a_star")
+    a_star = _check_truth(a_star, fit.a_hat.shape)
     gram = fit.gram.a
     reg = np.zeros_like(gram) if regularizer is None else finite_matrix(regularizer, "regularizer")
     if reg.shape != gram.shape:

@@ -54,7 +54,14 @@ from .bounds import (
 from .errors import InvalidInput, NonFiniteBound
 from .estimator import _pinv_fits, check_delta, ls_bound_details
 from .linalg import check_int, finite_matrix, require_psd
-from .process import _PATH_ROWS, ProcessSpec, VarSystem, noise_block, paths_from_noise
+from .process import (
+    _PATH_ROWS,
+    ProcessSpec,
+    VarSystem,
+    noise_block,
+    paths_from_noise,
+    seed_group,
+)
 
 __all__ = [
     "TailExperiment",
@@ -199,8 +206,10 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int):
     steps gets at least the largest multiple of _PATH_ROWS at or below both
     WIDE_ROWS and 4 * STEPS // T'.  So a batch above the _PATH_ROWS floor
     never exceeds 4 * STEPS steps, and only the last batch can be short and
-    padded.  Batches are drawn by noise_block and simulated by
-    paths_from_noise; every sampled path of the package comes from here,
+    padded.  One seed_group call seeds a group of batches, as many as
+    keep the group's words within one batch's noise; each batch is drawn
+    by noise_block, which reads its rows of those words, and simulated by
+    paths_from_noise.  Every sampled path of the package comes from here,
     so here is the one replicate rule: R must be an integer >= 1.  R and
     seed (check_seed) are checked at the call, before the first batch.
     """
@@ -208,10 +217,21 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int):
     t_eff = spec.effective_horizon
     wide = min(WIDE_ROWS, 4 * STEPS // t_eff)
     size = max(_PATH_ROWS, STEPS // t_eff, wide) // _PATH_ROWS * _PATH_ROWS
-    return (
-        paths_from_noise(spec, noise_block(spec, seed, start, min(size, R - start)))
-        for start in range(0, R, size)
-    )
+    # 32 bytes of words per replicate: a group's words take no more memory
+    # than one batch's noise, 8 T' p bytes per replicate
+    group = size * max(1, t_eff * spec.noise_dim // 4)
+
+    def batches():
+        try:
+            for first in range(0, R, group):
+                seed_group(seed, first, min(group, R - first))
+                for start in range(first, min(first + group, R), size):
+                    w = noise_block(spec, seed, start, min(size, R - start))
+                    yield paths_from_noise(spec, w)
+        finally:
+            seed_group(seed, 0, 0)
+
+    return batches()
 
 
 @dataclass(frozen=True)

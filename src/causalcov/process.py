@@ -53,6 +53,15 @@ __all__ = [
 #: levels the bounded-real test tries in each bisection pass of lam_max_gram
 _GRAM_LEVELS = 64
 
+#: frequencies on [0, pi] at which lam_max_gram's Ritz floor seeks the peak gain
+_PEAK_FREQUENCIES = 128
+
+#: half-sine windows of the Ritz floor's test inputs, two inputs each
+_RITZ_WINDOWS = 4
+
+#: longest horizon the Ritz floor's test inputs span
+_RITZ_STEPS = 2048
+
 #: time steps a VAR path advances per matrix product in paths_from_noise
 _PATH_BLOCK = 16
 
@@ -461,17 +470,96 @@ class VarAnalysis:
 
         return self._once("block_operators", m, compute)
 
+    def responses(self, w: np.ndarray) -> np.ndarray:
+        """L w for a C-contiguous stack w of inputs over T' steps: shape
+        (rows, T', p) in, (rows, T', dL) out.
+
+        The lifted recursion, _PATH_BLOCK steps per matrix product: with m
+        the block length, the block of steps t0..t0+m-1 is
+        x[:, t0:t0+m] = w[:, t0:t0+m] @ L_m^T + x[:, t0-1] @ [A^1 ... A^m]^T,
+        L_m the m-step diagonal block of L (_block_operators).  Blocks start
+        at t = 0, m, 2m, ...; the last one may be shorter and reads the
+        leading sub-blocks of the same matrices.  The one simulator of a
+        VAR: paths_from_noise and the Ritz floor of lam_max_gram run it.
+        """
+        rows, t_eff, p = w.shape
+        n = len(self.a)
+        m = min(_PATH_BLOCK, t_eff)
+        x = np.empty((rows, t_eff, n))
+        for t0 in range(0, t_eff, m):
+            steps = min(m, t_eff - t0)
+            noise_t, powers_t = self._block_operators(steps)
+            block = w[:, t0 : t0 + steps].reshape(rows, steps * p) @ noise_t
+            if t0:
+                block += x[:, t0 - 1] @ powers_t
+            x[:, t0 : t0 + steps] = block.reshape(rows, steps, n)
+        return x
+
+    def _peak_input(self) -> tuple[float, np.ndarray] | None:
+        """(w, v): a frequency w in [0, pi] on a grid of _PEAK_FREQUENCIES
+        points, and a unit input direction v, at which the gain
+        ||(I - A e^{-iw})^{-1} B v|| is largest on that grid; lam_max of
+        G^H G (eigvalsh) is each frequency's squared gain.  None where the
+        solve is singular or not finite: A has an eigenvalue on the unit
+        circle at a grid point, or close to one."""
+        freqs = np.linspace(0.0, np.pi, _PEAK_FREQUENCIES)
+        shifted = np.eye(len(self.a)) - np.exp(-1j * freqs)[:, None, None] * self.a
+        b = np.broadcast_to(self.b, (len(freqs), *self.b.shape))
+        with np.errstate(all="ignore"):
+            try:
+                gains = np.linalg.solve(shifted, b)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(gains).all():
+                return None
+            products = np.conj(np.swapaxes(gains, 1, 2)) @ gains
+            peak = int(np.argmax(np.linalg.eigvalsh(products)[:, -1]))
+            _, vectors = np.linalg.eigh(products[peak])
+        return float(freqs[peak]), vectors[:, -1]
+
+    def _ritz_floor(self, n: int) -> float:
+        """A lower bound on lam_max(L^T L) over n steps, by Rayleigh-Ritz.
+
+        The test inputs are the real and imaginary parts of
+        sin(pi j (t+1) / (m+1)) v e^{i w t} for t < m = min(n, _RITZ_STEPS)
+        and j = 1.._RITZ_WINDOWS, at the peak (w, v) of _peak_input; near the
+        peak of a long horizon the top singular input of L looks like the
+        first of them.  Orthonormalised by QR into Q and run through the
+        simulator (responses) over m steps, they give (L_m Q)^T (L_m Q),
+        whose largest eigenvalue is at or below lam_max(L_m^T L_m)
+        (Courant-Fischer), L_m the operator over m steps.  That is at or
+        below lam_max(L^T L): an input that is zero after step m has the
+        same first m outputs under L, and more after.  So memory stays
+        bounded at any n.  0.0 where _peak_input finds no peak.
+        """
+        peak = self._peak_input()
+        if peak is None:
+            return 0.0
+        freq, direction = peak
+        m = min(n, _RITZ_STEPS)
+        times = np.arange(m)
+        windows = np.sin(np.pi * np.arange(1, _RITZ_WINDOWS + 1)[:, None] * (times + 1) / (m + 1))
+        waves = windows[:, :, None] * np.exp(1j * freq * times)[None, :, None] * direction
+        inputs = np.concatenate([waves.real, waves.imag]).reshape(2 * _RITZ_WINDOWS, -1)
+        basis = np.linalg.qr(inputs.T)[0].T
+        outputs = self.responses(np.ascontiguousarray(basis).reshape(len(basis), m, -1))
+        flat = outputs.reshape(len(basis), -1)
+        return float(np.linalg.eigvalsh(flat @ flat.T)[-1])
+
     def lam_max_gram(self, n: int) -> float:
         """Certified upper bound on lam_max(L^T L) for L over n steps.
 
-        The bracket's lower end is lam_max(sum_j (A^j B)^T A^j B), that of
-        the top-left block of L^T L; its upper end is (sum_j ||A^j B||_2)^2,
+        The bracket's lower end is the larger of two floors: the Ritz floor
+        (_ritz_floor), and lam_max(sum_j (A^j B)^T A^j B), that of the
+        top-left block of L^T L.  Its upper end is (sum_j ||A^j B||_2)^2,
         which bounds the norm of a block-Toeplitz L, raised by 1e-10
         relative to cover rounding.  Each pass puts _GRAM_LEVELS levels
-        through the doubling bounded-real test (_bounded_real_doubling): the
-        first pass spans the bracket up to its upper end, and each later one
-        the interior of the bracket between the highest failed level and the
-        lowest passed one, until that is 1e-10 wide.  The lowest passed
+        through the doubling bounded-real test (_bounded_real_doubling).
+        The first pass spaces them geometrically above the floor, at
+        floor (1 + e) for e from 1e-10 up to the upper end, so a tight
+        floor leaves a narrow bracket.  Each later pass spans the interior
+        of the bracket between the highest failed level and the lowest
+        passed one, evenly, until that is 1e-10 wide.  The lowest passed
         level is returned: an upper bound on lam_max within 1e-10 relative
         of it, which has always passed the test.  Neither L nor L^T L is
         formed.
@@ -484,9 +572,14 @@ class VarAnalysis:
             return 0.0
         rtol = 1e-10
         corner = np.einsum("jnp,jnq->pq", impulses, impulses)
-        low = float(np.linalg.eigvalsh(corner)[-1])
+        low = max(float(np.linalg.eigvalsh(corner)[-1]), self._ritz_floor(n))
         high = float(np.sum(_spectral_norms(impulses))) ** 2 * (1.0 + rtol)
-        levels = np.linspace(low, high, _GRAM_LEVELS + 1)[1:]
+        if low > 0:
+            with np.errstate(all="ignore"):
+                excess = np.geomspace(rtol, max(high / low - 1.0, rtol), _GRAM_LEVELS)
+            levels = low * (1.0 + excess)
+        else:  # every entry of L^T L underflows to zero
+            levels = np.linspace(low, high, _GRAM_LEVELS + 1)[1:]
         certified = None
         while True:
             passed = _bounded_real_doubling(self.a, self.b, n, levels)
@@ -572,13 +665,40 @@ class ProcessSpec:
         return self.source.p
 
 
+#: at most one seeded group of replicates, (seed, first, words) with words
+#: = replicate_words(seed, first, len(words)) (seed_group)
+_SEEDED_GROUP: list = []
+
+
+def seed_group(seed: int, first: int, count: int) -> None:
+    """Seed replicates first..first+count-1 of seed in one replicate_words
+    pass, for the noise_block calls that follow; it replaces the group held
+    before, and count 0 drops it.  A batch inside the group reads its rows
+    of these words, the same ones that replicate_words gives the batch."""
+    _SEEDED_GROUP.clear()
+    if count:
+        words = replicate_words(seed, first, count)
+        words.flags.writeable = False
+        _SEEDED_GROUP.append((seed, first, words))
+
+
+def _replicate_words(seed: int, start: int, count: int) -> np.ndarray:
+    """replicate_words(seed, start, count): rows of the seeded group where it
+    holds them all, else one pass of their own."""
+    for group_seed, first, words in _SEEDED_GROUP:
+        if group_seed == seed and first <= start and start + count <= first + len(words):
+            return words[start - first : start - first + count]
+    return replicate_words(seed, start, count)
+
+
 def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
     """Noise for replicates start..start+count-1, shape (count, T', p).
 
     Replicate r's noise is exactly NumPy's
     Generator(PCG64(mix64(seed, r))).standard_normal((T', p)), so the result
     is independent of batching.  The batch's seeded states come from one
-    vectorised pass (replicate_words), four 64-bit words per replicate.
+    vectorised pass (replicate_words), four 64-bit words per replicate, or
+    are its rows of a group seeded in one pass beforehand (seed_group).
     One bit generator serves the batch: each replicate's words are written
     into its (state, inc) through pcg64_word_view, in the order that
     pcg64_word_order checked once per process, and the fill reads them.
@@ -591,7 +711,7 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
     t_eff, p = spec.effective_horizon, spec.noise_dim
     w = np.empty((count, t_eff, p))
-    words = replicate_words(seed, start, count)
+    words = _replicate_words(seed, start, count)
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     order = pcg64_word_order()
@@ -625,14 +745,10 @@ def _operator_transpose(op: CausalOperator) -> np.ndarray:
 def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     """Trajectories driven by the given noise, shape (count, T', d).
 
-    Both routes compute X = L W.  A VAR source runs its lifted recursion
-    _PATH_BLOCK steps per matrix product: with m the block length, the
-    block of steps t0..t0+m-1 is
-    x[:, t0:t0+m] = w[:, t0:t0+m] @ L_m^T + x[:, t0-1] @ [A^1 ... A^m]^T,
-    L_m the m-step diagonal block of L (VarAnalysis._block_operators).
-    Blocks start at t = 0, m, 2m, ...; the last one may be shorter and
-    reads the leading sub-blocks of the same matrices.  A raw operator
-    multiplies by its matrix, through a transpose formed once per operator.
+    Both routes compute X = L W.  A VAR source runs its lifted recursion,
+    _PATH_BLOCK steps per matrix product (VarAnalysis.responses).  A raw
+    operator multiplies by its matrix, through a transpose formed once per
+    operator.
 
     A path's bytes do not depend on how the replicates are split into
     batches: every batch is padded to a multiple of _PATH_ROWS rows with
@@ -656,18 +772,7 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     if isinstance(spec.source, CausalOperator):
         flat = w.reshape(rows, t_eff * p) @ _operator_transpose(spec.source)
         return flat.reshape(rows, t_eff, spec.source.d)[:count]
-    analysis = var_analysis(spec.source)
-    n = len(analysis.a)
-    m = min(_PATH_BLOCK, t_eff)
-    x = np.empty((rows, t_eff, n))
-    for t0 in range(0, t_eff, m):
-        steps = min(m, t_eff - t0)
-        noise_t, powers_t = analysis._block_operators(steps)
-        block = w[:, t0 : t0 + steps].reshape(rows, steps * p) @ noise_t
-        if t0:
-            block += x[:, t0 - 1] @ powers_t
-        x[:, t0 : t0 + steps] = block.reshape(rows, steps, n)
-    return x[:count]
+    return var_analysis(spec.source).responses(w)[:count]
 
 
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:

@@ -203,6 +203,110 @@ def test_lam_max_gram_matches_arpack():
     assert oracle * (1 - 1e-12) <= var_analysis(sys).lam_max_gram(512) <= oracle * (1 + 2e-10)
 
 
+def _rotation_var(radius: float, angle: float) -> VarSystem:
+    """A d=2 VAR(1) with eigenvalues radius e^{+-i angle}: its gain peaks near
+    frequency angle, not at 0."""
+    c, s = np.cos(angle), np.sin(angle)
+    return VarSystem([radius * np.array([[c, -s], [s, c]])], np.array([[1.0], [0.3]]))
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    seed=SEEDS,
+    d=st.integers(1, 3),
+    n_lags=st.integers(1, 2),
+    p_less=st.integers(0, 2),
+    t_eff=st.integers(1, 200),
+    rho=st.floats(0.0, 0.999),
+)
+@example(seed=1, d=3, n_lags=2, p_less=2, t_eff=200, rho=0.99)
+@example(seed=2, d=1, n_lags=1, p_less=0, t_eff=1, rho=0.5)
+def test_ritz_floor_is_below_the_dense_norm(seed, d, n_lags, p_less, t_eff, rho):
+    # Courant-Fischer: the top Ritz value of L^T L on any orthonormal set of
+    # inputs is at most lam_max(L^T L), up to rounding
+    rng = np.random.default_rng(seed)
+    sys = random_var_system(rng, d, n_lags, rho=rho, p=max(1, d - p_less))
+    exact = float(np.linalg.svd(var_to_operator(sys, t_eff).dense(), compute_uv=False)[0] ** 2)
+    floor = var_analysis(sys)._ritz_floor(t_eff)
+    assert 0.0 <= floor <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("angle", [0.7, 2.0, np.pi])
+def test_ritz_floor_finds_a_peak_away_from_zero(angle):
+    # eigenvalues 0.95 e^{+-i angle}: the peak frequency is near angle, and
+    # the floor from it is tight, far above the top-left block's lam_max
+    sys = _rotation_var(0.95, angle)
+    analysis = var_analysis(sys)
+    freq, direction = analysis._peak_input()
+    assert abs(freq - angle) < 0.1
+    assert np.linalg.norm(direction) == pytest.approx(1.0)
+    exact = float(np.linalg.svd(var_to_operator(sys, 256).dense(), compute_uv=False)[0] ** 2)
+    impulses = analysis.impulses(256)
+    corner = float(np.linalg.eigvalsh(np.einsum("jnp,jnq->pq", impulses, impulses))[-1])
+    floor = analysis._ritz_floor(256)
+    assert corner < floor <= exact * (1 + 1e-12)
+    assert floor >= exact * (1 - 1e-2)
+
+
+@pytest.mark.parametrize(
+    "sys, singular",
+    [
+        (VarSystem([np.array([[1.0]])], np.array([[1.0]])), True),
+        (_rotation_var(1.0, 0.0), True),
+        # e^{-i pi} is -1 only up to rounding: a finite, huge gain at pi
+        (VarSystem([np.array([[-1.0]])], np.array([[2.0]])), False),
+    ],
+    ids=["unit-root", "double-unit-root", "root-minus-one"],
+)
+@pytest.mark.parametrize("t_eff", [1, 5, 64])
+def test_unit_circle_eigenvalue_falls_back(sys, singular, t_eff):
+    # an eigenvalue at a grid frequency makes I - A e^{-iw} singular: no
+    # peak is found, the floor falls back to 0 and the bracket to the
+    # top-left block's lam_max; either way the certificate holds
+    analysis = process.VarAnalysis(sys)
+    assert (analysis._peak_input() is None) == singular
+    exact = float(np.linalg.svd(var_to_operator(sys, t_eff).dense(), compute_uv=False)[0] ** 2)
+    floor = analysis._ritz_floor(t_eff)
+    assert floor == 0.0 if singular else 0.0 < floor <= exact * (1 + 1e-12)
+    gram = analysis.lam_max_gram(t_eff)
+    assert exact * (1 - 1e-12) <= gram <= exact * (1 + 2e-10)
+    assert _bounded_real_passes(analysis.a, analysis.b, t_eff, [gram]).tolist() == [True]
+
+
+def test_perfbench_model_certified_in_four_passes(monkeypatch):
+    # the perfbench model at T' = 512: the Ritz floor is within 1e-5 of
+    # lam_max, so the geometric first pass leaves a bracket that three more
+    # passes narrow to 1e-10
+    passes = []
+    real_passes = process._bounded_real_doubling
+
+    def counted(*args):
+        passes.append(len(args[-1]))
+        return real_passes(*args)
+
+    monkeypatch.setattr(process, "_bounded_real_doubling", counted)
+    sys = VarSystem([np.array([[0.5, 0.1], [0.0, 0.4]])], np.eye(2))
+    exact = float(np.linalg.svd(var_to_operator(sys, 512).dense(), compute_uv=False)[0] ** 2)
+    analysis = process.VarAnalysis(sys)
+    assert exact * (1 - 1e-5) <= analysis._ritz_floor(512) <= exact * (1 + 1e-12)
+    gram = analysis.lam_max_gram(512)
+    assert exact * (1 - 1e-12) <= gram <= exact * (1 + 2e-10)
+    assert passes == [process._GRAM_LEVELS] * len(passes)
+    assert len(passes) <= 4
+
+
+@pytest.mark.parametrize("seed, rho, t_eff", [(0, 1.03, 512), (1, 1.07, 512), (2, 1.05, 700)])
+def test_explosive_var_certificate(seed, rho, t_eff):
+    # spectral radius above 1: the floor is poor, yet the level returned
+    # passes the test and sits within 2e-10 of the dense norm
+    sys = random_var_system(np.random.default_rng(seed), 2, 1, rho=rho)
+    analysis = process.VarAnalysis(sys)
+    gram = analysis.lam_max_gram(t_eff)
+    exact = float(np.linalg.svd(var_to_operator(sys, t_eff).dense(), compute_uv=False)[0] ** 2)
+    assert exact * (1 - 1e-12) <= gram <= exact * (1 + 2e-10)
+    assert _bounded_real_doubling(analysis.a, analysis.b, t_eff, [gram]).tolist() == [True]
+
+
 def test_overflow_check_passes_models_near_overflow():
     # one model far from overflow, and one whose 2 T ||B||_F^2 sum_j ||A^j||_2^2
     # overflows while the energy 2 T sum_j ||A^j B||_F^2 does not (A^j B = 0

@@ -14,6 +14,7 @@ from causalcov import (
     DegenerateDirection,
     InsufficientExcitation,
     InvalidInput,
+    ProcessSpec,
     SingularDecoupledCovariance,
     VarSystem,
     anticoncentration_bound,
@@ -213,6 +214,14 @@ def test_psi_singular_decoupled():
     )
     with pytest.raises(SingularDecoupledCovariance):
         psi_k(op)
+
+
+def test_psi_takes_an_operator_only():
+    op = CausalOperator.identity(2, 4)
+    var = VarSystem([np.eye(1) * 0.5], np.eye(1))
+    for process in (ProcessSpec.from_operator(op), ProcessSpec(var, 4)):
+        with pytest.raises(InvalidInput, match="^psi_k takes a CausalOperator, got ProcessSpec$"):
+            psi_k(process)
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,36 @@ class TestSimulate:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bounds"],
+            ["nonsense", "--config", "c.json"],
+            ["bounds", "--config", "c.json", "--seed", "x"],
+        ],
+        ids=["no-subcommand", "no-config", "unknown-subcommand", "bad-seed"],
+    )
+    def test_bad_usage_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: causalcov" in capsys.readouterr().err
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("bounds", "verify", "identify", "sweep", "simulate"):
+            assert f"\n  {name} " in out
+
+    def test_options_before_the_subcommand(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", base_config())
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        assert (out / "bounds.json").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "none.json")]) == 2
 

@@ -85,6 +85,15 @@ def test_error_decomposition_singular_gram(rng):
         error_decomposition(fit, np.zeros((2, 2)))
 
 
+def test_error_decomposition_checks_the_truth_shape():
+    # the same rule and message as least_squares' a_star
+    fit = least_squares(np.eye(2), np.eye(2))
+    with pytest.raises(InvalidInput, match=r"^truth shape \(3, 3\) != fit shape \(2, 2\)$"):
+        error_decomposition(fit, np.eye(3))
+    with pytest.raises(InvalidInput, match=r"^truth shape \(3, 3\) != fit shape \(2, 2\)$"):
+        least_squares(np.eye(2), np.eye(2), a_star=np.eye(3))
+
+
 def test_self_normalized_bound_hand_value():
     # zero det argument (logdet(I+0) = 0), sigma=2, d=3, delta=0.1:
     # sqrt(8*3*4*log5 + 8*4*log10)

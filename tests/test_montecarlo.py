@@ -435,3 +435,40 @@ class TestIdentificationExperiment:
         short = run_identification_experiment(sys, T=64, k=1, delta=0.1, R=30, seed=2)
         long = run_identification_experiment(sys, T=1024, k=1, delta=0.1, R=30, seed=2)
         assert long.extras["median_op_error"] < short.extras["median_op_error"]
+
+
+def test_one_seeding_pass_per_group(monkeypatch):
+    # R = 16384 at T' = 128, p = 2: batches of 256, and one group of 16384
+    # replicates, whose words (32 bytes each) fill as much memory as one
+    # batch's noise.  One replicate_words pass seeds them all, and every
+    # batch's noise has the bytes of noise_block outside any group
+    calls = []
+    real_words = process.replicate_words
+
+    def counted(seed, start, count):
+        calls.append((start, count))
+        return real_words(seed, start, count)
+
+    monkeypatch.setattr(process, "replicate_words", counted)
+    spec = ProcessSpec(VarSystem([np.array([[0.5, 0.1], [0.0, 0.4]])], np.eye(2)), 128)
+    batches = list(montecarlo._path_batches(spec, 11, 16384))
+    assert calls == [(0, 16384)]
+    assert len(batches) == 64 and process._SEEDED_GROUP == []
+    for i in (0, 63):
+        alone = process.paths_from_noise(spec, process.noise_block(spec, 11, 256 * i, 256))
+        assert batches[i].tobytes() == alone.tobytes()
+    assert calls[1:] == [(0, 256), (256 * 63, 256)]
+
+
+def test_seeded_group_serves_only_its_own_rows():
+    # inside the group, beyond it and at another seed, noise_block gives
+    # the bytes it gives with no group seeded
+    spec = ProcessSpec(VarSystem([np.array([[0.5]])], np.eye(1)), 4)
+    draws = [(3, 5, 4), (3, 10, 4), (4, 5, 4)]
+    alone = [process.noise_block(spec, *draw).tobytes() for draw in draws]
+    process.seed_group(3, 4, 8)
+    try:
+        assert [process.noise_block(spec, *draw).tobytes() for draw in draws] == alone
+    finally:
+        process.seed_group(3, 0, 0)
+    assert process._SEEDED_GROUP == []

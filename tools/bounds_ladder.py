@@ -1,15 +1,19 @@
 """Time the `bounds` or `identify` subcommand over a ladder of horizons.
 
-usage: python3 tools/bounds_ladder.py [--src DIR] [--subcommand bounds|identify] T [T ...]
+usage: python3 tools/bounds_ladder.py [--src DIR] [--subcommand bounds|identify]
+                                     [--config PATH] T [T ...]
 
 Each horizon runs in a fresh interpreter with BLAS on one thread.
-`bounds` (the default) runs on the model of
+`bounds` (the default) runs on the config of
 perfbench/configs/bounds-T512.json with only T changed.  `identify` runs
-on the model of perfbench/configs/identify-T4096.json, with the replicate
+on the config of perfbench/configs/identify-T4096.json, with the replicate
 count R scaled so that R * T stays at 100 * 4096 (and R >= 1), so every
 rung simulates about as many time steps.  From T = 16384 on, R is below
 44, the fewest replicates whose Wilson interval at zero hits fits
-identify's budget 2 delta = 0.2, so identify exits 1 there.  The package
+identify's budget 2 delta = 0.2, so identify exits 1 there.  --config
+runs the rungs on another config instead, with the same changes; for
+example tools/models/bounds-dL12.json, a VAR with d = 4 and 3 lags, so
+dL = 12.  The package
 is imported from --src (default: this checkout's src/), so the same
 script times another checkout.  One JSON object per horizon is printed:
 T, R for identify, the exit code, import_s (the child's time to import
@@ -50,8 +54,8 @@ print(json.dumps({"exit": code, "import_s": round(t1 - t0, 4), "wall_s": round(w
 """
 
 
-def run(src: Path, subcommand: str, T: int, work: Path) -> dict:
-    config = json.loads(MODELS[subcommand].read_text())
+def run(src: Path, subcommand: str, model: Path, T: int, work: Path) -> dict:
+    config = json.loads(model.read_text())
     config["T"] = T
     rung = {"T": T}
     if subcommand == "identify":
@@ -74,10 +78,15 @@ def main() -> int:
     parser.add_argument("horizons", nargs="+", type=int)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--subcommand", choices=sorted(MODELS), default="bounds")
+    parser.add_argument(
+        "--config", type=Path, default=None, help="config to run (default: the subcommand's)"
+    )
     args = parser.parse_args()
+    model = args.config or MODELS[args.subcommand]
     with tempfile.TemporaryDirectory() as tmp:
         for T in args.horizons:
-            print(json.dumps(run(args.src.resolve(), args.subcommand, T, Path(tmp))), flush=True)
+            rung = run(args.src.resolve(), args.subcommand, model, T, Path(tmp))
+            print(json.dumps(rung), flush=True)
     return 0
 
 
