@@ -12,13 +12,20 @@ Exit codes: 0 = all certifications pass or are vacuous; 1 = a non-vacuous
 certification failed; 2 = configuration or model error, including a NaN or
 infinite bound and a failed linear-algebra routine.
 
+One report path: each cmd_* handler takes the loaded config and returns
+(exit code, reports), mapping each file name to a JSON payload or to
+(columns, rows).  main alone writes them in that order, JSON with the
+resolved config added, then one <subcommand>.meta.json sidecar whose
+"outputs" names them, then the "wrote ..." line.  A run that fails before
+its handler returns writes nothing.
+
 Reports are deterministic for a fixed config: JSON is emitted with sorted
 keys, CSV with a fixed documented header, floats via repr round-tripping.
-Wall-clock timestamps live only in the .meta.json sidecar next to each
-report, which is excluded from any byte-level comparison.  The CSV column
-orders are VERIFY_COLUMNS and SWEEP_COLUMNS below; README.md documents them
-and the config schema for users.  Every CSV report goes through _write_csv,
-row by row: simulate writes each batch of montecarlo's sampling loop as it
+Wall-clock timestamps live only in the sidecar, which is excluded from
+any byte-level comparison.  The CSV column orders are VERIFY_COLUMNS and
+SWEEP_COLUMNS below; README.md documents them and the config schema for
+users.  _write_csv writes rows as they come, and handlers return them
+lazily: simulate writes each batch of montecarlo's sampling loop as it
 is drawn, so it holds one batch in memory.  At seed s it writes the paths
 run_tail_experiment(seed=s) samples.  verify and sweep draw one sample, at
 the sub-seed derive_seed(s, 0), at the longest T' of their cells (verify
@@ -188,11 +195,9 @@ def _ls_bounds(config: ExperimentConfig, spec: ProcessSpec, delta: float) -> dic
     }
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    config, out_dir = _load(args)
+def cmd_bounds(config: ExperimentConfig) -> tuple[int, dict]:
     spec = config.process_spec()
     report: dict = {
-        "config": config.to_dict(),
         "T": config.T,
         "k": config.k,
         "k_auto": config.k_auto,
@@ -212,15 +217,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         report["arma_prefactor_base"] = base
         report["arma_corollary_bound"] = arma_corollary_bound(sys_model, config.T, config.k)
         report["delta"] = config.delta
-    json_path = out_dir / "bounds.json"
-    _write_json(json_path, report)
-    _write_meta(out_dir / "bounds.meta.json", "bounds", [json_path])
-    print(f"wrote {json_path}")
-    return 0
+    return 0, {"bounds.json": report}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    config, out_dir = _load(args)
+def cmd_verify(config: ExperimentConfig) -> tuple[int, dict]:
     spec = config.process_spec()
     exps = run_tail_experiments(
         spec, config.events, R=config.replicates, seed=derive_seed(config.seed, 0)
@@ -228,30 +228,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = [_experiment_row(exp, spec) for exp in exps]
     overall = all(r["certified"] for r in rows)
     summary: dict = {
-        "config": config.to_dict(),
         "effective_horizon": spec.effective_horizon,
         "results": rows,
         "overall_pass": overall,
     }
     if spec.truncation_notice:
         summary["truncation_notice"] = spec.truncation_notice
-    csv_path = out_dir / "verify.csv"
-    json_path = out_dir / "verify.json"
-    _write_csv(csv_path, VERIFY_COLUMNS, (map(r.get, VERIFY_COLUMNS) for r in rows))
-    _write_json(json_path, summary)
-    _write_meta(out_dir / "verify.meta.json", "verify", [csv_path, json_path])
     for r in rows:
         status = "vacuous" if r["vacuous"] else ("pass" if r["certified"] else "FAIL")
         print(
             f"{r['event']}: frequency={r['frequency']:.6g} "
             f"ci_high={r['ci_high']:.6g} bound={r['bound']:.6g} [{status}]"
         )
-    print(f"wrote {csv_path} and {json_path}")
-    return 0 if overall else 1
+    reports = {
+        "verify.csv": (VERIFY_COLUMNS, (map(r.get, VERIFY_COLUMNS) for r in rows)),
+        "verify.json": summary,
+    }
+    return 0 if overall else 1, reports
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
-    config, out_dir = _load(args)
+def cmd_identify(config: ExperimentConfig) -> tuple[int, dict]:
     if not isinstance(config.model, VarSystem):
         raise ConfigError("identify requires a var model")
     if config.require_burnin:
@@ -267,7 +263,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
     op_errors = exp.extras["op_errors"]
     burnin_ok = bool(exp.extras["burnin_satisfied"])
     report: dict = {
-        "config": config.to_dict(),
         "ls_error_bound": exp.extras["ls_bound"],
         "c_sys": exp.extras["c_sys"],
         "burnin_satisfied": burnin_ok,
@@ -285,23 +280,18 @@ def cmd_identify(args: argparse.Namespace) -> int:
     if burnin_ok:
         report["certified"] = exp.certified
         report["vacuous"] = exp.vacuous
-    csv_path = out_dir / "identify.csv"
-    json_path = out_dir / "identify.json"
-    _write_csv(csv_path, ("replicate", "op_error"), enumerate(op_errors))
-    _write_json(json_path, report)
-    _write_meta(out_dir / "identify.meta.json", "identify", [csv_path, json_path])
     print(
         f"ls-error-exceeds-bound: frequency={exp.frequency:.6g} "
         f"budget={exp.bound:.6g} burnin_satisfied={burnin_ok}"
     )
-    print(f"wrote {csv_path} and {json_path}")
-    if not burnin_ok:
-        return 0
-    return 0 if exp.certified else 1
+    reports = {
+        "identify.csv": (("replicate", "op_error"), enumerate(op_errors)),
+        "identify.json": report,
+    }
+    return 0 if exp.certified or not burnin_ok else 1, reports
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config, out_dir = _load(args)
+def cmd_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     t_grid = config.grid.get("T", [config.T])
     k_grid = config.grid.get("k", [config.k])
     d_grid = config.grid.get("delta", [config.delta])
@@ -329,34 +319,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.extend({**r, "delta": delta, **columns} for r in event_rows)
             cells.append({"T": spec.T, "k": spec.k, "delta": delta, **cell_head})
     overall = all(r["certified"] for r in rows)
-    summary = {
-        "config": config.to_dict(),
-        "cells": cells,
-        "results": rows,
-        "overall_pass": overall,
-    }
-    csv_path = out_dir / "sweep.csv"
-    json_path = out_dir / "sweep.json"
-    _write_csv(csv_path, SWEEP_COLUMNS, (map(r.get, SWEEP_COLUMNS) for r in rows))
-    _write_json(json_path, summary)
-    _write_meta(out_dir / "sweep.meta.json", "sweep", [csv_path, json_path])
     print(f"{len(rows)} rows over {len(cells)} cells; overall_pass={overall}")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0 if overall else 1
+    reports = {
+        "sweep.csv": (SWEEP_COLUMNS, (map(r.get, SWEEP_COLUMNS) for r in rows)),
+        "sweep.json": {"cells": cells, "results": rows, "overall_pass": overall},
+    }
+    return 0 if overall else 1, reports
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config, out_dir = _load(args)
+def cmd_simulate(config: ExperimentConfig) -> tuple[int, dict]:
     spec = config.process_spec()
     columns = ("replicate", "t") + tuple(f"x{i}" for i in range(spec.state_dim))
     batches = _path_batches(spec, config.seed, config.replicates)
     paths = (path.tolist() for x in batches for path in x)
     rows = ((r, t, *state) for r, path in enumerate(paths) for t, state in enumerate(path))
-    csv_path = out_dir / "simulate.csv"
-    _write_csv(csv_path, columns, rows)
-    _write_meta(out_dir / "simulate.meta.json", "simulate", [csv_path])
-    print(f"wrote {csv_path} ({config.replicates} paths, horizon {spec.effective_horizon})")
-    return 0
+    return 0, {"simulate.csv": (columns, rows)}
 
 
 #: each subcommand's handler and help text
@@ -388,9 +365,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on the one report path (see the module docstring)."""
     args = _build_parser().parse_args(argv)
     try:
-        return SUBCOMMANDS[args.subcommand][0](args)
+        config, out_dir = _load(args)
+        code, reports = SUBCOMMANDS[args.subcommand][0](config)
+        paths = []
+        for name, report in reports.items():
+            paths.append(out_dir / name)
+            if isinstance(report, dict):
+                _write_json(paths[-1], {"config": config.to_dict(), **report})
+            else:
+                _write_csv(paths[-1], *report)
+        _write_meta(out_dir / f"{args.subcommand}.meta.json", args.subcommand, paths)
+        note = ""
+        if args.subcommand == "simulate":
+            horizon = config.process_spec().effective_horizon
+            note = f" ({config.replicates} paths, horizon {horizon})"
+        print("wrote " + " and ".join(map(str, paths)) + note)
+        return code
     except CausalCovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -559,9 +559,11 @@ class VarAnalysis:
         floor (1 + e) for e from 1e-10 up to the upper end, so a tight
         floor leaves a narrow bracket.  Each later pass spans the interior
         of the bracket between the highest failed level and the lowest
-        passed one, evenly, until that is 1e-10 wide.  The lowest passed
+        passed one, evenly, until that is 1e-10 wide or, in the subnormal
+        range, holds no float strictly inside it.  The lowest passed
         level is returned: an upper bound on lam_max within 1e-10 relative
-        of it, which has always passed the test.  Neither L nor L^T L is
+        of it (or one float step, in the subnormal range), which has always
+        passed the test.  Neither L nor L^T L is
         formed.
         """
         return self._once("gram", n, self._certified_gram)
@@ -594,9 +596,11 @@ class VarAnalysis:
             failed = levels[~passed & (levels < high)]
             if failed.size:
                 low = max(low, float(failed.max()))
-            if high <= low * (1.0 + rtol):
-                return certified
             levels = np.linspace(low, high, _GRAM_LEVELS + 2)[1:-1]
+            # a subnormal bracket may hold no float between its ends
+            levels = levels[(low < levels) & (levels < high)]
+            if high <= low * (1.0 + rtol) or not levels.size:
+                return certified
 
 
 _ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

@@ -307,6 +307,31 @@ def test_explosive_var_certificate(seed, rho, t_eff):
     assert _bounded_real_doubling(analysis.a, analysis.b, t_eff, [gram]).tolist() == [True]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_subnormal_bracket_ends(monkeypatch, d):
+    # A = I has its eigenvalue on the unit circle at w = 0, so there is no
+    # Ritz floor, and H = 1e-160 I puts lam_max(L^T L) near 3e-319: no float
+    # lies strictly inside the bracket long before it is 1e-10 wide.  The
+    # bisection stops there, at a level that has passed the test
+    passes = []
+    real_passes = process._bounded_real_doubling
+
+    def counted(*args):
+        passes.append(len(args[-1]))
+        if len(passes) > 100:
+            raise AssertionError("the bracket never closes")
+        return real_passes(*args)
+
+    monkeypatch.setattr(process, "_bounded_real_doubling", counted)
+    sys = VarSystem([np.eye(d)], 1e-160 * np.eye(d))
+    analysis = process.VarAnalysis(sys)
+    assert analysis._ritz_floor(8) == 0.0
+    gram = analysis.lam_max_gram(8)
+    exact = float(np.linalg.svd(var_to_operator(sys, 8).dense(), compute_uv=False)[0] ** 2)
+    assert 0.0 < exact <= gram < np.finfo(float).tiny
+    assert real_passes(analysis.a, analysis.b, 8, [gram]).tolist() == [True]
+
+
 def test_overflow_check_passes_models_near_overflow():
     # one model far from overflow, and one whose 2 T ||B||_F^2 sum_j ||A^j||_2^2
     # overflows while the energy 2 T sum_j ||A^j B||_F^2 does not (A^j B = 0

@@ -967,6 +967,59 @@ class TestErrors:
         assert "error: linear algebra failed: SVD did not converge" in capsys.readouterr().err
 
 
+class TestReportPath:
+    @pytest.mark.parametrize(
+        "subcommand, outputs",
+        [
+            ("bounds", ["bounds.json"]),
+            ("verify", ["verify.csv", "verify.json"]),
+            ("identify", ["identify.csv", "identify.json"]),
+            ("sweep", ["sweep.csv", "sweep.json"]),
+            ("simulate", ["simulate.csv"]),
+        ],
+    )
+    def test_reports_then_one_sidecar(self, tmp_path, capsys, subcommand, outputs):
+        cfg = write_config(tmp_path / "c.json", base_config(replicates=40))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) in (0, 1)
+        sidecar = f"{subcommand}.meta.json"
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, sidecar])
+        meta = json.loads((out / sidecar).read_text())
+        assert meta["subcommand"] == subcommand and meta["outputs"] == outputs
+        wrote = "wrote " + " and ".join(str(out / name) for name in outputs)
+        if subcommand == "simulate":
+            wrote += " (40 paths, horizon 24)"
+        assert capsys.readouterr().out.splitlines()[-1] == wrote
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        blocks = [[[[1.0]]], [[[0.3]], [[1.0]]]]
+        model = {"type": "operator", "d": 1, "p": 1, "k": 1, "blocks": blocks}
+        cfg = write_config(tmp_path / "c.json", base_config(model=model, T=2))
+        out = tmp_path / "out"
+        assert main(["identify", "--config", cfg, "--out", str(out)]) == 2
+        assert "identify requires a var model" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_subnormal_gram_ends(self, tmp_path):
+        # lam_max(L^T L) near 3e-319 with no Ritz floor (a = 1): the
+        # certificate ends, and the least-squares bound is inf, so exit 2
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"model": {"type": "var", "a_lags": [[[1.0]]], "h": [[1e-160]]}, "T": 8, "k": 1},
+        )
+        src = str(Path(causalcov.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalcov.cli", "bounds", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "'ls-error-exceeds-bound': the bound evaluates to inf" in proc.stderr
+
+
 def test_cli_imports_no_scipy():
     # SciPy is a test dependency only: importing it costs most of a CLI
     # process's start-up
