@@ -5,28 +5,38 @@ noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
 One loop (_path_batches) draws and simulates those batches for every
 consumer: the tail events, the identification experiment and the CLI's
-simulate report, each of which reads one batch at a time.  The simulator
-(process.paths_from_noise) advances a VAR a block of time steps per matrix
-product, in blocks anchored at t = 0, and pads every batch to a multiple
-of eight rows with copies of its first row, so a replicate's path, and
-every statistic computed from it, has the same bytes in a batch of any
-size.
+simulate report.  A batch of a VAR's replicates advances _TIME_BLOCK time
+steps at a time: each block continues every replicate's noise stream from
+the PCG64 state where the block before left it, and its simulator starts
+from the lifted state where the block before ended, so memory per batch
+does not grow with the horizon.  The tail events add each block to every
+replicate's empirical covariance and identify adds it to every fit's Gram
+and cross sums, so neither holds a whole path; a raw operator, whose
+state is its whole input, and simulate, which writes paths replicate by
+replicate, take one block of T'.  The simulator (process.paths_from_noise,
+and within blocks VarAnalysis.responses) advances a VAR _PATH_BLOCK time
+steps per matrix product, in blocks anchored at t = 0, and pads every
+batch to a multiple of eight rows with copies of its first row, so a
+replicate's path, and every statistic computed from it, has the same
+bytes in a batch of any size.  As the time blocks are fixed too, every
+sum over time runs in an order set by the horizon alone.
 
 A batch goes from paths to one matrix per replicate to one statistic per
 replicate.  Every tail event reads the empirical covariance
-S_r = sum_t X_t X_t^T, formed once per batch and shared by all events of
-the pass: lam_min(S_r / T'), lam_max(S_r) or the probed energy tr(D S_r);
-check_event defines the events and their parameter rules once, for
-run_tail_experiments and config alike.  A sweep (run_tail_sweep) samples
-its cells in one pass at the longest horizon T' of its grid: a causal
-process's X_t reads only W_s for s <= t, so each cell scores the prefix of
-those paths at its own T', through one S_r and one of each statistic per
-distinct T' and batch.  The hits of different cells are then dependent;
-each interval is still valid on its own.  Where that T' is not a multiple
-of the simulator's time block, the prefix may differ from a pass at T'
-alone in the last digit.  run_tail_experiments is the sweep of one cell.  The
-identification experiment fits a batch's regressions in one stacked
-least-squares solve.  One function (_verdict) turns every experiment's
+S_r = sum_t X_t X_t^T, summed over the batch's time blocks and shared by
+all events of the pass: lam_min(S_r / T'), lam_max(S_r) or the probed
+energy tr(D S_r); check_event defines the events and their parameter
+rules once, for run_tail_experiments and config alike.  A sweep
+(run_tail_sweep) samples its cells in one pass at the longest horizon T'
+of its grid: a causal process's X_t reads only W_s for s <= t, so each
+cell scores the prefix of those paths at its own T', through one S_r and
+one of each statistic per distinct T' and batch.  The hits of different
+cells are then dependent; each interval is still valid on its own.  Where
+that T' is not a multiple of the simulator's _PATH_BLOCK, the prefix may
+differ from a pass at T' alone in the last digit.  run_tail_experiments
+is the sweep of one cell.  The identification experiment fits a batch's
+regressions in one stacked least-squares solve, once its sums have run
+over every time block.  One function (_verdict) turns every experiment's
 hit count into its TailExperiment: the bound is certified when the upper
 edge of the 99.9% Wilson interval for the event frequency sits at or
 below it, or trivially when it is vacuous (>= 1).
@@ -56,6 +66,7 @@ from .estimator import _pinv_fits, check_delta, ls_bound_details
 from .linalg import check_int, finite_matrix, require_psd
 from .process import (
     _PATH_ROWS,
+    _path_blocks,
     ProcessSpec,
     VarSystem,
     noise_block,
@@ -72,15 +83,14 @@ __all__ = [
     "run_identification_experiment",
 ]
 
-#: simulated time steps per batch, which bounds the memory of its noise and
-#: paths, except that a batch holds at least _PATH_ROWS replicates, and a
-#: long horizon's batch up to WIDE_ROWS replicates within 4 * STEPS steps
+#: simulated time steps per batch and time block, which bounds the memory of
+#: its noise and paths, except that a batch holds at least _PATH_ROWS replicates
 STEPS = 2**15
 
-#: replicates per batch below which a long path's block products are mostly
-#: per-call overhead: a horizon above STEPS // WIDE_ROWS steps gets this many
-#: as long as they fit in 4 * STEPS steps
-WIDE_ROWS = 32
+#: time steps a batch of a VAR's replicates advances per block of the sampling
+#: loop, a multiple of the simulator's _PATH_BLOCK; fixed, so that every sum
+#: over time runs in an order that depends only on the horizon
+_TIME_BLOCK = 256
 
 #: two-sided confidence of the certification interval
 CONFIDENCE = 0.999
@@ -198,36 +208,50 @@ def _verdict(
     )
 
 
-def _path_batches(spec: ProcessSpec, seed: int, R: int):
-    """Paths of replicates 0..R-1 of spec, in order, one batch at a time.
+def _path_batches(spec: ProcessSpec, seed: int, R: int, whole: bool = False):
+    """Paths of replicates 0..R-1 of spec, in order, one batch and one time
+    block at a time.
+
+    A VAR's batch advances _TIME_BLOCK steps per block (process._path_blocks):
+    each block fills its noise from every replicate's stream, carried from
+    the block before, and starts the simulator from the lifted state where
+    the block before ended, so the blocks of a batch, concatenated along
+    time, have the bytes of its whole paths.  A raw operator has no small
+    state to carry, and whole asks for whole paths (simulate writes
+    replicate by replicate): both run one block of T' steps, drawn by
+    noise_block and simulated by paths_from_noise, and so does a VAR whose
+    T' fits in one block.  The yields are the time blocks of batch 0 from
+    t = 0, then those of batch 1, and so on: a batch ends at the block at
+    which its steps reach T'.
 
     A batch holds the largest multiple of _PATH_ROWS replicates at or below
-    STEPS // T', and at least _PATH_ROWS; a horizon above STEPS // WIDE_ROWS
-    steps gets at least the largest multiple of _PATH_ROWS at or below both
-    WIDE_ROWS and 4 * STEPS // T'.  So a batch above the _PATH_ROWS floor
-    never exceeds 4 * STEPS steps, and only the last batch can be short and
-    padded.  One seed_group call seeds a group of batches, as many as
-    keep the group's words within one batch's noise; each batch is drawn
-    by noise_block, which reads its rows of those words, and simulated by
-    paths_from_noise.  Every sampled path of the package comes from here,
-    so here is the one replicate rule: R must be an integer >= 1.  R and
-    seed (check_seed) are checked at the call, before the first batch.
+    STEPS // min(T', block), and at least _PATH_ROWS, so only the last batch
+    can be short and padded, and a block above the _PATH_ROWS floor never
+    exceeds STEPS steps.  One seed_group call seeds a group of batches, as
+    many as keep the group's words within one block's noise.  Every
+    sampled path of the package comes from here, so here is the one
+    replicate rule: R must be an integer >= 1.  R and seed (check_seed) are
+    checked at the call, before the first batch.
     """
     R, seed = check_int(R, "replicates"), check_seed(seed)
     t_eff = spec.effective_horizon
-    wide = min(WIDE_ROWS, 4 * STEPS // t_eff)
-    size = max(_PATH_ROWS, STEPS // t_eff, wide) // _PATH_ROWS * _PATH_ROWS
+    whole = whole or not isinstance(spec.source, VarSystem)
+    block = t_eff if whole else min(_TIME_BLOCK, t_eff)
+    size = max(_PATH_ROWS, STEPS // block) // _PATH_ROWS * _PATH_ROWS
     # 32 bytes of words per replicate: a group's words take no more memory
-    # than one batch's noise, 8 T' p bytes per replicate
-    group = size * max(1, t_eff * spec.noise_dim // 4)
+    # than one block's noise, 8 block p bytes per replicate
+    group = size * max(1, block * spec.noise_dim // 4)
 
     def batches():
         try:
             for first in range(0, R, group):
                 seed_group(seed, first, min(group, R - first))
                 for start in range(first, min(first + group, R), size):
-                    w = noise_block(spec, seed, start, min(size, R - start))
-                    yield paths_from_noise(spec, w)
+                    count = min(size, R - start)
+                    if block == t_eff:
+                        yield paths_from_noise(spec, noise_block(spec, seed, start, count))
+                    else:
+                        yield from _path_blocks(spec, seed, start, count, block)
         finally:
             seed_group(seed, 0, 0)
 
@@ -304,11 +328,11 @@ def run_tail_sweep(
     are checked (_path_batches), and every cell's events, bounds and
     thresholds, before any path is drawn.  Then one pass samples
     replicates 0..R-1 of seed at the longest effective horizon of the
-    cells.  Per batch, S_r = sum_{t<T'} X_t X_t^T is formed once for each
-    distinct T' of the cells, from the prefix of the paths up to T', and
-    every event of a cell at that T' is scored on it; each distinct
-    statistic of it (_EventPlan.stat_key) is computed once, so cells that
-    differ only in k share theirs.  A VAR's X_t reads only W_s for s <= t,
+    cells.  Per batch, S_r = sum_{t<T'} X_t X_t^T is summed once for each
+    distinct T' of the cells, from the prefix of the paths up to T', one
+    time block at a time, and every event of a cell at that T' is scored
+    on it; each distinct statistic of it (_EventPlan.stat_key) is computed
+    once, so cells that differ only in k share theirs.  A VAR's X_t reads only W_s for s <= t,
     and a replicate's noise at a shorter T' is the prefix of its noise at
     the longest one, so a cell's prefix has the law of its paths, and the
     same bytes when its T' is a multiple of _PATH_BLOCK; otherwise its
@@ -330,8 +354,19 @@ def run_tail_sweep(
     ]
     hits = [[0] * len(cell_plans) for cell_plans in plans]
     distinct = {plan.stat_key: plan for cell_plans in plans for plan in cell_plans}
+    distinct_horizons, t0, grams = sorted(set(horizons)), 0, {}
     for x in batches:
-        grams = {t: np.swapaxes(x[:, :t], 1, 2) @ x[:, :t] for t in set(horizons)}
+        for t in (t for t in distinct_horizons if t > t0):
+            part = x[:, : t - t0]
+            gram = np.swapaxes(part, 1, 2) @ part
+            if t0:
+                grams[t] += gram
+            else:
+                grams[t] = gram
+        t0 += x.shape[1]
+        if t0 < distinct_horizons[-1]:
+            continue
+        t0 = 0
         stats = {key: plan.batch_stat(grams[key[1]]) for key, plan in distinct.items()}
         for cell_plans, cell_hits in zip(plans, hits):
             for i, p in enumerate(cell_plans):
@@ -367,9 +402,10 @@ def run_tail_experiments(
     Every event is checked (check_event), and its bound and threshold
     computed, before any path is drawn.  Then one pass of _path_batches
     samples replicates 0..R-1 of seed; each batch's empirical covariances
-    are formed once, scored by every event in turn and dropped, so an
-    event's row is the one it gets when run alone: it does not depend on
-    which other events share the pass, nor on their order.  The events'
+    are summed over its time blocks once, scored by every event in turn
+    and dropped, so an event's row is the one it gets when run alone: it
+    does not depend on which other events share the pass, nor on their
+    order.  The events'
     hit indicators are dependent, since they read the same paths; each
     one's Wilson interval is valid on its own.  This is run_tail_sweep's
     one-cell case; a sweep over several (T, k) cells scores each cell on
@@ -421,12 +457,16 @@ def run_identification_experiment(
 
     Each replicate simulates the lifted state for T'+1 steps as a k=1
     process, fits the regression of Z_{t+1} on the lifted X_t by least
-    squares, and records the operator-norm error; a batch's replicates are
-    fitted in one stacked solve (estimator._pinv_fits), each with the bytes
-    least_squares gives it alone.  The certified budget is 2*delta (bound
-    failure plus burn-in failure); an unsatisfied burn-in is flagged in
-    extras but the experiment proceeds.  T, k, R, seed and then delta
-    (check_delta) are checked first.
+    squares, and records the operator-norm error.  The fit's sums
+    sum_t X_t X_t^T and sum_t Z_{t+1} X_t^T are added up one time block
+    at a time, the pair that straddles a block edge with the later block;
+    a batch's replicates are fitted in one stacked solve
+    (estimator._pinv_fits).  Where T'+1 steps fit in one time block, each
+    fit has the bytes least_squares gives it alone; above, its sums differ
+    from those of one product over the whole path only in rounding.  The
+    certified budget is 2*delta (bound failure plus burn-in failure); an
+    unsatisfied burn-in is flagged in extras but the experiment proceeds.
+    T, k, R, seed and then delta (check_delta) are checked first.
     """
     t_eff = ProcessSpec(source=sys, T=T, k=k).effective_horizon
     batches = _path_batches(ProcessSpec(source=sys, T=t_eff + 1), seed, R)
@@ -434,14 +474,24 @@ def run_identification_experiment(
     details = ls_bound_details(sys, T, k, delta)
     bound = _finite_bound("ls-error-exceeds-bound", details["bound"])
     a_star = sys.regression_matrix()
-
-    def batch_stat(x):
-        lagged, ahead = x[:, :t_eff], x[:, 1:, : sys.d]
-        gram, syx = np.swapaxes(lagged, 1, 2) @ lagged, np.swapaxes(ahead, 1, 2) @ lagged
+    errors, t0 = [], 0
+    for x in batches:
+        lagged, ahead = x[:, :-1], x[:, 1:, : sys.d]
+        gram_part, syx_part = np.swapaxes(lagged, 1, 2) @ lagged, np.swapaxes(ahead, 1, 2) @ lagged
+        if t0:
+            # the pair (X_t, Z_{t+1}) that straddles the block edge
+            gram += gram_part + last[:, :, None] * last[:, None, :]
+            syx += syx_part + x[:, 0, : sys.d, None] * last[:, None, :]
+        else:
+            gram, syx = gram_part, syx_part
+        t0 += x.shape[1]
+        if t0 <= t_eff:
+            last = x[:, -1].copy()
+            continue
+        t0 = 0
         a_hat = _pinv_fits(gram, syx)[0]
-        return np.linalg.norm(a_hat - a_star, 2, axis=(1, 2))
-
-    op_errors = np.concatenate([batch_stat(x) for x in batches])
+        errors.append(np.linalg.norm(a_hat - a_star, 2, axis=(1, 2)))
+    op_errors = np.concatenate(errors)
     hits = int(np.count_nonzero(op_errors > bound))
     extras = {
         "ls_bound": bound,

@@ -19,6 +19,15 @@ T'.  Every batch is padded to a multiple of _PATH_ROWS rows with copies of
 its first row, and the noise and right operands are C-contiguous, so a
 path has the same bytes in a batch of any size, for a VAR and for a raw
 operator.
+
+The sampling loop (montecarlo._path_batches) can also run a VAR's batch
+in time blocks (_path_blocks), each a multiple of _PATH_BLOCK steps: a
+block's normals continue each replicate's PCG64 stream from the four
+state words the block before left (_NormalStreams, of which noise_block
+is the one-block case), and the simulator (VarAnalysis.responses) starts
+from the lifted state where the block before ended.  The blocks then
+have the bytes of the whole paths, and a batch holds one block at a time.
+A raw operator's state is its whole input, so its paths are whole.
 """
 
 from __future__ import annotations
@@ -32,7 +41,14 @@ import numpy as np
 # uses it, so it loads with the package, not inside the first run
 import numpy.random  # noqa: F401
 
-from ._rng import check_seed, mix64, pcg64_word_order, pcg64_word_view, replicate_words
+from ._rng import (
+    _state_words,
+    check_seed,
+    mix64,
+    pcg64_word_order,
+    pcg64_word_view,
+    replicate_words,
+)
 from .errors import HorizonTooShort, InsufficientExcitation, InvalidInput, NonFiniteBound
 from .linalg import CausalOperator, SymMatrix, check_int, finite_matrix, nonsingular
 
@@ -470,17 +486,22 @@ class VarAnalysis:
 
         return self._once("block_operators", m, compute)
 
-    def responses(self, w: np.ndarray) -> np.ndarray:
+    def responses(self, w: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
         """L w for a C-contiguous stack w of inputs over T' steps: shape
-        (rows, T', p) in, (rows, T', dL) out.
+        (rows, T', p) in, (rows, T', dL) out; state, shape (rows, dL), is
+        the lifted state before step 0 (None: zero, as in L).
 
         The lifted recursion, _PATH_BLOCK steps per matrix product: with m
         the block length, the block of steps t0..t0+m-1 is
         x[:, t0:t0+m] = w[:, t0:t0+m] @ L_m^T + x[:, t0-1] @ [A^1 ... A^m]^T,
-        L_m the m-step diagonal block of L (_block_operators).  Blocks start
-        at t = 0, m, 2m, ...; the last one may be shorter and reads the
-        leading sub-blocks of the same matrices.  The one simulator of a
-        VAR: paths_from_noise and the Ritz floor of lam_max_gram run it.
+        L_m the m-step diagonal block of L (_block_operators), and x[:, -1]
+        the given state.  Blocks start at t = 0, m, 2m, ...; the last one
+        may be shorter and reads the leading sub-blocks of the same
+        matrices.  So a path run in pieces of multiples of _PATH_BLOCK
+        steps, each from the last state of the one before, has the bytes of
+        one run.  The one simulator of a VAR: paths_from_noise, the
+        sampling loop's time blocks (_path_blocks) and the Ritz floor of
+        lam_max_gram run it.
         """
         rows, t_eff, p = w.shape
         n = len(self.a)
@@ -490,9 +511,10 @@ class VarAnalysis:
             steps = min(m, t_eff - t0)
             noise_t, powers_t = self._block_operators(steps)
             block = w[:, t0 : t0 + steps].reshape(rows, steps * p) @ noise_t
-            if t0:
-                block += x[:, t0 - 1] @ powers_t
+            if state is not None:
+                block += state @ powers_t
             x[:, t0 : t0 + steps] = block.reshape(rows, steps, n)
+            state = x[:, t0 + steps - 1]
         return x
 
     def _peak_input(self) -> tuple[float, np.ndarray] | None:
@@ -501,7 +523,8 @@ class VarAnalysis:
         ||(I - A e^{-iw})^{-1} B v|| is largest on that grid; lam_max of
         G^H G (eigvalsh) is each frequency's squared gain.  None where the
         solve is singular or not finite: A has an eigenvalue on the unit
-        circle at a grid point, or close to one."""
+        circle at a grid point, or close to one.  It reads only A and B, so
+        _ritz_floor solves it once per analysis, for every horizon."""
         freqs = np.linspace(0.0, np.pi, _PEAK_FREQUENCIES)
         shifted = np.eye(len(self.a)) - np.exp(-1j * freqs)[:, None, None] * self.a
         b = np.broadcast_to(self.b, (len(freqs), *self.b.shape))
@@ -532,7 +555,7 @@ class VarAnalysis:
         same first m outputs under L, and more after.  So memory stays
         bounded at any n.  0.0 where _peak_input finds no peak.
         """
-        peak = self._peak_input()
+        peak = self._once("peak_input", None, lambda _: self._peak_input())
         if peak is None:
             return 0.0
         freq, direction = peak
@@ -695,6 +718,56 @@ def _replicate_words(seed: int, start: int, count: int) -> np.ndarray:
     return replicate_words(seed, start, count)
 
 
+class _NormalStreams:
+    """The standard normal streams of a batch of replicates, filled a block
+    at a time through one bit generator.
+
+    words holds a PCG64 state per row, [state_lo, state_hi, inc_lo, inc_hi]
+    as replicate_words gives it.  fill(out) fills out[i] from row i's
+    state; with carry, it keeps the state after the fill, so the next fill
+    continues the stream.  Fills of (s1, p) and then (s2, p) normals so
+    carried give the bytes of one (s1 + s2, p) fill: a normal fill draws
+    its values in order and never draws 32 bits, so the generator's cached
+    32-bit half stays empty and the four words are its whole state.  The
+    words are written into the generator's (state, inc) through
+    pcg64_word_view, in the order that pcg64_word_order checked once per
+    process, and read back through it.  Where the layout check fails, each
+    state is set through the public PCG64.state setter, and read back
+    through its getter, with the same bytes.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._bit_gen = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bit_gen)
+        self._order = pcg64_word_order()
+        if self._order is None:
+            self._states = np.array(words)
+        else:
+            self._view = pcg64_word_view(self._bit_gen)
+            self._states = words[:, self._order]
+
+    def fill(self, out: np.ndarray, carry: bool = False) -> None:
+        gen, states = self._gen, self._states
+        if self._order is None:
+            for i, (s_lo, s_hi, i_lo, i_hi) in enumerate(states.tolist()):
+                self._bit_gen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gen.standard_normal(out=out[i])
+                if carry:
+                    states[i] = _state_words(self._bit_gen)
+            return
+        view = self._view
+        for row, state in zip(out, states):
+            view[:] = state
+            gen.standard_normal(out=row)
+            if carry:
+                state[:] = view
+
+
 def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
     """Noise for replicates start..start+count-1, shape (count, T', p).
 
@@ -703,37 +776,47 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     is independent of batching.  The batch's seeded states come from one
     vectorised pass (replicate_words), four 64-bit words per replicate, or
     are its rows of a group seeded in one pass beforehand (seed_group).
-    One bit generator serves the batch: each replicate's words are written
-    into its (state, inc) through pcg64_word_view, in the order that
-    pcg64_word_order checked once per process, and the fill reads them.
-    A normal fill never draws 32 bits, so the generator's cached 32-bit
-    half stays empty.  Where the layout check fails, each state is set
-    through the public PCG64.state setter instead, with the same bytes.
+    The batch is one fill of _NormalStreams, which writes each replicate's
+    words into one bit generator and reads nothing back.
     InvalidInput unless seed is in [0, 2**64) and start and count are integers >= 0.
     """
     check_seed(seed)
     start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
-    t_eff, p = spec.effective_horizon, spec.noise_dim
-    w = np.empty((count, t_eff, p))
-    words = _replicate_words(seed, start, count)
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    order = pcg64_word_order()
-    if order is None:
-        for row, (s_lo, s_hi, i_lo, i_hi) in zip(w, words.tolist()):
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=row)
-        return w
-    view = pcg64_word_view(bit_gen)
-    for row, state in zip(w, words[:, order]):
-        view[:] = state
-        gen.standard_normal(out=row)
+    w = np.empty((count, spec.effective_horizon, spec.noise_dim))
+    _NormalStreams(_replicate_words(seed, start, count)).fill(w)
     return w
+
+
+def _path_blocks(spec: ProcessSpec, seed: int, start: int, count: int, block: int):
+    """The paths of replicates start..start+count-1 of a VAR spec, block
+    time steps at a time: yields (count, steps, dL) arrays whose
+    concatenation along time has the bytes of
+    paths_from_noise(spec, noise_block(spec, seed, start, count)), where
+    block is a multiple of _PATH_BLOCK.
+
+    Each block fills its (count, steps, p) normals from the batch's words
+    (as noise_block reads them) and carries the words to the next one
+    (_NormalStreams); the last block reads nothing back.  Like
+    paths_from_noise, it pads the block's noise to a multiple of
+    _PATH_ROWS rows with copies of its first row.  The simulator
+    (VarAnalysis.responses) starts each block from the lifted state at the
+    end of the one before, and its _PATH_BLOCK-step products stay anchored
+    at multiples of _PATH_BLOCK, so every step has the arithmetic of the
+    whole path.  Memory is O(rows x block), whatever T'.
+    """
+    t_eff, p = spec.effective_horizon, spec.noise_dim
+    analysis = var_analysis(spec.source)
+    streams = _NormalStreams(_replicate_words(seed, start, count))
+    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
+    state = None
+    for t0 in range(0, t_eff, block):
+        steps = min(block, t_eff - t0)
+        w = np.empty((rows, steps, p))
+        streams.fill(w[:count], carry=t0 + steps < t_eff)
+        w[count:] = w[0]
+        x = analysis.responses(w, state)
+        state = x[:, -1]
+        yield x[:count]
 
 
 _TRANSPOSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

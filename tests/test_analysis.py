@@ -248,6 +248,21 @@ def test_ritz_floor_finds_a_peak_away_from_zero(angle):
     assert floor >= exact * (1 - 1e-2)
 
 
+def test_peak_input_is_solved_once_per_analysis(monkeypatch):
+    # the peak reads only A and B: a sweep's horizons share one frequency
+    # solve, and each horizon's floor keeps the bytes of a fresh analysis
+    sys = VarSystem([np.array([[0.5, 0.1], [0.0, 0.4]])], np.eye(2))
+    solves = []
+    real_solve = process.VarAnalysis._peak_input
+    monkeypatch.setattr(
+        process.VarAnalysis, "_peak_input", lambda self: solves.append(1) or real_solve(self)
+    )
+    analysis = process.VarAnalysis(sys)
+    floors = [analysis._ritz_floor(n) for n in (32, 64, 128, 256)]
+    assert len(solves) == 1
+    assert floors == [process.VarAnalysis(sys)._ritz_floor(n) for n in (32, 64, 128, 256)]
+
+
 @pytest.mark.parametrize(
     "sys, singular",
     [

@@ -377,6 +377,32 @@ class TestIdentify:
         for name in ("identify.csv", "identify.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_reports_above_the_time_block_do_not_depend_on_steps(self, tmp_path, monkeypatch):
+        # T' + 1 = 557 steps run in three time blocks, the last of 45 steps.
+        # Batches of 128 replicates at the default STEPS, of 8 at 256 * 8 and
+        # of 40 at 40 * 256 + 3; 133 replicates leave a last batch of 5, 5 and
+        # 13.  Each fit's Gram and cross sums are accumulated block by block,
+        # in the same order whatever the batch
+        model = {
+            "type": "var",
+            "a_lags": [[[0.4, 0.1], [0.0, 0.4]], [[0.15, 0.0], [0.05, 0.15]]],
+            "h": [[1.0, 0.0], [0.3, 0.8]],
+        }
+        cfg = write_config(
+            tmp_path / "c.json", base_config(model=model, T=557, k=2, replicates=133, seed=3)
+        )
+        block = montecarlo._TIME_BLOCK
+        outs = []
+        for steps in (montecarlo.STEPS, 8 * block, 40 * block + 3):
+            monkeypatch.setattr(montecarlo, "STEPS", steps)
+            out = tmp_path / f"s{steps}"
+            main(["identify", "--config", cfg, "--out", str(out)])
+            outs.append(out)
+        for out in outs[1:]:
+            for name in ("identify.csv", "identify.json"):
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
+        assert len(read_rows(outs[0] / "identify.csv")) == 133
+
     def test_burnin_unsatisfied_omits_certification(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config(T=16, replicates=10))
         out = tmp_path / "out"
@@ -590,8 +616,8 @@ class TestSimulate:
         assert (out / "simulate.csv").read_bytes() == (again / "simulate.csv").read_bytes()
 
     def test_one_batch_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # T' = 6 and STEPS = 12 (so 4 * STEPS // T' = 8): batches of 8, 8 and
-        # 1 replicates, the last padded to eight rows; the CSV holds the paths
+        # T' = 6 and STEPS = 12 (so STEPS // T' = 2, below the floor of 8):
+        # batches of 8, 8 and 1 replicates, the last padded to eight rows; the CSV holds the paths
         # of one block of 17
         cfg = write_config(tmp_path / "c.json", base_config(replicates=17, T=6))
         draws = []

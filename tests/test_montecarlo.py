@@ -143,17 +143,22 @@ def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
             assert (a.hits, a.frequency, a.ci, a.bound) == (b.hits, b.frequency, b.ci, b.bound)
 
 
-def _batch_sizes(monkeypatch, t_eff: int, R: int):
-    """The sizes of the batches _path_batches draws for R replicates, lazily."""
+def _batch_sizes(monkeypatch, t_eff: int, R: int, whole: bool = False):
+    """The sizes of the batches _path_batches draws for R replicates, lazily:
+    one placeholder per batch stands for its paths, or its time blocks."""
     monkeypatch.setattr(montecarlo, "noise_block", lambda spec, seed, start, count: np.empty(count))
     monkeypatch.setattr(montecarlo, "paths_from_noise", lambda spec, w: w)
+    monkeypatch.setattr(montecarlo, "seed_group", lambda seed, first, count: None)
+    monkeypatch.setattr(
+        montecarlo, "_path_blocks", lambda spec, seed, start, count, block: iter([np.empty(count)])
+    )
     spec = ProcessSpec(source=VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1)), T=t_eff)
-    return (len(x) for x in montecarlo._path_batches(spec, 0, R))
+    return (len(x) for x in montecarlo._path_batches(spec, 0, R, whole=whole))
 
 
 @pytest.mark.parametrize(
     "t_eff, size",
-    [(16, 2048), (48, 680), (2048, 32), (4097, 24), (16385, 8), (65536, 8)],
+    [(16, 2048), (48, 680), (2048, 128), (4097, 128), (16385, 128), (65536, 128)],
 )
 def test_batches_hold_a_multiple_of_eight_replicates(monkeypatch, t_eff, size):
     # only the last batch is short, so only the last one is padded
@@ -161,18 +166,120 @@ def test_batches_hold_a_multiple_of_eight_replicates(monkeypatch, t_eff, size):
 
 
 def test_long_horizons_get_wide_batches_within_four_times_steps(monkeypatch):
-    # up to 1024 steps a batch is the largest multiple of eight within STEPS
-    # steps, and at least eight; a longer horizon gets up to 32 replicates,
-    # and no batch above the floor of eight exceeds 4 * STEPS steps
-    horizons = [*range(1, 1025), *range(1025, 5 * montecarlo.STEPS, 97), 4 * montecarlo.STEPS]
+    # a VAR's batch is the largest multiple of eight within STEPS steps of one
+    # time block, min(T', _TIME_BLOCK) steps, and at least eight: from
+    # _TIME_BLOCK steps on every batch gets STEPS // _TIME_BLOCK replicates
+    # and a block holds STEPS steps.  Whole paths (a raw operator, simulate)
+    # keep a block of T', so they get at least eight rows within STEPS steps
+    steps, block = montecarlo.STEPS, montecarlo._TIME_BLOCK
+    horizons = [*range(1, 1025), *range(1025, 5 * steps, 97), 4 * steps]
     for t_eff in horizons:
         size = next(_batch_sizes(monkeypatch, t_eff, 10**6))
-        assert size % 8 == 0 and size >= 8, t_eff
-        if t_eff <= 1024:
-            assert size == max(8, montecarlo.STEPS // t_eff // 8 * 8), t_eff
-        else:
-            assert size <= 32, t_eff
-        assert size == 8 or size * t_eff <= 4 * montecarlo.STEPS, t_eff
+        assert size == max(8, steps // min(t_eff, block) // 8 * 8), t_eff
+        assert size * min(t_eff, block) <= steps, t_eff
+        whole = next(_batch_sizes(monkeypatch, t_eff, 10**6, whole=True))
+        assert whole == max(8, steps // t_eff // 8 * 8), t_eff
+        assert whole == 8 or whole * t_eff <= steps, t_eff
+    assert steps // block >= 32  # long horizons batch at least 32 replicates
+
+
+def _blocks_of_batches(spec: ProcessSpec, seed: int, R: int) -> list[list[np.ndarray]]:
+    """The time blocks of each batch of _path_batches, in order."""
+    t_eff, batches, t0 = spec.effective_horizon, [], 0
+    for x in montecarlo._path_batches(spec, seed, R):
+        if not t0:
+            batches.append([])
+        batches[-1].append(x)
+        t0 = (t0 + x.shape[1]) % t_eff
+    return batches
+
+
+def test_var_time_blocks_concatenate_to_whole_paths():
+    # T' = 3 blocks and 5 steps, and 137 replicates: a full batch of 128 and
+    # a short one of 9, padded to 16 rows
+    block = montecarlo._TIME_BLOCK
+    spec = ProcessSpec(source=two_lag_var(), T=3 * block + 5)
+    R, seed = montecarlo.STEPS // block + 9, 6
+    batches = _blocks_of_batches(spec, seed, R)
+    assert [[x.shape for x in blocks] for blocks in batches] == [
+        [(n, block, 4)] * 3 + [(n, 5, 4)] for n in (R - 9, 9)
+    ]
+    paths = np.concatenate([np.concatenate(blocks, axis=1) for blocks in batches])
+    whole = paths_from_noise(spec, noise_block(spec, seed, 0, R))
+    assert paths.tobytes() == whole.tobytes()
+
+
+def test_raw_operator_yields_one_block_per_batch():
+    # no small state to carry: every batch is its whole paths, T' steps long
+    block = montecarlo._TIME_BLOCK
+    spec = iid_spec(block + 44)
+    R, seed = 2 * 104 + 3, 2  # 104 = STEPS // T' rounded down to a multiple of eight
+    batches = list(montecarlo._path_batches(spec, seed, R))
+    assert [x.shape for x in batches] == [(104, block + 44, 1)] * 2 + [(3, block + 44, 1)]
+    whole = paths_from_noise(spec, noise_block(spec, seed, 0, R))
+    assert np.concatenate(batches).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("view", [True, False])
+def test_carried_fills_continue_each_stream(monkeypatch, view):
+    # fills of 256, 256, 3 and 1 steps, the words carried between them, give
+    # each replicate the normals of its one stream, through the word view
+    # and through the public PCG64.state setter and getter alike
+    if not view:
+        monkeypatch.setattr(process, "pcg64_word_order", lambda: None)
+    seed, start, count, p, pieces = 9, 40, 5, 3, [256, 256, 3, 1]
+    streams = process._NormalStreams(process.replicate_words(seed, start, count))
+    fills = []
+    for i, steps in enumerate(pieces):
+        out = np.empty((count, steps, p))
+        streams.fill(out, carry=i + 1 < len(pieces))
+        fills.append(out)
+    got = np.concatenate(fills, axis=1)
+    for r in range(count):
+        gen = np.random.Generator(np.random.PCG64(mix64(seed, start + r)))
+        assert got[r].tobytes() == gen.standard_normal((sum(pieces), p)).tobytes()
+    # the last fill reads nothing back: the streams still hold their state before it
+    again = np.empty((count, 1, p))
+    streams.fill(again)
+    assert again.tobytes() == fills[-1].tobytes()
+
+
+TAIL_EVENTS_LONG = [
+    ("lower-tail-eigenvalue", None),
+    ("chernoff-direction", {"direction": [[1.0, 0.5]]}),
+    ("upper-tail-opnorm", {"q": 1.5}),
+]
+
+
+def test_tail_rows_above_the_time_block_do_not_depend_on_steps(monkeypatch):
+    # T' = 272 and 528 span two and three time blocks.  At the default STEPS
+    # a batch holds 128 replicates, at 256 * 8 eight and at 40 * 256 + 3
+    # forty; 301 replicates leave a last batch of 45, 5 and 21.  The sweep's
+    # cells each equal their own pass: their prefixes of the one pass at
+    # T' = 528 are accumulated over the same time blocks.  The probed
+    # energy's threshold is raised from half its decoupled sum to near its
+    # mean, so that a few in ten replicates hit
+    real_threshold = montecarlo.chernoff_threshold
+    monkeypatch.setattr(
+        montecarlo, "chernoff_threshold", lambda spec, d_mat: 2.7 * real_threshold(spec, d_mat)
+    )
+    sys = VarSystem(a_lags=[np.array([[0.5, 0.1], [0.0, 0.4]])], h=np.eye(2))
+    cells = [(ProcessSpec(source=sys, T=T), TAIL_EVENTS_LONG) for T in (272, 528)]
+    R, seed = 301, 4
+    outcomes = []
+    for steps in (montecarlo.STEPS, 8 * montecarlo._TIME_BLOCK, 40 * montecarlo._TIME_BLOCK + 3):
+        monkeypatch.setattr(montecarlo, "STEPS", steps)
+        swept = run_tail_sweep(cells, R=R, seed=seed)
+        assert swept == [run_tail_experiments(spec, events, R=R, seed=seed) for spec, events in cells]
+        outcomes.append([[(e.hits, e.frequency, e.ci, e.bound) for e in exps] for exps in swept])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    # the probed energies summed over whole paths give the same hits
+    direction = np.array(TAIL_EVENTS_LONG[1][1]["direction"])
+    for (spec, _), exps in zip(cells, swept):
+        paths = paths_from_noise(spec, noise_block(spec, seed, 0, R))
+        energy = np.sum((paths @ direction.T) ** 2, axis=(1, 2))
+        assert exps[1].hits == np.count_nonzero(energy <= exps[1].extras["threshold"])
+        assert 50 < exps[1].hits < R - 50
 
 
 def test_tail_experiment_event_validation(monkeypatch):
@@ -429,6 +536,19 @@ class TestIdentificationExperiment:
             for x in paths_from_noise(spec, noise_block(spec, seed, 0, R))
         ]
         assert exp.extras["op_errors"].tobytes() == np.array(expected).tobytes()
+
+    def test_fits_above_the_time_block_match_whole_path_fits(self):
+        # T' + 1 = 601 steps run in three time blocks; the Gram and cross sums
+        # accumulated block by block agree with least_squares on whole paths
+        sys = two_lag_var()
+        T, k, R, seed = 600, 2, 9, 8
+        exp = run_identification_experiment(sys, T=T, k=k, delta=0.1, R=R, seed=seed)
+        spec = ProcessSpec(source=sys, T=T + 1)
+        expected = [
+            least_squares(x[:T], x[1:, : sys.d], a_star=sys.regression_matrix()).op_error
+            for x in paths_from_noise(spec, noise_block(spec, seed, 0, R))
+        ]
+        np.testing.assert_allclose(exp.extras["op_errors"], expected, rtol=1e-12, atol=0.0)
 
     def test_errors_shrink_with_horizon(self):
         sys = VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1))
