@@ -331,7 +331,7 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[int, dict]:
     spec = config.process_spec()
     columns = ("replicate", "t") + tuple(f"x{i}" for i in range(spec.state_dim))
     batches = _path_batches(spec, config.seed, config.replicates, whole=True)
-    paths = (path.tolist() for x in batches for path in x)
+    paths = (path.tolist() for blocks in batches for x in blocks for path in x)
     rows = ((r, t, *state) for r, path in enumerate(paths) for t, state in enumerate(path))
     return 0, {"simulate.csv": (columns, rows)}
 

@@ -3,23 +3,25 @@
 Every experiment is reproducible: replicate r of master seed s draws its
 noise from a generator seeded with mix64(s, r), and replicates are
 simulated in order, in batches whose size depends only on the horizon.
-One loop (_path_batches) draws and simulates those batches for every
-consumer: the tail events, the identification experiment and the CLI's
-simulate report.  A batch of a VAR's replicates advances _TIME_BLOCK time
-steps at a time: each block continues every replicate's noise stream from
-the PCG64 state where the block before left it, and its simulator starts
-from the lifted state where the block before ended, so memory per batch
-does not grow with the horizon.  The tail events add each block to every
-replicate's empirical covariance and identify adds it to every fit's Gram
-and cross sums, so neither holds a whole path; a raw operator, whose
-state is its whole input, and simulate, which writes paths replicate by
-replicate, take one block of T'.  The simulator (process.paths_from_noise,
-and within blocks VarAnalysis.responses) advances a VAR _PATH_BLOCK time
-steps per matrix product, in blocks anchored at t = 0, and pads every
-batch to a multiple of eight rows with copies of its first row, so a
-replicate's path, and every statistic computed from it, has the same
-bytes in a batch of any size.  As the time blocks are fixed too, every
-sum over time runs in an order set by the horizon alone.
+One loop (_path_batches) draws those batches for every consumer: the tail
+events, the identification experiment and the CLI's simulate report.  It
+seeds each group of batches in one replicate_words pass and hands each
+batch its rows of those PCG64 words, and one sampler (process._path_blocks)
+turns a batch into one lazy iterator of time blocks.  A VAR's batch
+advances _TIME_BLOCK time steps per block: each block continues every
+replicate's noise stream from the PCG64 state where the block before left
+it, and its simulator starts from the lifted state where the block before
+ended, so memory per batch does not grow with the horizon.  The tail
+events add each block to every replicate's empirical covariance and
+identify adds it to every fit's Gram and cross sums, so neither holds a
+whole path; a raw operator, whose state is its whole input, and simulate,
+which writes paths replicate by replicate, take one block of T'.  The
+simulator advances a VAR _PATH_BLOCK time steps per matrix product, in
+products anchored at t = 0, and pads every block to a multiple of eight
+rows with copies of its first row, so a replicate's path, and every
+statistic computed from it, has the same bytes in a batch of any size.
+As the time blocks are fixed too, every sum over time runs in an order
+set by the horizon alone.
 
 A batch goes from paths to one matrix per replicate to one statistic per
 replicate.  Every tail event reads the empirical covariance
@@ -52,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import check_seed
+from ._rng import check_seed, replicate_words
 from .bounds import (
     _analysis,
     anticoncentration_bound,
@@ -64,15 +66,7 @@ from .bounds import (
 from .errors import InvalidInput, NonFiniteBound
 from .estimator import _pinv_fits, check_delta, ls_bound_details
 from .linalg import check_int, finite_matrix, require_psd
-from .process import (
-    _PATH_ROWS,
-    _path_blocks,
-    ProcessSpec,
-    VarSystem,
-    noise_block,
-    paths_from_noise,
-    seed_group,
-)
+from .process import _PATH_ROWS, _path_blocks, ProcessSpec, VarSystem
 
 __all__ = [
     "TailExperiment",
@@ -209,29 +203,22 @@ def _verdict(
 
 
 def _path_batches(spec: ProcessSpec, seed: int, R: int, whole: bool = False):
-    """Paths of replicates 0..R-1 of spec, in order, one batch and one time
-    block at a time.
+    """Paths of replicates 0..R-1 of spec, in order: one lazy iterator of
+    time blocks per batch (process._path_blocks), whose blocks,
+    concatenated along time, have the bytes of the batch's whole paths.
 
-    A VAR's batch advances _TIME_BLOCK steps per block (process._path_blocks):
-    each block fills its noise from every replicate's stream, carried from
-    the block before, and starts the simulator from the lifted state where
-    the block before ended, so the blocks of a batch, concatenated along
-    time, have the bytes of its whole paths.  A raw operator has no small
-    state to carry, and whole asks for whole paths (simulate writes
-    replicate by replicate): both run one block of T' steps, drawn by
-    noise_block and simulated by paths_from_noise, and so does a VAR whose
-    T' fits in one block.  The yields are the time blocks of batch 0 from
-    t = 0, then those of batch 1, and so on: a batch ends at the block at
-    which its steps reach T'.
-
-    A batch holds the largest multiple of _PATH_ROWS replicates at or below
-    STEPS // min(T', block), and at least _PATH_ROWS, so only the last batch
-    can be short and padded, and a block above the _PATH_ROWS floor never
-    exceeds STEPS steps.  One seed_group call seeds a group of batches, as
-    many as keep the group's words within one block's noise.  Every
-    sampled path of the package comes from here, so here is the one
-    replicate rule: R must be an integer >= 1.  R and seed (check_seed) are
-    checked at the call, before the first batch.
+    A VAR's batch advances _TIME_BLOCK steps per block, or T' where that is
+    shorter.  A raw operator has no small state to carry, and whole asks
+    for whole paths (simulate writes replicate by replicate): both run one
+    block of T'.  A batch holds the largest multiple of _PATH_ROWS
+    replicates at or below STEPS // min(T', block), and at least
+    _PATH_ROWS, so only the last batch can be short and padded, and a
+    block above the _PATH_ROWS floor never exceeds STEPS steps.  One
+    replicate_words pass seeds a group of batches, as many as keep the
+    group's words within one block's noise, and each batch reads its rows
+    of them.  Every sampled path of the package comes from here, so here
+    is the one replicate rule: R must be an integer >= 1.  R and seed
+    (check_seed) are checked at the call, before the first batch.
     """
     R, seed = check_int(R, "replicates"), check_seed(seed)
     t_eff = spec.effective_horizon
@@ -243,17 +230,10 @@ def _path_batches(spec: ProcessSpec, seed: int, R: int, whole: bool = False):
     group = size * max(1, block * spec.noise_dim // 4)
 
     def batches():
-        try:
-            for first in range(0, R, group):
-                seed_group(seed, first, min(group, R - first))
-                for start in range(first, min(first + group, R), size):
-                    count = min(size, R - start)
-                    if block == t_eff:
-                        yield paths_from_noise(spec, noise_block(spec, seed, start, count))
-                    else:
-                        yield from _path_blocks(spec, seed, start, count, block)
-        finally:
-            seed_group(seed, 0, 0)
+        for first in range(0, R, group):
+            words = replicate_words(seed, first, min(group, R - first))
+            for start in range(0, len(words), size):
+                yield _path_blocks(spec, words[start : start + size], block)
 
     return batches()
 
@@ -354,19 +334,18 @@ def run_tail_sweep(
     ]
     hits = [[0] * len(cell_plans) for cell_plans in plans]
     distinct = {plan.stat_key: plan for cell_plans in plans for plan in cell_plans}
-    distinct_horizons, t0, grams = sorted(set(horizons)), 0, {}
-    for x in batches:
-        for t in (t for t in distinct_horizons if t > t0):
-            part = x[:, : t - t0]
-            gram = np.swapaxes(part, 1, 2) @ part
-            if t0:
-                grams[t] += gram
-            else:
-                grams[t] = gram
-        t0 += x.shape[1]
-        if t0 < distinct_horizons[-1]:
-            continue
-        t0 = 0
+    distinct_horizons = sorted(set(horizons))
+    for blocks in batches:
+        t0, grams = 0, {}
+        for x in blocks:
+            for t in (t for t in distinct_horizons if t > t0):
+                part = x[:, : t - t0]
+                gram = np.swapaxes(part, 1, 2) @ part
+                if t0:
+                    grams[t] += gram
+                else:
+                    grams[t] = gram
+            t0 += x.shape[1]
         stats = {key: plan.batch_stat(grams[key[1]]) for key, plan in distinct.items()}
         for cell_plans, cell_hits in zip(plans, hits):
             for i, p in enumerate(cell_plans):
@@ -474,21 +453,20 @@ def run_identification_experiment(
     details = ls_bound_details(sys, T, k, delta)
     bound = _finite_bound("ls-error-exceeds-bound", details["bound"])
     a_star = sys.regression_matrix()
-    errors, t0 = [], 0
-    for x in batches:
-        lagged, ahead = x[:, :-1], x[:, 1:, : sys.d]
-        gram_part, syx_part = np.swapaxes(lagged, 1, 2) @ lagged, np.swapaxes(ahead, 1, 2) @ lagged
-        if t0:
-            # the pair (X_t, Z_{t+1}) that straddles the block edge
-            gram += gram_part + last[:, :, None] * last[:, None, :]
-            syx += syx_part + x[:, 0, : sys.d, None] * last[:, None, :]
-        else:
-            gram, syx = gram_part, syx_part
-        t0 += x.shape[1]
-        if t0 <= t_eff:
+    errors = []
+    for blocks in batches:
+        last = None
+        for x in blocks:
+            lagged, ahead = x[:, :-1], x[:, 1:, : sys.d]
+            gram_part = np.swapaxes(lagged, 1, 2) @ lagged
+            syx_part = np.swapaxes(ahead, 1, 2) @ lagged
+            if last is None:
+                gram, syx = gram_part, syx_part
+            else:
+                # the pair (X_t, Z_{t+1}) that straddles the block edge
+                gram += gram_part + last[:, :, None] * last[:, None, :]
+                syx += syx_part + x[:, 0, : sys.d, None] * last[:, None, :]
             last = x[:, -1].copy()
-            continue
-        t0 = 0
         a_hat = _pinv_fits(gram, syx)[0]
         errors.append(np.linalg.norm(a_hat - a_star, 2, axis=(1, 2)))
     op_errors = np.concatenate(errors)

@@ -11,23 +11,23 @@ system (var_analysis), which forms the companion powers A^j by doubling and
 reads the impulses and covariances off them; L itself is formed only by
 var_to_operator, which the test suite uses as an oracle.
 
-Sampled paths are X = L W (paths_from_noise).  A VAR's lifted state
-advances _PATH_BLOCK time steps per matrix product, in blocks anchored at
-t = 0, _PATH_BLOCK, 2 _PATH_BLOCK, ..., through the m-step diagonal block
-L_m of L and the powers A^1 .. A^m, so a path's arithmetic depends only on
-T'.  Every batch is padded to a multiple of _PATH_ROWS rows with copies of
-its first row, and the noise and right operands are C-contiguous, so a
-path has the same bytes in a batch of any size, for a VAR and for a raw
-operator.
-
-The sampling loop (montecarlo._path_batches) can also run a VAR's batch
-in time blocks (_path_blocks), each a multiple of _PATH_BLOCK steps: a
-block's normals continue each replicate's PCG64 stream from the four
-state words the block before left (_NormalStreams, of which noise_block
-is the one-block case), and the simulator (VarAnalysis.responses) starts
-from the lifted state where the block before ended.  The blocks then
-have the bytes of the whole paths, and a batch holds one block at a time.
-A raw operator's state is its whole input, so its paths are whole.
+Sampled paths are X = L W, and one sampler (_path_blocks) draws them all:
+it takes a batch's PCG64 state words, four per replicate as
+replicate_words gives them, and yields the batch's paths one time block
+at a time.  A block's normals continue each replicate's stream from the
+words the block before left (_NormalStreams), and its simulator step
+(_simulate) starts from the lifted state where the block before ended.
+A VAR's lifted state advances _PATH_BLOCK time steps per matrix product
+(VarAnalysis.responses), in products anchored at t = 0, _PATH_BLOCK,
+2 _PATH_BLOCK, ..., through the m-step diagonal block L_m of L and the
+powers A^1 .. A^m, so blocks of multiples of _PATH_BLOCK steps have the
+bytes of whole paths, whose arithmetic depends only on T'.  A raw
+operator multiplies by L^T; its state is its whole input, so it runs one
+block of T'.  Every block is padded to a multiple of _PATH_ROWS rows with
+copies of its first row, and the noise and right operands are
+C-contiguous, so a path has the same bytes in a batch of any size.
+noise_block and paths_from_noise split the one-block case in two: the
+noise of given replicates, and the paths that noise drives.
 """
 
 from __future__ import annotations
@@ -477,7 +477,7 @@ class VarAnalysis:
 
     def _block_operators(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(L_m^T, [A^1 ... A^m]^T) as C-contiguous arrays, formed once per m:
-        the right operands of one m-step block of paths_from_noise."""
+        the right operands of one m-step block of responses."""
 
         def compute(m):
             n = len(self.a)
@@ -499,9 +499,8 @@ class VarAnalysis:
         may be shorter and reads the leading sub-blocks of the same
         matrices.  So a path run in pieces of multiples of _PATH_BLOCK
         steps, each from the last state of the one before, has the bytes of
-        one run.  The one simulator of a VAR: paths_from_noise, the
-        sampling loop's time blocks (_path_blocks) and the Ritz floor of
-        lam_max_gram run it.
+        one run.  The one simulator of a VAR: the sampler's step
+        (_simulate) and the Ritz floor of lam_max_gram run it.
         """
         rows, t_eff, p = w.shape
         n = len(self.a)
@@ -692,32 +691,6 @@ class ProcessSpec:
         return self.source.p
 
 
-#: at most one seeded group of replicates, (seed, first, words) with words
-#: = replicate_words(seed, first, len(words)) (seed_group)
-_SEEDED_GROUP: list = []
-
-
-def seed_group(seed: int, first: int, count: int) -> None:
-    """Seed replicates first..first+count-1 of seed in one replicate_words
-    pass, for the noise_block calls that follow; it replaces the group held
-    before, and count 0 drops it.  A batch inside the group reads its rows
-    of these words, the same ones that replicate_words gives the batch."""
-    _SEEDED_GROUP.clear()
-    if count:
-        words = replicate_words(seed, first, count)
-        words.flags.writeable = False
-        _SEEDED_GROUP.append((seed, first, words))
-
-
-def _replicate_words(seed: int, start: int, count: int) -> np.ndarray:
-    """replicate_words(seed, start, count): rows of the seeded group where it
-    holds them all, else one pass of their own."""
-    for group_seed, first, words in _SEEDED_GROUP:
-        if group_seed == seed and first <= start and start + count <= first + len(words):
-            return words[start - first : start - first + count]
-    return replicate_words(seed, start, count)
-
-
 class _NormalStreams:
     """The standard normal streams of a batch of replicates, filled a block
     at a time through one bit generator.
@@ -768,57 +741,6 @@ class _NormalStreams:
                 state[:] = view
 
 
-def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
-    """Noise for replicates start..start+count-1, shape (count, T', p).
-
-    Replicate r's noise is exactly NumPy's
-    Generator(PCG64(mix64(seed, r))).standard_normal((T', p)), so the result
-    is independent of batching.  The batch's seeded states come from one
-    vectorised pass (replicate_words), four 64-bit words per replicate, or
-    are its rows of a group seeded in one pass beforehand (seed_group).
-    The batch is one fill of _NormalStreams, which writes each replicate's
-    words into one bit generator and reads nothing back.
-    InvalidInput unless seed is in [0, 2**64) and start and count are integers >= 0.
-    """
-    check_seed(seed)
-    start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
-    w = np.empty((count, spec.effective_horizon, spec.noise_dim))
-    _NormalStreams(_replicate_words(seed, start, count)).fill(w)
-    return w
-
-
-def _path_blocks(spec: ProcessSpec, seed: int, start: int, count: int, block: int):
-    """The paths of replicates start..start+count-1 of a VAR spec, block
-    time steps at a time: yields (count, steps, dL) arrays whose
-    concatenation along time has the bytes of
-    paths_from_noise(spec, noise_block(spec, seed, start, count)), where
-    block is a multiple of _PATH_BLOCK.
-
-    Each block fills its (count, steps, p) normals from the batch's words
-    (as noise_block reads them) and carries the words to the next one
-    (_NormalStreams); the last block reads nothing back.  Like
-    paths_from_noise, it pads the block's noise to a multiple of
-    _PATH_ROWS rows with copies of its first row.  The simulator
-    (VarAnalysis.responses) starts each block from the lifted state at the
-    end of the one before, and its _PATH_BLOCK-step products stay anchored
-    at multiples of _PATH_BLOCK, so every step has the arithmetic of the
-    whole path.  Memory is O(rows x block), whatever T'.
-    """
-    t_eff, p = spec.effective_horizon, spec.noise_dim
-    analysis = var_analysis(spec.source)
-    streams = _NormalStreams(_replicate_words(seed, start, count))
-    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
-    state = None
-    for t0 in range(0, t_eff, block):
-        steps = min(block, t_eff - t0)
-        w = np.empty((rows, steps, p))
-        streams.fill(w[:count], carry=t0 + steps < t_eff)
-        w[count:] = w[0]
-        x = analysis.responses(w, state)
-        state = x[:, -1]
-        yield x[:count]
-
-
 _TRANSPOSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -829,37 +751,98 @@ def _operator_transpose(op: CausalOperator) -> np.ndarray:
     return _TRANSPOSES[op]
 
 
+def _rows(count: int) -> int:
+    """count rounded up to a multiple of _PATH_ROWS."""
+    return -(-count // _PATH_ROWS) * _PATH_ROWS
+
+
+def _simulate(spec: ProcessSpec, w: np.ndarray, count: int, state=None) -> np.ndarray:
+    """X = L w for a C-contiguous (_rows(count), steps, p) stack w, whose
+    rows from count on are padding: they are set here to copies of row 0.
+
+    A VAR source runs its lifted recursion from state (VarAnalysis.responses).
+    A raw operator multiplies by its matrix, through a transpose formed once
+    per operator, and takes steps = T'.  The padding keeps a path's bytes
+    independent of how the replicates are split into batches: the noise
+    and the right operands are C-contiguous, so each product takes BLAS's
+    matrix-matrix route with the same rounding whatever the row count.  A
+    one-row product would take the matrix-vector route, a few rows round
+    differently from many in blocked products, and an operand without unit
+    inner stride (padding by np.broadcast_to) would take NumPy's own loop.
+    The one step of paths_from_noise and _path_blocks.
+    """
+    w[count:] = w[:1]
+    if isinstance(spec.source, CausalOperator):
+        rows, steps, p = w.shape
+        flat = w.reshape(rows, steps * p) @ _operator_transpose(spec.source)
+        return flat.reshape(rows, steps, spec.source.d)
+    return var_analysis(spec.source).responses(w, state)
+
+
+def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndarray:
+    """Noise for replicates start..start+count-1, shape (count, T', p).
+
+    Replicate r's noise is exactly NumPy's
+    Generator(PCG64(mix64(seed, r))).standard_normal((T', p)), so the result
+    is independent of batching: one fill of _NormalStreams from the words
+    of one replicate_words pass.  With paths_from_noise it is the sampler's
+    one-block case, kept as the public route to given replicates' noise and
+    as the oracle of _path_blocks.  InvalidInput unless seed is in
+    [0, 2**64), start and count are integers >= 0, and the last replicate
+    index start + count - 1 is below 2**64 (check_seed's rule, as mix64
+    would alias a larger one).
+    """
+    check_seed(seed)
+    start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
+    if count:
+        check_seed(start + count - 1, "replicate index")
+    w = np.empty((count, spec.effective_horizon, spec.noise_dim))
+    _NormalStreams(replicate_words(seed, start, count)).fill(w)
+    return w
+
+
 def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
-    """Trajectories driven by the given noise, shape (count, T', d).
-
-    Both routes compute X = L W.  A VAR source runs its lifted recursion,
-    _PATH_BLOCK steps per matrix product (VarAnalysis.responses).  A raw
-    operator multiplies by its matrix, through a transpose formed once per
-    operator.
-
-    A path's bytes do not depend on how the replicates are split into
-    batches: every batch is padded to a multiple of _PATH_ROWS rows with
-    copies of its first row, the noise is made C-contiguous and the right
-    operands are C-contiguous copies made once per model, so each product
-    takes BLAS's matrix-matrix route with the same rounding whatever the
-    row count.  A one-row product would take the matrix-vector route, a few
-    rows round differently from many in blocked products, and an operand
-    without unit inner stride (padding by np.broadcast_to) would take
-    NumPy's own loop.  The padding is sliced off.  w must have shape
+    """Trajectories driven by the given noise, shape (count, T', d): one
+    padded step of _simulate over the whole horizon, with the bytes that
+    any batch of the same replicates gets.  w must have shape
     (count, T', p) (InvalidInput otherwise).
     """
-    w = np.ascontiguousarray(w)
+    w = np.asarray(w)
     t_eff, p = spec.effective_horizon, spec.noise_dim
     if w.shape[1:] != (t_eff, p):
         raise InvalidInput(f"noise must have shape (count, {t_eff}, {p}), got {w.shape}")
     count = len(w)
-    rows = -(-count // _PATH_ROWS) * _PATH_ROWS
-    if rows > count:
-        w = np.concatenate([w, np.repeat(w[:1], rows - count, axis=0)])
-    if isinstance(spec.source, CausalOperator):
-        flat = w.reshape(rows, t_eff * p) @ _operator_transpose(spec.source)
-        return flat.reshape(rows, t_eff, spec.source.d)[:count]
-    return var_analysis(spec.source).responses(w)[:count]
+    padded = np.empty((_rows(count), t_eff, p))
+    padded[:count] = w
+    return _simulate(spec, padded, count)[:count]
+
+
+def _path_blocks(spec: ProcessSpec, words: np.ndarray, block: int):
+    """The paths of one batch of spec's replicates, a row of words
+    (replicate_words) each, block time steps at a time: yields
+    (count, steps, d) arrays whose concatenation along time has the bytes
+    of paths_from_noise(spec, noise_block(...)) for the same replicates.
+
+    block is T' for a raw operator, and otherwise a multiple of
+    _PATH_BLOCK or T' itself.  Each block fills its normals from the
+    batch's streams and carries the words to the next one
+    (_NormalStreams); the last block reads nothing back.  Its simulator
+    step (_simulate) starts from the lifted state at the end of the block
+    before, and its _PATH_BLOCK-step products stay anchored at multiples of
+    _PATH_BLOCK, so every step has the arithmetic of the whole path.
+    Memory is O(rows x block), whatever T'.  The one sampler of the
+    package (montecarlo._path_batches calls it once per batch).
+    """
+    t_eff, p, count = spec.effective_horizon, spec.noise_dim, len(words)
+    streams = _NormalStreams(words)
+    state = None
+    for t0 in range(0, t_eff, block):
+        steps = min(block, t_eff - t0)
+        w = np.empty((_rows(count), steps, p))
+        streams.fill(w[:count], carry=t0 + steps < t_eff)
+        x = _simulate(spec, w, count, state)
+        state = x[:, -1]
+        yield x[:count]
 
 
 def var_time_covariances(sys: VarSystem, T: int) -> np.ndarray:
@@ -883,5 +866,6 @@ def kappa(sys: VarSystem, k_max: int) -> int | None:
 
 
 def derive_seed(seed: int, label: int) -> int:
-    """Decorrelated sub-seed mix64(seed, label) of a labeled sub-experiment (label >= 0)."""
-    return mix64(check_seed(seed), check_int(label, "label", minimum=0))
+    """Decorrelated sub-seed mix64(seed, label) of a labeled sub-experiment;
+    seed and label each in [0, 2**64) (check_seed), where mix64 aliases none."""
+    return mix64(check_seed(seed), check_seed(label, "label"))

@@ -26,6 +26,7 @@ from causalcov import (
     VarSystem,
     exact_mgf,
     mgf_upper_bound,
+    montecarlo,
     require_psd,
 )
 from causalcov._rng import mix64
@@ -301,6 +302,26 @@ def _bounded_real_passes(a: np.ndarray, b: np.ndarray, horizon: int, levels) -> 
                 s = eye + a.T @ (s + np.swapaxes(bts, 1, 2) @ np.linalg.solve(r, bts)) @ a
     passed[live] = True
     return passed
+
+
+def spy_draws(monkeypatch) -> list:
+    """Record (T', seed, count) of every batch the sampling loop draws: the
+    seed of the replicate_words pass that seeds the batch's group, and the
+    horizon and row count of the _path_blocks call that samples the batch."""
+    draws, seeds = [], []
+    real_words, real_blocks = montecarlo.replicate_words, montecarlo._path_blocks
+
+    def words(seed, start, count):
+        seeds.append(seed)
+        return real_words(seed, start, count)
+
+    def blocks(spec, batch_words, block):
+        draws.append((spec.effective_horizon, seeds[-1], len(batch_words)))
+        return real_blocks(spec, batch_words, block)
+
+    monkeypatch.setattr(montecarlo, "replicate_words", words)
+    monkeypatch.setattr(montecarlo, "_path_blocks", blocks)
+    return draws
 
 
 

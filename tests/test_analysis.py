@@ -613,7 +613,8 @@ def test_reported_statistics_are_batch_invariant(seed, d, n_lags, T, R, per_batc
         ]
         assert np.concatenate(pieces).tobytes() == block.tobytes()
         with mock.patch.object(montecarlo, "STEPS", size * spec.effective_horizon):
-            paths = np.concatenate(list(montecarlo._path_batches(spec, seed, R)))
+            batches = montecarlo._path_batches(spec, seed, R)
+            paths = np.concatenate([np.concatenate(list(blocks), axis=1) for blocks in batches])
             assert paths.tobytes() == block.tobytes()
             tails = [
                 run_tail_experiment(spec, event, dict(params), R=R, seed=seed)

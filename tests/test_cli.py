@@ -24,7 +24,7 @@ from causalcov import (
     process,
 )
 from causalcov.cli import SWEEP_COLUMNS, VERIFY_COLUMNS, main
-from conftest import random_operator
+from conftest import random_operator, spy_draws
 
 
 def write_config(path, payload) -> str:
@@ -59,19 +59,6 @@ THREE_EVENTS = [
     "chernoff-direction",
     {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
 ]
-
-
-def spy_draws(monkeypatch) -> list:
-    """Record (T', seed, count) of every noise_block call the sampling loop makes."""
-    draws = []
-    real_noise_block = montecarlo.noise_block
-
-    def spy(spec, seed, start, count):
-        draws.append((spec.effective_horizon, seed, count))
-        return real_noise_block(spec, seed, start, count)
-
-    monkeypatch.setattr(montecarlo, "noise_block", spy)
-    return draws
 
 
 def assert_rows_match_single_runs(cfg, rows) -> None:
@@ -620,21 +607,14 @@ class TestSimulate:
         # batches of 8, 8 and 1 replicates, the last padded to eight rows; the CSV holds the paths
         # of one block of 17
         cfg = write_config(tmp_path / "c.json", base_config(replicates=17, T=6))
-        draws = []
-        real_noise_block = montecarlo.noise_block
-
-        def spy(spec, seed, start, count):
-            draws.append(count)
-            return real_noise_block(spec, seed, start, count)
-
-        monkeypatch.setattr(montecarlo, "noise_block", spy)
+        draws = spy_draws(monkeypatch)
         monkeypatch.setattr(montecarlo, "STEPS", 2 * 6)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert "(17 paths, horizon 6)" in capsys.readouterr().out
-        assert draws == [8, 8, 1]
+        assert [count for _, _, count in draws] == [8, 8, 1]
         spec = load_config(cfg).process_spec()
-        block = process.paths_from_noise(spec, real_noise_block(spec, 13, 0, 17))
+        block = process.paths_from_noise(spec, process.noise_block(spec, 13, 0, 17))
         rows = read_rows(out / "simulate.csv")
         assert [(int(r["replicate"]), int(r["t"])) for r in rows] == [
             (i, t) for i in range(17) for t in range(6)

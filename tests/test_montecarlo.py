@@ -15,6 +15,7 @@ from causalcov import (
     ProcessSpec,
     VarSystem,
     chernoff_threshold,
+    derive_seed,
     effective_horizon,
     exact_mgf,
     load_config,
@@ -32,7 +33,7 @@ from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
 from causalcov.montecarlo import certify
 from causalcov.process import companion
-from conftest import chi2_lower, random_psd, run_mgf_experiment
+from conftest import chi2_lower, random_psd, run_mgf_experiment, spy_draws
 
 
 def iid_spec(T: int, d: int = 1) -> ProcessSpec:
@@ -145,15 +146,10 @@ def test_tail_experiment_determinism_across_batch_sizes(monkeypatch):
 
 def _batch_sizes(monkeypatch, t_eff: int, R: int, whole: bool = False):
     """The sizes of the batches _path_batches draws for R replicates, lazily:
-    one placeholder per batch stands for its paths, or its time blocks."""
-    monkeypatch.setattr(montecarlo, "noise_block", lambda spec, seed, start, count: np.empty(count))
-    monkeypatch.setattr(montecarlo, "paths_from_noise", lambda spec, w: w)
-    monkeypatch.setattr(montecarlo, "seed_group", lambda seed, first, count: None)
-    monkeypatch.setattr(
-        montecarlo, "_path_blocks", lambda spec, seed, start, count, block: iter([np.empty(count)])
-    )
+    each batch's words stand for its time blocks."""
+    monkeypatch.setattr(montecarlo, "_path_blocks", lambda spec, words, block: words)
     spec = ProcessSpec(source=VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1)), T=t_eff)
-    return (len(x) for x in montecarlo._path_batches(spec, 0, R, whole=whole))
+    return (len(words) for words in montecarlo._path_batches(spec, 0, R, whole=whole))
 
 
 @pytest.mark.parametrize(
@@ -170,28 +166,21 @@ def test_long_horizons_get_wide_batches_within_four_times_steps(monkeypatch):
     # time block, min(T', _TIME_BLOCK) steps, and at least eight: from
     # _TIME_BLOCK steps on every batch gets STEPS // _TIME_BLOCK replicates
     # and a block holds STEPS steps.  Whole paths (a raw operator, simulate)
-    # keep a block of T', so they get at least eight rows within STEPS steps
+    # keep a block of T', so they get at least eight rows within STEPS steps.
+    # Each run asks for one replicate more than the expected batch, so a
+    # first batch of any other size shows, and seeds no more than it needs
     steps, block = montecarlo.STEPS, montecarlo._TIME_BLOCK
     horizons = [*range(1, 1025), *range(1025, 5 * steps, 97), 4 * steps]
     for t_eff in horizons:
-        size = next(_batch_sizes(monkeypatch, t_eff, 10**6))
-        assert size == max(8, steps // min(t_eff, block) // 8 * 8), t_eff
+        expected = max(8, steps // min(t_eff, block) // 8 * 8)
+        size = next(_batch_sizes(monkeypatch, t_eff, expected + 1))
+        assert size == expected, t_eff
         assert size * min(t_eff, block) <= steps, t_eff
-        whole = next(_batch_sizes(monkeypatch, t_eff, 10**6, whole=True))
-        assert whole == max(8, steps // t_eff // 8 * 8), t_eff
+        expected = max(8, steps // t_eff // 8 * 8)
+        whole = next(_batch_sizes(monkeypatch, t_eff, expected + 1, whole=True))
+        assert whole == expected, t_eff
         assert whole == 8 or whole * t_eff <= steps, t_eff
     assert steps // block >= 32  # long horizons batch at least 32 replicates
-
-
-def _blocks_of_batches(spec: ProcessSpec, seed: int, R: int) -> list[list[np.ndarray]]:
-    """The time blocks of each batch of _path_batches, in order."""
-    t_eff, batches, t0 = spec.effective_horizon, [], 0
-    for x in montecarlo._path_batches(spec, seed, R):
-        if not t0:
-            batches.append([])
-        batches[-1].append(x)
-        t0 = (t0 + x.shape[1]) % t_eff
-    return batches
 
 
 def test_var_time_blocks_concatenate_to_whole_paths():
@@ -200,7 +189,7 @@ def test_var_time_blocks_concatenate_to_whole_paths():
     block = montecarlo._TIME_BLOCK
     spec = ProcessSpec(source=two_lag_var(), T=3 * block + 5)
     R, seed = montecarlo.STEPS // block + 9, 6
-    batches = _blocks_of_batches(spec, seed, R)
+    batches = [list(blocks) for blocks in montecarlo._path_batches(spec, seed, R)]
     assert [[x.shape for x in blocks] for blocks in batches] == [
         [(n, block, 4)] * 3 + [(n, 5, 4)] for n in (R - 9, 9)
     ]
@@ -214,10 +203,12 @@ def test_raw_operator_yields_one_block_per_batch():
     block = montecarlo._TIME_BLOCK
     spec = iid_spec(block + 44)
     R, seed = 2 * 104 + 3, 2  # 104 = STEPS // T' rounded down to a multiple of eight
-    batches = list(montecarlo._path_batches(spec, seed, R))
-    assert [x.shape for x in batches] == [(104, block + 44, 1)] * 2 + [(3, block + 44, 1)]
+    batches = [list(blocks) for blocks in montecarlo._path_batches(spec, seed, R)]
+    assert [[x.shape for x in blocks] for blocks in batches] == [
+        [(n, block + 44, 1)] for n in (104, 104, 3)
+    ]
     whole = paths_from_noise(spec, noise_block(spec, seed, 0, R))
-    assert np.concatenate(batches).tobytes() == whole.tobytes()
+    assert np.concatenate([x for (x,) in batches]).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("view", [True, False])
@@ -295,7 +286,7 @@ def test_tail_experiment_event_validation(monkeypatch):
         raise AssertionError("sampling started before the last event was checked")
 
     # every event is checked before the shared pass draws a path
-    monkeypatch.setattr(montecarlo, "noise_block", never)
+    monkeypatch.setattr(montecarlo, "_path_blocks", never)
     with pytest.raises(InvalidInput, match=re.escape("unknown event 'no-such-event'; known: [")):
         run_tail_experiments(spec, [("chernoff-direction", None), ("no-such-event", None)], R=4)
     message = "direction must have 1 columns (the state dimension), got 2"
@@ -327,19 +318,12 @@ def test_sweep_cells_read_prefixes_of_one_pass(monkeypatch):
     cells = [(ProcessSpec(source=sys, T=T, k=k), SWEEP_EVENTS) for T, k in
              [(16, 2), (64, 2), (33, 2), (49, 3), (64, 4)]]
     R, seed = 2 * (montecarlo.STEPS // 64) + 5, 11
-    draws = []
-    real_noise_block = montecarlo.noise_block
-
-    def spy(spec, seed, start, count):
-        draws.append((spec.effective_horizon, seed, count))
-        return real_noise_block(spec, seed, start, count)
-
-    monkeypatch.setattr(montecarlo, "noise_block", spy)
+    draws = spy_draws(monkeypatch)
     swept = run_tail_sweep(cells, R=R, seed=seed)
     # one pass: R replicates, all at the longest T' and at the sweep's seed
     assert {(t_eff, s) for t_eff, s, _ in draws} == {(64, seed)}
     assert sum(count for _, _, count in draws) == R
-    monkeypatch.setattr(montecarlo, "noise_block", real_noise_block)
+    monkeypatch.undo()
     assert len(swept) == len(cells)
     for (spec, events), exps in zip(cells, swept):
         assert exps == run_tail_experiments(spec, events, R=R, seed=seed)
@@ -349,7 +333,7 @@ def test_sweep_cells_share_one_source(monkeypatch):
     def never(*args):
         raise AssertionError("sampling started before every cell was checked")
 
-    monkeypatch.setattr(montecarlo, "noise_block", never)
+    monkeypatch.setattr(montecarlo, "_path_blocks", never)
     sys, twin = two_lag_var(), two_lag_var()
     events = [("lower-tail-eigenvalue", None)]
     with pytest.raises(InvalidInput, match="the cells of a sweep must share one source"):
@@ -392,7 +376,7 @@ def test_api_and_config_reject_an_event_alike(tmp_path, monkeypatch, event, para
     def never(*args):
         raise AssertionError("sampling started before the event was rejected")
 
-    monkeypatch.setattr(montecarlo, "noise_block", never)
+    monkeypatch.setattr(montecarlo, "_path_blocks", never)
     sys = VarSystem(a_lags=[np.array(model["a_lags"][0])], h=np.eye(2))
     pairs = [("lower-tail-eigenvalue", None), (event, params)]
     with warnings.catch_warnings():
@@ -406,24 +390,33 @@ def test_api_and_config_reject_an_event_alike(tmp_path, monkeypatch, event, para
 
 @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, -1])
 def test_library_rejects_seeds_outside_64_bits(monkeypatch, seed):
-    # mix64 reduces a seed mod 2**64, so 2**64 + 5 would replay seed 5's paths
+    # mix64 reduces a seed mod 2**64, so 2**64 + 5 would replay seed 5's
+    # paths; it reduces a replicate index and a sub-seed label alike, so the
+    # same rule holds for each of them
     def never(*args):
         raise AssertionError("noise was drawn for an out-of-range seed")
 
     monkeypatch.setattr(process, "replicate_words", never)
-    message = "seed must be >= 0, got -1" if seed < 0 else f"seed must be < 2**64, got {seed}"
+    monkeypatch.setattr(montecarlo, "replicate_words", never)
     sys = VarSystem(a_lags=[np.array([[0.5]])], h=np.eye(1))
-    runs = {
-        "noise_block": lambda: noise_block(iid_spec(8), seed, 0, 4),
-        "run_tail_experiments": lambda: run_tail_experiments(
+    runs = [
+        ("seed", lambda: noise_block(iid_spec(8), seed, 0, 4)),
+        ("seed", lambda: run_tail_experiments(
             iid_spec(8), [("lower-tail-eigenvalue", None)], R=4, seed=seed
-        ),
-        "run_identification_experiment": lambda: run_identification_experiment(
-            sys, T=64, k=1, delta=0.1, R=4, seed=seed
-        ),
-    }
-    for run in runs.values():
-        with pytest.raises(InvalidInput, match=re.escape(message)):
+        )),
+        ("seed", lambda: run_identification_experiment(sys, T=64, k=1, delta=0.1, R=4, seed=seed)),
+        ("seed", lambda: derive_seed(seed, 0)),
+        ("label", lambda: derive_seed(5, seed)),
+    ]
+    if seed > 0:
+        # replicate 2**64 would replay replicate 0, alone or inside a batch
+        runs += [
+            ("replicate index", lambda: noise_block(iid_spec(8), 3, seed, 1)),
+            ("replicate index", lambda: noise_block(iid_spec(8), 3, 2**64 - 1, seed - 2**64 + 2)),
+        ]
+    rule = "must be >= 0, got -1" if seed < 0 else f"must be < 2**64, got {seed}"
+    for name, run in runs:
+        with pytest.raises(InvalidInput, match=re.escape(f"{name} {rule}")):
             run()
 
 
@@ -560,35 +553,22 @@ class TestIdentificationExperiment:
 def test_one_seeding_pass_per_group(monkeypatch):
     # R = 16384 at T' = 128, p = 2: batches of 256, and one group of 16384
     # replicates, whose words (32 bytes each) fill as much memory as one
-    # batch's noise.  One replicate_words pass seeds them all, and every
-    # batch's noise has the bytes of noise_block outside any group
+    # block's noise.  One replicate_words pass seeds them all, and every
+    # batch, one block of T', has the bytes of its own noise_block's paths
     calls = []
     real_words = process.replicate_words
 
     def counted(seed, start, count):
-        calls.append((start, count))
+        calls.append((seed, start, count))
         return real_words(seed, start, count)
 
+    monkeypatch.setattr(montecarlo, "replicate_words", counted)
     monkeypatch.setattr(process, "replicate_words", counted)
     spec = ProcessSpec(VarSystem([np.array([[0.5, 0.1], [0.0, 0.4]])], np.eye(2)), 128)
-    batches = list(montecarlo._path_batches(spec, 11, 16384))
-    assert calls == [(0, 16384)]
-    assert len(batches) == 64 and process._SEEDED_GROUP == []
+    batches = [list(blocks) for blocks in montecarlo._path_batches(spec, 11, 16384)]
+    assert calls == [(11, 0, 16384)]
+    assert [len(blocks) for blocks in batches] == [1] * 64
     for i in (0, 63):
         alone = process.paths_from_noise(spec, process.noise_block(spec, 11, 256 * i, 256))
-        assert batches[i].tobytes() == alone.tobytes()
-    assert calls[1:] == [(0, 256), (256 * 63, 256)]
-
-
-def test_seeded_group_serves_only_its_own_rows():
-    # inside the group, beyond it and at another seed, noise_block gives
-    # the bytes it gives with no group seeded
-    spec = ProcessSpec(VarSystem([np.array([[0.5]])], np.eye(1)), 4)
-    draws = [(3, 5, 4), (3, 10, 4), (4, 5, 4)]
-    alone = [process.noise_block(spec, *draw).tobytes() for draw in draws]
-    process.seed_group(3, 4, 8)
-    try:
-        assert [process.noise_block(spec, *draw).tobytes() for draw in draws] == alone
-    finally:
-        process.seed_group(3, 0, 0)
-    assert process._SEEDED_GROUP == []
+        assert batches[i][0].tobytes() == alone.tobytes()
+    assert calls[1:] == [(11, 0, 256), (11, 256 * 63, 256)]

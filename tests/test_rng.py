@@ -1,10 +1,13 @@
 """Replicate seeding: the batched PCG64 state words against NumPy's own seeding."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causalcov import ProcessSpec, VarSystem, noise_block
+from causalcov import InvalidInput, ProcessSpec, VarSystem, noise_block
 from causalcov import _rng, process
 from causalcov._rng import (
     _mix64_counters,
@@ -172,8 +175,16 @@ def test_public_setter_route_gives_the_same_bytes(monkeypatch):
     t_eff=st.integers(min_value=1, max_value=7),
     p=st.integers(min_value=1, max_value=3),
 )
+@example(seed=5, start=2**64 - 9, count=9, split=4, t_eff=3, p=2)
+@example(seed=5, start=2**64 - 3, count=4, split=1, t_eff=3, p=2)
 def test_noise_block_matches_pieces_and_numpy(seed, start, count, split, t_eff, p):
     spec = spec_of(t_eff, p)
+    if start + count > 2**64:
+        # the last replicate's index would wrap to a replicate below start
+        message = f"replicate index must be < 2**64, got {start + count - 1}"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            noise_block(spec, seed, start, count)
+        return
     split = min(split, count)
     whole = noise_block(spec, seed, start, count)
     assert whole.shape == (count, t_eff, p)

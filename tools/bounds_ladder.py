@@ -1,24 +1,29 @@
-"""Time the `bounds` or `identify` subcommand over a ladder of horizons.
+"""Time a subcommand of the CLI over a ladder of horizons.
 
-usage: python3 tools/bounds_ladder.py [--src DIR] [--subcommand bounds|identify]
+usage: python3 tools/bounds_ladder.py [--src DIR]
+                                     [--subcommand bounds|identify|simulate|verify]
                                      [--config PATH] T [T ...]
 
 Each horizon runs in a fresh interpreter with BLAS on one thread.
 `bounds` (the default) runs on the config of
-perfbench/configs/bounds-T512.json with only T changed.  `identify` runs
-on the config of perfbench/configs/identify-T4096.json, with the replicate
-count R scaled so that R * T stays at 100 * 4096 (and R >= 1), so every
-rung simulates about as many time steps.  From T = 16384 on, R is below
-44, the fewest replicates whose Wilson interval at zero hits fits
-identify's budget 2 delta = 0.2, so identify exits 1 there.  --config
-runs the rungs on another config instead, with the same changes; for
-example tools/models/bounds-dL12.json, a VAR with d = 4 and 3 lags, so
-dL = 12.  The package
-is imported from --src (default: this checkout's src/), so the same
-script times another checkout.  One JSON object per horizon is printed:
-T, R for identify, the exit code, import_s (the child's time to import
-causalcov.cli, NumPy included), wall_s (entry to return of
-causalcov.cli.main) and peak_rss_mb (the child's ru_maxrss).
+perfbench/configs/bounds-T512.json with only T changed.  The Monte-Carlo
+subcommands scale the replicate count R with T so that R * T stays that
+of their config (and R >= 1), so every rung simulates about as many time
+steps: `identify` runs on perfbench/configs/identify-T4096.json, with
+R * T = 100 * 4096, and `verify` and `simulate` on
+perfbench/configs/verify-mc.json, with R * T = 16384 * 128.  From
+T = 16384 on, identify's R is below 44, the fewest replicates whose
+Wilson interval at zero hits fits identify's budget 2 delta = 0.2, so
+identify exits 1 there; verify exits 1 at every rung, as two of its
+bounds lie below the Wilson floor.  --config runs the rungs on another
+config instead, with the same changes; for example
+tools/models/bounds-dL12.json, a VAR with d = 4 and 3 lags, so dL = 12.
+The package is imported from --src (default: this checkout's src/), so
+the same script times another checkout.  One JSON object per horizon is
+printed: T, R for a Monte-Carlo subcommand, the exit code, import_s (the
+child's time to import causalcov.cli, NumPy included), wall_s (entry to
+return of causalcov.cli.main, reports written) and peak_rss_mb (the
+child's ru_maxrss).
 """
 
 from __future__ import annotations
@@ -32,13 +37,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "perfbench" / "configs"
 MODELS = {
-    "bounds": ROOT / "perfbench" / "configs" / "bounds-T512.json",
-    "identify": ROOT / "perfbench" / "configs" / "identify-T4096.json",
+    "bounds": CONFIGS / "bounds-T512.json",
+    "identify": CONFIGS / "identify-T4096.json",
+    "simulate": CONFIGS / "verify-mc.json",
+    "verify": CONFIGS / "verify-mc.json",
 }
 
-#: replicates times horizon of every identify rung
-IDENTIFY_STEPS = 100 * 4096
+#: replicates times horizon of every rung of a Monte-Carlo subcommand
+STEPS = {"identify": 100 * 4096, "simulate": 16384 * 128, "verify": 16384 * 128}
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD = """
@@ -58,8 +66,8 @@ def run(src: Path, subcommand: str, model: Path, T: int, work: Path) -> dict:
     config = json.loads(model.read_text())
     config["T"] = T
     rung = {"T": T}
-    if subcommand == "identify":
-        config["replicates"] = rung["R"] = max(1, IDENTIFY_STEPS // T)
+    if subcommand in STEPS:
+        config["replicates"] = rung["R"] = max(1, STEPS[subcommand] // T)
     path = work / f"{subcommand}-T{T}.json"
     path.write_text(json.dumps(config))
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
