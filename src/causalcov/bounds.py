@@ -205,6 +205,19 @@ def causal_exp_inequality(process, d_mat, lam: float) -> float:
     return _exp_bound(-lam * s1 + lam * lam * s2)
 
 
+def _chernoff(process, d_mat, bound: bool = True) -> tuple[float | None, float]:
+    """(bound, threshold) of the Chernoff event from one block_trace_sums:
+    exp(-S1^2 / (16 S2)) and S1/2.  The bound raises DegenerateDirection
+    where S1 <= 0; with bound=False it is None, and only the threshold is
+    derived."""
+    s1, s2 = block_trace_sums(process, d_mat)
+    if not bound:
+        return None, 0.5 * s1
+    if s1 <= 0.0:
+        raise DegenerateDirection("probing direction annihilates every diagonal block")
+    return math.exp(-s1 * s1 / (16.0 * s2)), 0.5 * s1
+
+
 def chernoff_lower_tail(process, d_mat) -> float:
     """Bound on P(sum_t ||Delta X_t||^2 <= S1/2), where S1 is the decoupled
     mean energy sum_t E ||Delta X~_t||^2.
@@ -212,16 +225,12 @@ def chernoff_lower_tail(process, d_mat) -> float:
     Optimizing lambda in the causal exponential inequality at threshold
     S1/2 gives exp(-S1^2 / (16 S2)).  Scale-invariant in D.
     """
-    s1, s2 = block_trace_sums(process, d_mat)
-    if s1 <= 0.0:
-        raise DegenerateDirection("probing direction annihilates every diagonal block")
-    return math.exp(-s1 * s1 / (16.0 * s2))
+    return _chernoff(process, d_mat)[0]
 
 
 def chernoff_threshold(process, d_mat) -> float:
     """Event threshold S1/2 certified by chernoff_lower_tail."""
-    s1, _ = block_trace_sums(process, d_mat)
-    return 0.5 * s1
+    return _chernoff(process, d_mat, bound=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +592,8 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float) -> float:
     holds for 0 <= lam <= 1/(4 lam_max(L^T L)); v is a finite nonzero
     d-vector (finite_matrix, as one row), normalised here.
     """
+    if not isinstance(op, CausalOperator):
+        raise InvalidInput(f"mgf_subexp_lemma takes a CausalOperator, got {type(op).__name__}")
     lam = _require_lam(lam)
     vv = finite_matrix([v], "direction")[0]
     if vv.shape[0] != op.d:
@@ -607,9 +618,9 @@ def mgf_subexp_lemma(op: CausalOperator, v, lam: float) -> float:
 
 def armastability_bound(sys: VarSystem, T: int) -> float:
     """Upper bound T ||H H^T|| sum_{j<T} ||A^j (A^j)^T|| on ||sum_t E X_t X_t^T||."""
-    T = check_int(T, "T")
+    T, analysis = check_int(T, "T"), var_analysis(sys)
     hh_norm = float(np.linalg.norm(sys.h, 2) ** 2)
-    return T * hh_norm * var_analysis(sys).power_norm_sum(T)
+    return T * hh_norm * analysis.power_norm_sum(T)
 
 
 def arma_prefactor(sys: VarSystem, T: int, k: int) -> tuple[int, float]:

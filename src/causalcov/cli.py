@@ -19,21 +19,23 @@ resolved config added, then one <subcommand>.meta.json sidecar whose
 "outputs" names them, then the "wrote ..." line.  A run that fails before
 its handler returns writes nothing.
 
-Reports are deterministic for a fixed config: JSON is emitted with sorted
-keys, CSV with a fixed documented header, floats via repr round-tripping.
-Wall-clock timestamps live only in the sidecar, which is excluded from
-any byte-level comparison.  The CSV column orders are VERIFY_COLUMNS and
-SWEEP_COLUMNS below; README.md documents them and the config schema for
-users.  _write_csv writes rows as they come, and handlers return them
-lazily: simulate writes each batch of montecarlo's sampling loop as it
-is drawn, so it holds one batch in memory.  At seed s it writes the paths
+Every report value is plain Python data, formatted by the standard library
+alone: JSON by json.dumps with sorted keys, CSV by the csv module under a
+fixed documented header, a float by repr, an int as a decimal and None as
+an empty cell; a boolean is true/false in both (_csv_row).  Wall-clock
+timestamps live only in the sidecar, which is excluded from any byte-level
+comparison.  The CSV column orders are VERIFY_COLUMNS and SWEEP_COLUMNS
+below; README.md documents them and the config schema for users.
+_write_csv writes rows as they come, and simulate returns them lazily: it
+writes each batch of montecarlo's sampling loop as it is drawn, so it
+holds one batch in memory.  At seed s it writes the paths
 run_tail_experiment(seed=s) samples.  verify and sweep draw one sample, at
 the sub-seed derive_seed(s, 0), at the longest T' of their cells (verify
 has one); each (T, k) cell scores every event, at every delta, on the
 prefix of those paths up to its own T' (montecarlo.run_tail_sweep).  The
-hits of different cells are dependent, each interval valid on its own,
-and a prefix whose T' is not a multiple of 16 may differ in the last
-digit from a sample at that T' alone.
+hits of different cells are dependent, each interval valid on its own, and
+a prefix whose T' is not a multiple of 16 may differ in the last digit
+from a sample at that T' alone.
 """
 
 from __future__ import annotations
@@ -95,34 +97,22 @@ SWEEP_COLUMNS = VERIFY_COLUMNS[:3] + ("delta",) + VERIFY_COLUMNS[3:] + (
 )
 
 
-def _json_default(obj):
-    """json.dumps hook: NumPy scalars and arrays as plain data.  A float64 is
-    a float, which json writes with float.__repr__ without the hook."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_row(row: dict, columns) -> list:
+    """row's values in column order, a boolean as true/false (the one value
+    the csv module spells otherwise)."""
+    return [("true" if v else "false") if isinstance(v, bool) else v for v in map(row.get, columns)]
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    """Header, then each row (its values in column order) as it comes."""
+    """Header, then the rows as they come."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(_csv_cell, row) for row in rows)
+        writer.writerows(rows)
 
 
 def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
@@ -135,7 +125,7 @@ def _write_meta(path: Path, subcommand: str, outputs: list[Path]) -> None:
         "version": __version__,
         "outputs": [p.name for p in outputs],
     }
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(path, meta)
 
 
 def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
@@ -145,7 +135,7 @@ def _load(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
         config.seed = check_seed(args.seed, "--seed")
     if args.replicates is not None:
         config.replicates = check_int(args.replicates, "--replicates")
-    out_dir = Path(args.out)
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return config, out_dir
 
@@ -165,7 +155,7 @@ def _experiment_row(exp, spec: ProcessSpec) -> dict:
         "vacuous": exp.vacuous,
         "certified": exp.certified,
         "seed": exp.seed,
-        "extras": {k_: v for k_, v in exp.extras.items() if np.isscalar(v) or v is None},
+        "extras": exp.extras,
     }
 
 
@@ -241,7 +231,7 @@ def cmd_verify(config: ExperimentConfig) -> tuple[int, dict]:
             f"ci_high={r['ci_high']:.6g} bound={r['bound']:.6g} [{status}]"
         )
     reports = {
-        "verify.csv": (VERIFY_COLUMNS, (map(r.get, VERIFY_COLUMNS) for r in rows)),
+        "verify.csv": (VERIFY_COLUMNS, [_csv_row(r, VERIFY_COLUMNS) for r in rows]),
         "verify.json": summary,
     }
     return 0 if overall else 1, reports
@@ -285,7 +275,7 @@ def cmd_identify(config: ExperimentConfig) -> tuple[int, dict]:
         f"budget={exp.bound:.6g} burnin_satisfied={burnin_ok}"
     )
     reports = {
-        "identify.csv": (("replicate", "op_error"), enumerate(op_errors)),
+        "identify.csv": (("replicate", "op_error"), enumerate(op_errors.tolist())),
         "identify.json": report,
     }
     return 0 if exp.certified or not burnin_ok else 1, reports
@@ -321,7 +311,7 @@ def cmd_sweep(config: ExperimentConfig) -> tuple[int, dict]:
     overall = all(r["certified"] for r in rows)
     print(f"{len(rows)} rows over {len(cells)} cells; overall_pass={overall}")
     reports = {
-        "sweep.csv": (SWEEP_COLUMNS, (map(r.get, SWEEP_COLUMNS) for r in rows)),
+        "sweep.csv": (SWEEP_COLUMNS, [_csv_row(r, SWEEP_COLUMNS) for r in rows]),
         "sweep.json": {"cells": cells, "results": rows, "overall_pass": overall},
     }
     return 0 if overall else 1, reports
@@ -358,9 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"causalcov {__version__}")
     parser.add_argument("subcommand", choices=SUBCOMMANDS, help="what to run (see below)")
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--replicates", type=int, default=None, help="override the replicate count")
+    parser.add_argument("--out", help="output directory (default: cwd)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--replicates", type=int, help="override the replicate count")
     return parser
 
 

@@ -55,18 +55,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import check_seed, replicate_words
-from .bounds import (
-    _analysis,
-    anticoncentration_bound,
-    check_q,
-    chernoff_lower_tail,
-    chernoff_threshold,
-    upper_tail_bound,
-)
+from .bounds import _analysis, _chernoff, anticoncentration_bound, check_q, upper_tail_bound
 from .errors import InvalidInput, NonFiniteBound
 from .estimator import _pinv_fits, check_delta, ls_bound_details
 from .linalg import check_int, finite_matrix, require_psd
-from .process import _PATH_ROWS, _path_blocks, ProcessSpec, VarSystem
+from .process import _PATH_ROWS, _check_spec, _path_blocks, ProcessSpec, VarSystem, var_analysis
 
 __all__ = [
     "TailExperiment",
@@ -266,8 +259,8 @@ def _event_plan(spec: ProcessSpec, event: str, params: dict | None) -> _EventPla
     if event == "chernoff-direction":
         direction = finite_matrix(params.get("direction", np.eye(d)), "direction")
         d_mat = require_psd(direction.T @ direction, "direction Gram")
-        bound = _finite_bound(event, chernoff_lower_tail(spec, d_mat))
-        threshold = chernoff_threshold(spec, d_mat)
+        bound, threshold = _chernoff(spec, d_mat)
+        bound = _finite_bound(event, bound)
         hit = np.less_equal
 
         def batch_stat(grams):
@@ -324,8 +317,8 @@ def run_tail_sweep(
     cells = list(cells)
     if not cells:
         raise InvalidInput("a sweep needs at least one cell")
-    source = cells[0][0].source
-    if any(spec.source is not source for spec, _ in cells):
+    source = _check_spec(cells[0][0]).source
+    if any(_check_spec(spec).source is not source for spec, _ in cells):
         raise InvalidInput("the cells of a sweep must share one source")
     horizons = [spec.effective_horizon for spec, _ in cells]
     batches = _path_batches(cells[int(np.argmax(horizons))][0], seed, R)
@@ -445,8 +438,10 @@ def run_identification_experiment(
     from those of one product over the whole path only in rounding.  The
     certified budget is 2*delta (bound failure plus burn-in failure); an
     unsatisfied burn-in is flagged in extras but the experiment proceeds.
-    T, k, R, seed and then delta (check_delta) are checked first.
+    The model (a VarSystem), T, k, R, seed and then delta (check_delta)
+    are checked first.
     """
+    var_analysis(sys)  # the VarSystem rule, before T and k
     t_eff = ProcessSpec(source=sys, T=T, k=k).effective_horizon
     batches = _path_batches(ProcessSpec(source=sys, T=t_eff + 1), seed, R)
     delta = check_delta(delta)

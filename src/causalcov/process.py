@@ -156,16 +156,13 @@ class VarSystem:
 
 
 def companion(sys: VarSystem) -> np.ndarray:
-    """Companion matrix of the lifted state, shape (d*L, d*L).
+    """Companion matrix of the lifted state, shape (d*L, d*L), a writable copy
+    of var_analysis(sys).a.
 
     Top block row is [A_1 ... A_L]; the sub-diagonal carries identities
     shifting old states down; everything else is zero.
     """
-    d, L = sys.d, sys.n_lags
-    a = np.zeros((d * L, d * L))
-    a[:d] = sys.regression_matrix()
-    a[d:, : d * (L - 1)] = np.eye(d * (L - 1))
-    return a
+    return var_analysis(sys).a.copy()
 
 
 def effective_horizon(T: int, k: int) -> int:
@@ -316,7 +313,11 @@ class VarAnalysis:
     """
 
     def __init__(self, sys: VarSystem):
-        self.a = _read_only(companion(sys))
+        d, L = sys.d, sys.n_lags
+        a = np.zeros((d * L, d * L))
+        a[:d] = sys.regression_matrix()
+        a[d:, : d * (L - 1)] = np.eye(d * (L - 1))
+        self.a = _read_only(a)  # the companion matrix
         self.b = _read_only(sys.lifted_noise_map())
         self._derived_series: dict = {}
         self._memo: dict = {}
@@ -629,7 +630,11 @@ _ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def var_analysis(sys: VarSystem) -> VarAnalysis:
-    """The one analysis of sys, built on first use and kept while sys lives."""
+    """The one analysis of sys, built on first use and kept while sys lives.
+    Every function of a VAR model reads it first, so here is the one rule
+    of that model's kind: InvalidInput unless sys is a VarSystem."""
+    if not isinstance(sys, VarSystem):
+        raise InvalidInput(f"a VAR model must be a VarSystem, got {type(sys).__name__}")
     if sys not in _ANALYSES:
         _ANALYSES[sys] = VarAnalysis(sys)
     return _ANALYSES[sys]
@@ -689,6 +694,15 @@ class ProcessSpec:
     @property
     def noise_dim(self) -> int:
         return self.source.p
+
+
+def _check_spec(spec) -> ProcessSpec:
+    """spec itself; InvalidInput unless it is a ProcessSpec.  The one rule of
+    the model kind at every sampling entry point (noise_block,
+    paths_from_noise, montecarlo.run_tail_sweep)."""
+    if not isinstance(spec, ProcessSpec):
+        raise InvalidInput(f"process must be a ProcessSpec, got {type(spec).__name__}")
+    return spec
 
 
 class _NormalStreams:
@@ -792,6 +806,7 @@ def noise_block(spec: ProcessSpec, seed: int, start: int, count: int) -> np.ndar
     index start + count - 1 is below 2**64 (check_seed's rule, as mix64
     would alias a larger one).
     """
+    _check_spec(spec)
     check_seed(seed)
     start, count = check_int(start, "start", minimum=0), check_int(count, "count", minimum=0)
     if count:
@@ -807,6 +822,7 @@ def paths_from_noise(spec: ProcessSpec, w: np.ndarray) -> np.ndarray:
     any batch of the same replicates gets.  w must have shape
     (count, T', p) (InvalidInput otherwise).
     """
+    _check_spec(spec)
     w = np.asarray(w)
     t_eff, p = spec.effective_horizon, spec.noise_dim
     if w.shape[1:] != (t_eff, p):

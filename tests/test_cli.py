@@ -279,7 +279,8 @@ class TestVerify:
 
     def test_negative_control_exit_1(self, tmp_path, monkeypatch):
         # a deliberately wrong bound must fail certification end to end
-        monkeypatch.setattr(montecarlo, "chernoff_lower_tail", lambda *args, **kwargs: 1e-300)
+        real = montecarlo._chernoff
+        monkeypatch.setattr(montecarlo, "_chernoff", lambda *args: (1e-300, real(*args)[1]))
         cfg = write_config(tmp_path / "c.json", base_config())
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
@@ -934,8 +935,12 @@ class TestErrors:
     @pytest.mark.parametrize(
         "subcommand, target, event",
         [
-            ("verify", "chernoff_lower_tail", "chernoff-direction"),
-            ("sweep", "chernoff_lower_tail", "chernoff-direction"),
+            # _chernoff gives the event its chernoff_lower_tail bound, which
+            # the id names
+            pytest.param("verify", "_chernoff", "chernoff-direction",
+                         id="verify-chernoff_lower_tail-chernoff-direction"),
+            pytest.param("sweep", "_chernoff", "chernoff-direction",
+                         id="sweep-chernoff_lower_tail-chernoff-direction"),
             ("identify", "ls_bound_details", "ls-error-exceeds-bound"),
         ],
     )
@@ -947,7 +952,8 @@ class TestErrors:
 
         def broken(*args, **kwargs):
             result = real(*args, **kwargs)
-            return {**result, "bound": value} if isinstance(result, dict) else value
+            # ls_bound_details' dict, or _chernoff's (bound, threshold)
+            return {**result, "bound": value} if isinstance(result, dict) else (value, result[1])
 
         monkeypatch.setattr(montecarlo, target, broken)
         cfg = write_config(tmp_path / "c.json", base_config(replicates=50))
@@ -973,6 +979,61 @@ class TestErrors:
         assert "error: linear algebra failed: SVD did not converge" in capsys.readouterr().err
 
 
+#: the VAR and raw-operator configs of CI's BLAS-threads step: every tail
+#: event, a sweep grid, and (operator) the dense route's statistics
+PLAIN_DATA_CONFIGS = {
+    "var": {
+        "model": {
+            "type": "var",
+            "a_lags": [
+                [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]],
+                [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.05, 0.1]],
+            ],
+            "h": [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.5, 0.8]],
+        },
+        "T": 24,
+        "k": 2,
+        "replicates": 300,
+        "seed": 7,
+        "events": [
+            "lower-tail-eigenvalue",
+            _chernoff([[1.0, 0.5, 0.0, 0.0, 0.2, 0.0], [0.0, 1.0, 0.0, 0.3, 0.0, 0.1]]),
+            {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+        ],
+        "grid": {"T": [12, 24], "k": [2, 3]},
+    },
+    "operator": {
+        "model": {
+            "type": "operator", "d": 2, "p": 2, "k": 2,
+            "blocks": [
+                [[[1.0, 0.0, 0.0, 0.0], [0.3, 0.8, 0.0, 0.0], [0.5, 0.2, 1.0, 0.0],
+                  [0.1, 0.4, 0.2, 0.9]]],
+                [[[0.2, 0.1, 0.0, 0.3], [0.0, 0.2, 0.1, 0.0], [0.1, 0.0, 0.3, 0.1],
+                  [0.0, 0.2, 0.0, 0.2]],
+                 [[1.2, 0.0, 0.0, 0.0], [0.1, 0.7, 0.0, 0.0], [0.4, 0.0, 0.9, 0.0],
+                  [0.0, 0.3, 0.1, 1.1]]],
+                [[[0.1, 0.0, 0.2, 0.0], [0.0, 0.1, 0.0, 0.1], [0.2, 0.1, 0.0, 0.0],
+                  [0.0, 0.0, 0.1, 0.2]],
+                 [[0.3, 0.0, 0.1, 0.0], [0.1, 0.2, 0.0, 0.1], [0.0, 0.1, 0.2, 0.0],
+                  [0.2, 0.0, 0.0, 0.3]],
+                 [[0.9, 0.0, 0.0, 0.0], [0.2, 1.3, 0.0, 0.0], [0.3, 0.1, 0.8, 0.0],
+                  [0.0, 0.2, 0.3, 1.0]]],
+            ],
+        },
+        "T": 6,
+        "k": 2,
+        "replicates": 300,
+        "seed": 7,
+        "events": [
+            "lower-tail-eigenvalue",
+            _chernoff([[1.0, 0.5], [0.0, 1.0]]),
+            {"event": "upper-tail-opnorm", "params": {"q": 2.0}},
+        ],
+        "grid": {"delta": [0.05, 0.1]},
+    },
+}
+
+
 class TestReportPath:
     @pytest.mark.parametrize(
         "subcommand, outputs",
@@ -996,6 +1057,29 @@ class TestReportPath:
         if subcommand == "simulate":
             wrote += " (40 paths, horizon 24)"
         assert capsys.readouterr().out.splitlines()[-1] == wrote
+
+    @pytest.mark.parametrize("model", ["var", "operator"])
+    def test_reports_are_plain_data(self, model, capsys):
+        # the standard library formats every report: JSON needs no default
+        # hook, and each CSV cell is exactly an int, float, str or None (csv
+        # writes a NumPy float by its repr, np.float64(x) on NumPy 2, and a
+        # bool as True/False)
+        config = ExperimentConfig.from_dict(PLAIN_DATA_CONFIGS[model])
+        subcommands = ["bounds", "verify", "identify", "sweep", "simulate"]
+        if model == "operator":
+            subcommands.remove("identify")
+        for subcommand in subcommands:
+            _, reports = cli.SUBCOMMANDS[subcommand][0](config)
+            for name, report in reports.items():
+                if isinstance(report, dict):
+                    json.dumps({"config": config.to_dict(), **report})
+                    continue
+                columns, rows = report
+                for row in rows:
+                    row = list(row)
+                    assert len(row) == len(columns), name
+                    for column, cell in zip(columns, row):
+                        assert type(cell) in (int, float, str, type(None)), (name, column, cell)
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         blocks = [[[[1.0]]], [[[0.3]], [[1.0]]]]

@@ -18,11 +18,19 @@ from causalcov import (
     InvalidInput,
     ProcessSpec,
     VarSystem,
+    arma_corollary_bound,
+    arma_prefactor,
+    armastability_bound,
+    burnin_check,
     chernoff_lower_tail,
+    companion,
     derive_seed,
     error_decomposition,
     exact_mgf,
+    gamma_k,
+    kappa,
     least_squares,
+    ls_bound_details,
     ls_error_bound,
     mgf_subexp_lemma,
     mgf_upper_bound,
@@ -30,9 +38,12 @@ from causalcov import (
     paths_from_noise,
     run_identification_experiment,
     run_tail_experiment,
+    run_tail_experiments,
     self_normalized_bound,
     trace_square,
     upper_tail_bound,
+    var_time_covariances,
+    var_to_operator,
     wilson_interval,
 )
 from causalcov.montecarlo import check_event
@@ -307,6 +318,37 @@ VALUE_RULES = [
                  id="identity-T-float"),
     pytest.param(lambda: paths_from_noise(_spec(T=8), np.zeros((1, 5, 2))),
                  "noise must have shape (count, 8, 2), got (1, 5, 2)", id="noise-shape"),
+]
+
+# (library call, message): a model of the wrong kind fails where its kind
+# enters: var_analysis for a VAR function, the sampling entry points for a
+# ProcessSpec, and the operator functions for a CausalOperator
+NOT_A_VAR = "a VAR model must be a VarSystem, got CausalOperator"
+NOT_A_SPEC = "process must be a ProcessSpec, got CausalOperator"
+VALUE_RULES += [
+    pytest.param(call, message, id=name)
+    for name, call, message in [
+        ("armastability-operator", lambda: armastability_bound(_two_blocks(), 2), NOT_A_VAR),
+        ("arma-prefactor-operator", lambda: arma_prefactor(_two_blocks(), 2, 1), NOT_A_VAR),
+        ("arma-corollary-operator", lambda: arma_corollary_bound(_two_blocks(), 2, 1), NOT_A_VAR),
+        ("burnin-check-operator", lambda: burnin_check(_two_blocks(), 2, 1, 0.1), NOT_A_VAR),
+        ("ls-details-operator", lambda: ls_bound_details(_two_blocks(), 2, 1, 0.1), NOT_A_VAR),
+        ("ls-error-operator", lambda: ls_error_bound(_two_blocks(), 2, 1, 0.1), NOT_A_VAR),
+        ("gamma-k-operator", lambda: gamma_k(_two_blocks(), 1), NOT_A_VAR),
+        ("kappa-operator", lambda: kappa(_two_blocks(), 2), NOT_A_VAR),
+        ("time-covariances-operator", lambda: var_time_covariances(_two_blocks(), 2), NOT_A_VAR),
+        ("var-to-operator-operator", lambda: var_to_operator(_two_blocks(), 2), NOT_A_VAR),
+        ("companion-operator", lambda: companion(_two_blocks()), NOT_A_VAR),
+        ("identify-operator",
+         lambda: run_identification_experiment(_two_blocks(), 5, 1, 0.1, R=4), NOT_A_VAR),
+        ("noise-block-operator", lambda: noise_block(_two_blocks(), 0, 0, 2), NOT_A_SPEC),
+        ("paths-operator", lambda: paths_from_noise(_two_blocks(), np.zeros((1, 2, 1))),
+         NOT_A_SPEC),
+        ("tail-experiments-operator",
+         lambda: run_tail_experiments(_two_blocks(), ["lower-tail-eigenvalue"], R=4), NOT_A_SPEC),
+        ("subexp-lemma-spec", lambda: mgf_subexp_lemma(_spec(), [1.0, 0.0], 0.1),
+         "mgf_subexp_lemma takes a CausalOperator, got ProcessSpec"),
+    ]
 ]
 
 

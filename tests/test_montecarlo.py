@@ -14,6 +14,7 @@ from causalcov import (
     InvalidInput,
     ProcessSpec,
     VarSystem,
+    chernoff_lower_tail,
     chernoff_threshold,
     derive_seed,
     effective_horizon,
@@ -27,7 +28,7 @@ from causalcov import (
     run_tail_sweep,
     wilson_interval,
 )
-from causalcov import montecarlo, process
+from causalcov import bounds, montecarlo, process
 from causalcov._rng import mix64
 from causalcov.estimator import least_squares
 from causalcov.linalg import CausalOperator
@@ -99,6 +100,23 @@ class TestTailExperimentChernoff:
         assert exp.extras["threshold"] == pytest.approx(
             chernoff_threshold(spec.source, d_mat)
         )
+
+    def test_bound_and_threshold_read_one_pair_of_sums(self, monkeypatch):
+        # each event's (S1, S2) is computed once and gives both its bound and
+        # its threshold, with the bytes of the two public functions
+        spec = ProcessSpec(source=VarSystem(a_lags=[np.eye(2) * 0.5], h=np.eye(2)), T=32)
+        direction = [[1.0, 0.5]]
+        d_mat = np.array(direction).T @ np.array(direction)
+        expected = (chernoff_lower_tail(spec, d_mat), chernoff_threshold(spec, d_mat))
+        calls = []
+        real_sums = bounds.block_trace_sums
+        monkeypatch.setattr(
+            bounds, "block_trace_sums", lambda *args: calls.append(args) or real_sums(*args)
+        )
+        events = [("chernoff-direction", {"direction": direction}), ("chernoff-direction", None)]
+        exps = run_tail_experiments(spec, events, R=8, seed=1)
+        assert len(calls) == 2
+        assert (exps[0].bound, exps[0].extras["threshold"]) == expected
 
     def test_var_hits_match_probed_energy_oracle(self):
         # a VAR(2) source, whose lifted state has d = 4, probed by a 2 x 4
@@ -250,10 +268,13 @@ def test_tail_rows_above_the_time_block_do_not_depend_on_steps(monkeypatch):
     # T' = 528 are accumulated over the same time blocks.  The probed
     # energy's threshold is raised from half its decoupled sum to near its
     # mean, so that a few in ten replicates hit
-    real_threshold = montecarlo.chernoff_threshold
-    monkeypatch.setattr(
-        montecarlo, "chernoff_threshold", lambda spec, d_mat: 2.7 * real_threshold(spec, d_mat)
-    )
+    real_chernoff = montecarlo._chernoff
+
+    def raised_threshold(spec, d_mat):
+        bound, threshold = real_chernoff(spec, d_mat)
+        return bound, 2.7 * threshold
+
+    monkeypatch.setattr(montecarlo, "_chernoff", raised_threshold)
     sys = VarSystem(a_lags=[np.array([[0.5, 0.1], [0.0, 0.4]])], h=np.eye(2))
     cells = [(ProcessSpec(source=sys, T=T), TAIL_EVENTS_LONG) for T in (272, 528)]
     R, seed = 301, 4
